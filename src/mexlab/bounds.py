@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import Pattern, bits, chromatic_number
+from .graphs import Pattern, chromatic_number, induced_sizes
 
 LEMMA_CONSTANT_MAX_R = 20
 
@@ -301,27 +301,4 @@ def phi_exponent(f: Pattern, rho):
         raise ValueError("pattern has no edges")
     if rho < 0:
         raise ValueError("rho must be >= 0")
-    g = f.graph
-    best = None
-    for mask in range(1, 1 << g.n):
-        twice_e = sum((g.adj[v] & mask).bit_count() for v in bits(mask))
-        if twice_e:
-            val = mask.bit_count() - rho * (twice_e // 2)
-            if best is None or val < best:
-                best = val
-    return best
-
-
-FORMULAS = {
-    "lemma21_constant": lemma_constant,
-    "cor12": cor12_exponent,
-    "thm13_f": thm13_f,
-    "cor14_kst": cor14_kst,
-    "thm15_general": thm15_general,
-    "thm41_kst_lower": thm41_kst_lower,
-    "thm43_multipartite": thm43_multipartite,
-    "remark42_one_part": remark42_one_part,
-    "cor44_tripartite_lower": cor44_tripartite_lower,
-    "thm46_join_cycle": thm46_join_cycle,
-    "cor17_classifier": cor17_classifier,
-}
+    return min(v - rho * e for v, e in induced_sizes(f.graph))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -20,9 +21,8 @@ from .constructions import (CSV_HEADER, ExperimentSpec, deletion_method,
                             norm_graph, run_experiment)
 from .extraction import ExtractionParams, extract_dense
 from .graphs import (Graph, Pattern, count_cliques, count_copies,
-                     edge_clique_participation, format_edge_list, is_free,
-                     load_edge_list, parse_pattern_literal, pattern,
-                     save_edge_list)
+                     edge_clique_participation, is_free, load_edge_list,
+                     parse_pattern_literal, save_edge_list)
 from .oracle import OracleQuery, ex_exact, mex_exact
 
 EXIT_OK = 0
@@ -61,7 +61,7 @@ def _load_pattern(spec: str) -> Pattern:
 
 
 def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     if out:
         with open(out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
@@ -79,7 +79,11 @@ def _parse_params(text: str) -> dict:
         if "=" not in chunk:
             raise _CliError("invalid-params", f"expected k=v, got {chunk!r}")
         key, val = chunk.split("=", 1)
-        out[key.strip()] = _parse_value(val.strip())
+        key, val = key.strip(), val.strip()
+        try:
+            out[key] = _parse_value(val)
+        except (ValueError, ZeroDivisionError):
+            raise _CliError("invalid-params", f"parameter {key!r} has an invalid value {val!r}")
     return out
 
 
@@ -99,67 +103,73 @@ def _parse_value(val: str):
         return val
 
 
-def _scalar_report(formula_id: str, params: dict, value) -> dict:
-    rational = str(value) if isinstance(value, Fraction) else None
-    return {
-        "formulaId": formula_id,
-        "params": {k: (str(v) if isinstance(v, Fraction) else v)
-                   for k, v in params.items()},
-        "value": bool(value) if isinstance(value, bool) else (
-            value if value is None else float(value)),
-        "valueRational": rational,
-        "conditions": [],
-        "tight": False,
-        "aux": {},
-    }
+def _int(v) -> int:
+    """An integral finite value: 3, 3.0 or 6/2."""
+    if (isinstance(v, int) or isinstance(v, Fraction) and v.denominator == 1
+            or isinstance(v, float) and v.is_integer()):
+        return int(v)
+    raise ValueError(f"must be an integer, got {v}")
+
+
+def _number(v):
+    """A finite int, Fraction or float, passed through as parsed."""
+    if isinstance(v, (int, Fraction)) or isinstance(v, float) and math.isfinite(v):
+        return v
+    raise ValueError(f"must be a finite number, got {v}")
+
+
+def _sizes(v) -> list[int]:
+    """An int or a '+'-list of ints."""
+    return v if isinstance(v, list) else [_int(v)]
+
+
+def _pattern(v) -> Pattern:
+    """A pattern literal or an edge-list path."""
+    return _load_pattern(str(v))
+
+
+# Formula id -> (name of its `bounds` function, its parameters in call order
+# with their kinds).  The name is looked up at call time, so a rebound module
+# attribute (a tracing wrapper, say) is the one that runs.
+_FORMULAS = {
+    "lemma21_constant": ("lemma_constant", {"u": _int, "r": _int}),
+    "cor12": ("cor12_exponent", {"r": _int, "s": _number}),
+    "thm13_f": ("thm13_f", {"alpha": _number, "beta": _number}),
+    "cor14_kst": ("cor14_kst", {"r": _int, "s": _int}),
+    "thm15_general": ("thm15_general", {"u": _int, "r": _int, "f": _pattern}),
+    "thm41_kst_lower": ("thm41_kst_lower", {"u": _int, "r": _int, "s": _int, "t": _int}),
+    "thm43_multipartite": ("thm43_multipartite", {"r": _int, "s": _sizes}),
+    "remark42_one_part": ("remark42_one_part", {"r": _int, "s": _sizes}),
+    "cor44_tripartite_lower": ("cor44_tripartite_lower", {"s1": _int, "s2": _int, "s3": _int}),
+    "thm46_join_cycle": ("thm46_join_cycle", {"r": _int, "s": _int, "l": _int}),
+    "cor17_classifier": ("cor17_classifier", {"f": _pattern, "t": _int}),
+}
 
 
 def _run_bounds(args) -> dict:
     params = _parse_params(args.params or "")
     fid = args.formula
-    if fid not in bounds_mod.FORMULAS:
+    if fid not in _FORMULAS:
         raise _CliError("invalid-params", f"unknown formula id {fid!r}")
+    name, kinds = _FORMULAS[fid]
+    values = []
+    for key, kind in kinds.items():
+        if key not in params:
+            raise _CliError("invalid-params", f"missing parameter {key!r} for {fid}")
+        try:
+            values.append(kind(params[key]))
+        except ValueError as exc:
+            raise _CliError("invalid-params", f"parameter {key!r} of {fid}: {exc}")
     try:
-        if fid == "lemma21_constant":
-            value = bounds_mod.lemma_constant(int(params["u"]), int(params["r"]))
-            return _scalar_report(fid, params, value)
-        if fid == "cor12":
-            value = bounds_mod.cor12_exponent(int(params["r"]), params["s"])
-            return _scalar_report(fid, params, value)
-        if fid == "thm13_f":
-            value = bounds_mod.thm13_f(params["alpha"], params["beta"])
-            return _scalar_report(fid, params, value)
-        if fid == "cor14_kst":
-            return bounds_mod.cor14_kst(int(params["r"]), int(params["s"])).to_json()
-        if fid == "thm15_general":
-            f = _load_pattern(str(params["f"]))
-            return bounds_mod.thm15_general(int(params["u"]), int(params["r"]), f).to_json()
-        if fid == "thm41_kst_lower":
-            return bounds_mod.thm41_kst_lower(int(params["u"]), int(params["r"]),
-                                              int(params["s"]), int(params["t"])).to_json()
-        if fid == "thm43_multipartite":
-            sizes = params["s"]
-            if isinstance(sizes, int):
-                sizes = [sizes]
-            return bounds_mod.thm43_multipartite(int(params["r"]), sizes).to_json()
-        if fid == "remark42_one_part":
-            sizes = params["s"]
-            if isinstance(sizes, int):
-                sizes = [sizes]
-            return bounds_mod.remark42_one_part(int(params["r"]), sizes).to_json()
-        if fid == "cor44_tripartite_lower":
-            return bounds_mod.cor44_tripartite_lower(
-                int(params["s1"]), int(params["s2"]), int(params["s3"])).to_json()
-        if fid == "thm46_join_cycle":
-            return bounds_mod.thm46_join_cycle(int(params["r"]), int(params["s"]),
-                                               int(params["l"])).to_json()
-        if fid == "cor17_classifier":
-            f = _load_pattern(str(params["f"]))
-            value = bounds_mod.cor17_classifier(f, int(params["t"]))
-            return _scalar_report(fid, params, value)
-    except KeyError as exc:
-        raise _CliError("invalid-params", f"missing parameter {exc.args[0]!r} for {fid}")
-    raise AssertionError
+        result = getattr(bounds_mod, name)(*values)
+        if not isinstance(result, bounds_mod.ExponentReport):
+            # A scalar formula; its report echoes every given parameter.
+            result = bounds_mod.ExponentReport(
+                fid, params, result if isinstance(result, bool) else float(result),
+                result if isinstance(result, Fraction) else None)
+    except OverflowError as exc:
+        raise _CliError("invalid-params", f"{fid}: {exc}")
+    return result.to_json()
 
 
 def _build_parser() -> _Parser:

@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .bounds import ConditionError, cor14_kst, thm15_general
 from .fields import field_make, is_prime
 from .graphs import (Graph, Pattern, complete_multipartite, count_cliques,
@@ -179,20 +177,28 @@ class ExperimentSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "ExperimentSpec":
+        if not isinstance(obj, dict):
+            raise ValueError("experiment spec must be a JSON object")
         fam = obj.get("family")
         if fam not in ("norm_graph", "tripartite", "deletion"):
             raise ValueError(f"unknown experiment family {fam!r}")
-        return ExperimentSpec(
-            family=fam,
-            u=int(obj.get("u", 2)),
-            r=int(obj.get("r", 3)),
-            q_list=[int(x) for x in obj.get("q", [])],
-            s=int(obj.get("s", 2)),
-            n_list=[int(x) for x in obj.get("n", [])],
-            pattern=str(obj.get("pattern", "")),
-            seeds=[int(x) for x in obj.get("seeds", [])],
-            c=float(obj.get("c", 1.0)),
-        )
+        for key in ("q", "n", "seeds"):
+            if not isinstance(obj.get(key, []), list):
+                raise ValueError(f"experiment spec field {key!r} must be a list")
+        try:
+            return ExperimentSpec(
+                family=fam,
+                u=int(obj.get("u", 2)),
+                r=int(obj.get("r", 3)),
+                q_list=[int(x) for x in obj.get("q", [])],
+                s=int(obj.get("s", 2)),
+                n_list=[int(x) for x in obj.get("n", [])],
+                pattern=str(obj.get("pattern", "")),
+                seeds=[int(x) for x in obj.get("seeds", [])],
+                c=float(obj.get("c", 1.0)),
+            )
+        except TypeError as exc:  # a null, list or object where a number belongs
+            raise ValueError(f"experiment spec: {exc}") from None
 
 
 @dataclass
@@ -223,12 +229,19 @@ CSV_HEADER = ["family", "param", "n", "m", "k2", "k3", "k4",
 
 
 def fit_loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
+    """Least-squares slope of log(y) against log(x), summed over centred logs."""
     if len(xs) < 3:
         raise ValueError("need at least 3 instances to fit a slope")
     if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
         raise ValueError("log-log fit needs positive counts")
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    mx = math.fsum(lx) / len(lx)
+    my = math.fsum(ly) / len(ly)
+    sxx = math.fsum((a - mx) ** 2 for a in lx)
+    if sxx == 0:
+        raise ValueError("log-log fit needs at least two distinct x values")
+    return math.fsum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sxx
 
 
 def _emit_row(spec, param: str, g: Graph) -> ExperimentRow:

@@ -230,8 +230,7 @@ def star(leaves: int) -> Graph:
 def cycle(length: int) -> Graph:
     if length < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph(length, [(v, (v + 1) % length) for v in range(length)]
-                 if length > 2 else [])
+    return Graph(length, [(v, (v + 1) % length) for v in range(length)])
 
 
 def path(length: int) -> Graph:
@@ -697,14 +696,15 @@ def max_avg_degree(f: Pattern) -> Fraction:
     Ranging over induced subgraphs of vertex subsets suffices: removing an
     edge at fixed vertex set only lowers the ratio.
     """
-    g = f.graph
-    if g.m == 0:
+    if f.size == 0:
         raise ValueError("pattern has no edges")
-    best = None
+    return max(Fraction(2 * e, v) for v, e in induced_sizes(f.graph))
+
+
+def induced_sizes(g: Graph):
+    """Yield (v, e) for each vertex subset of g that spans an edge: the
+    subset's size and the number of edges it induces, in mask order."""
     for mask in range(1, 1 << g.n):
         twice_e = sum((g.adj[v] & mask).bit_count() for v in bits(mask))
         if twice_e:
-            val = Fraction(twice_e, mask.bit_count())
-            if best is None or val > best:
-                best = val
-    return best
+            yield mask.bit_count(), twice_e // 2

@@ -303,9 +303,7 @@ def ex_exact(n: int, target: Pattern, forbidden: Pattern) -> OracleResult:
             padded = g.padded(n)
             val = count_copies(target, padded)
             if val > best_val or (val == best_val and key < best_key):
-                best_val, best_key, best_graph = val, padded, g
-                best_key = key
-                best_graph = padded
+                best_val, best_key, best_graph = val, key, padded
     if best_graph is None:
         raise ValueError("no admissible graph on the requested vertex count")
     return OracleResult(best_val, best_graph,

@@ -1,15 +1,31 @@
 """CLI contract: subcommands, exit codes, JSON schema, round trips."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mexlab
+from mexlab import bounds as bounds_mod
+from mexlab.bounds import (cor12_exponent, cor14_kst, cor17_classifier,
+                           cor44_tripartite_lower, lemma_constant,
+                           remark42_one_part, thm13_f, thm15_general,
+                           thm41_kst_lower, thm43_multipartite,
+                           thm46_join_cycle)
 from mexlab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from mexlab.constructions import norm_graph
 from mexlab.graphs import (complete, format_edge_list, load_edge_list,
-                           read_edge_list, save_edge_list)
+                           pattern, read_edge_list, save_edge_list)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +95,155 @@ def test_bounds_report(capsys, schema):
 def test_bounds_unknown_formula(capsys, schema):
     code, obj = run_json(capsys, schema, "bounds", "--formula", "nope", "--params", "")
     assert code == EXIT_VALIDATION and obj["code"] == "invalid-params"
+
+
+def scalar_report(fid, params, value, rational=None):
+    """The report of a formula whose bounds function returns a bare value."""
+    return {"formulaId": fid, "params": params, "value": value,
+            "valueRational": rational, "conditions": [], "tight": False, "aux": {}}
+
+
+# (formula id, --params, the report the direct library call gives).  The
+# lemma21_constant, cor14_kst and thm15_general cases include the benchmark's
+# queries; scalar formulas echo every given parameter as parsed, extra keys
+# included.
+BOUNDS_CASES = [
+    ("lemma21_constant", "u=2,r=3",
+     lambda: scalar_report("lemma21_constant", {"u": 2, "r": 3}, lemma_constant(2, 3))),
+    ("lemma21_constant", "u=2.0,r=6/2", lambda: scalar_report(
+        "lemma21_constant", {"u": 2.0, "r": "3"}, lemma_constant(2, 3))),
+    ("cor14_kst", "r=3,s=2", lambda: cor14_kst(3, 2).to_json()),
+    ("cor14_kst", "r=3,s=3", lambda: cor14_kst(3, 3).to_json()),
+    ("cor14_kst", "r=4,s=6.0", lambda: cor14_kst(4, 6).to_json()),
+    ("thm15_general", "u=2,r=3,f=K3_4",
+     lambda: thm15_general(2, 3, pattern("K3_4")).to_json()),
+    ("thm15_general", "u=2,r=3,f=K3_5",
+     lambda: thm15_general(2, 3, pattern("K3_5")).to_json()),
+    ("thm15_general", "u=2,r=3,f=K4_4",
+     lambda: thm15_general(2, 3, pattern("K4_4")).to_json()),
+    ("cor12", "r=4,s=1.5",
+     lambda: scalar_report("cor12", {"r": 4, "s": 1.5}, cor12_exponent(4, 1.5))),
+    ("cor12", "r=4,s=3/2", lambda: scalar_report(
+        "cor12", {"r": 4, "s": "3/2"}, float(cor12_exponent(4, Fraction(3, 2))),
+        str(cor12_exponent(4, Fraction(3, 2))))),
+    ("cor12", "r=3,s=2,note=abc", lambda: scalar_report(
+        "cor12", {"r": 3, "s": 2, "note": "abc"}, cor12_exponent(3, 2))),
+    ("thm13_f", "alpha=2,beta=3",
+     lambda: scalar_report("thm13_f", {"alpha": 2, "beta": 3}, thm13_f(2, 3))),
+    ("thm13_f", "alpha=3/2,beta=5/4", lambda: scalar_report(
+        "thm13_f", {"alpha": "3/2", "beta": "5/4"},
+        float(thm13_f(Fraction(3, 2), Fraction(5, 4))),
+        str(thm13_f(Fraction(3, 2), Fraction(5, 4))))),
+    ("thm41_kst_lower", "u=2,r=3,s=3,t=4",
+     lambda: thm41_kst_lower(2, 3, 3, 4).to_json()),
+    ("thm43_multipartite", "r=3,s=2+2+2",
+     lambda: thm43_multipartite(3, [2, 2, 2]).to_json()),
+    ("thm43_multipartite", "r=3,s=1+2+2",
+     lambda: thm43_multipartite(3, [1, 2, 2]).to_json()),
+    ("remark42_one_part", "r=3,s=1+2+2",
+     lambda: remark42_one_part(3, [1, 2, 2]).to_json()),
+    ("remark42_one_part", "r=4,s=2+2+2+2",
+     lambda: remark42_one_part(4, [2, 2, 2, 2]).to_json()),
+    ("cor44_tripartite_lower", "s1=1,s2=2,s3=3",
+     lambda: cor44_tripartite_lower(1, 2, 3).to_json()),
+    ("cor44_tripartite_lower", "s1=2,s2=3,s3=4",
+     lambda: cor44_tripartite_lower(2, 3, 4).to_json()),
+    ("thm46_join_cycle", "r=4,s=1,l=4", lambda: thm46_join_cycle(4, 1, 4).to_json()),
+    ("thm46_join_cycle", "r=3,s=1,l=5", lambda: thm46_join_cycle(3, 1, 5).to_json()),
+    ("cor17_classifier", "f=K4,t=3", lambda: scalar_report(
+        "cor17_classifier", {"f": "K4", "t": 3}, cor17_classifier(pattern("K4"), 3))),
+    ("cor17_classifier", "f=C5,t=3", lambda: scalar_report(
+        "cor17_classifier", {"f": "C5", "t": 3}, cor17_classifier(pattern("C5"), 3))),
+]
+
+
+def test_bounds_cases_cover_every_formula(schema):
+    ids = schema["$defs"]["exponent"]["properties"]["formulaId"]["enum"]
+    assert {fid for fid, _, _ in BOUNDS_CASES} == set(ids)
+
+
+@pytest.mark.parametrize("fid,params,expected", BOUNDS_CASES)
+def test_bounds_table_matches_library(fid, params, expected, capsys, schema,
+                                      monkeypatch):
+    calls = []
+    for name, fn in list(vars(bounds_mod).items()):
+        if (getattr(fn, "__module__", None) == bounds_mod.__name__
+                and not isinstance(fn, type) and not name.startswith("_")):
+            def record(*args, _fn=fn, _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(bounds_mod, name, record)
+    code, out = run_cli(capsys, "bounds", "--formula", fid, "--params", params)
+    assert code == EXIT_OK
+    assert out == json.dumps(expected(), indent=2) + "\n"
+    jsonschema.validate(json.loads(out), schema)
+    assert calls, "a tracer rebinding bounds functions would miss this call"
+
+
+@pytest.mark.parametrize("fid,params,key", [
+    ("cor12", "r=3,s=1/0", "s"),
+    ("cor12", "r=3,s=abc", "s"),
+    ("cor14_kst", "r=7/2,s=3", "r"),
+    ("cor14_kst", "r=3.9,s=3", "r"),
+    ("cor14_kst", "r=1+2,s=3", "r"),
+    ("cor14_kst", "r=inf,s=3", "r"),
+    ("cor14_kst", "r=3", "s"),
+    ("thm13_f", "alpha=nan,beta=2", "alpha"),
+    ("thm13_f", "alpha=2,beta=inf", "beta"),
+    ("thm43_multipartite", "r=3,s=1/2", "s"),
+    ("thm43_multipartite", "r=3,s=abc", "s"),
+])
+def test_bounds_rejects_malformed_params(fid, params, key, capsys, schema):
+    code, out = run_cli(capsys, "bounds", "--formula", fid, "--params", params)
+    obj = json.loads(out, parse_constant=pytest.fail)
+    jsonschema.validate(obj, schema)
+    assert code == EXIT_VALIDATION and obj["code"] == "invalid-params"
+    assert repr(key) in obj["message"]
+
+
+@pytest.mark.parametrize("fid,params", [
+    ("thm13_f", f"alpha=2,beta={10 ** 400}"),  # int too large to convert to float
+    ("cor12", f"r={10 ** 308},s=1.9"),  # the float value is inf
+])
+def test_bounds_rejects_values_beyond_float_range(fid, params, capsys, schema):
+    code, out = run_cli(capsys, "bounds", "--formula", fid, "--params", params)
+    obj = json.loads(out, parse_constant=pytest.fail)
+    jsonschema.validate(obj, schema)
+    assert code == EXIT_VALIDATION and obj["code"] == "invalid-params"
+
+
+_PARAM_KEYS = sorted({"u", "r", "s", "t", "l", "s1", "s2", "s3", "alpha", "beta", "x"})
+_PARAM_TOKENS = ["0", "1", "2", "3", "4", "5", "-1", "3.0", "1.5", "2.5", "6/2",
+                 "7/2", "1/0", "-3/2", "nan", "inf", "-inf", "1e400", str(10 ** 400),
+                 "abc", "", "1+2", "1+2+2", "2+2+2", "1+1+1+1", "2+x"]
+_PATTERN_LITERALS = ["K3", "K4", "K3_3", "K3_4", "K2_2_2", "C5", "S3"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(fid=st.sampled_from(sorted({fid for fid, _, _ in BOUNDS_CASES}) + ["nope"]),
+       pairs=st.lists(st.one_of(
+           st.tuples(st.sampled_from(_PARAM_KEYS),
+                     st.one_of(st.sampled_from(_PARAM_TOKENS),
+                               st.integers(-5, 40).map(str))),
+           st.tuples(st.just("f"), st.sampled_from(_PATTERN_LITERALS))),
+           max_size=6))
+def test_bounds_params_fuzz(fid, pairs, schema):
+    params = ",".join(f"{k}={v}" for k, v in pairs)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["bounds", "--formula", fid, "--params", params])
+    assert code in (EXIT_OK, EXIT_VALIDATION)
+    validator = jsonschema.Draft202012Validator(schema)  # validate() rebuilds it per call
+    validator.validate(json.loads(buf.getvalue(), parse_constant=pytest.fail))
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = Path(mexlab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mexlab.cli; sys.exit('numpy' in sys.modules)"],
+        env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 def test_extract_cli(tmp_path, capsys, schema):
@@ -151,6 +316,20 @@ def test_experiment_cli(tmp_path, capsys, schema):
     assert main(["experiment", str(spec), "--csv", str(csv_path)]) == EXIT_OK
     capsys.readouterr()
     assert csv_path.read_bytes() == first  # byte-for-byte reproducible
+
+
+@pytest.mark.parametrize("spec", [
+    [1, 2],
+    {"family": "norm_graph", "q": 5},
+    {"family": "norm_graph", "q": [5, 7, None]},
+    {"family": "norm_graph", "q": [5, 5, 5]},
+])
+def test_experiment_rejects_malformed_spec(spec, tmp_path, capsys, schema):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, obj = run_json(capsys, schema, "experiment", str(path),
+                         "--csv", str(tmp_path / "rows.csv"))
+    assert code == EXIT_VALIDATION and obj["code"] == "invalid-params"
 
 
 def test_exit_codes(capsys, schema):

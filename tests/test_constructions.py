@@ -1,5 +1,8 @@
 """Norm graphs, the deletion procedure, and scaling experiments."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from mexlab.bounds import COND_MADC, ConditionError
@@ -126,6 +129,34 @@ def test_fit_loglog_slope():
         fit_loglog_slope([1, 2], [1, 2])
     with pytest.raises(ValueError):
         fit_loglog_slope([1, 2, 3], [0, 1, 2])
+    with pytest.raises(ValueError):
+        fit_loglog_slope([5, 5, 5], [1, 2, 3])
+
+
+@pytest.mark.parametrize("qs", [(5, 7, 11, 13), (11, 13, 17, 19, 23),
+                                (7, 11, 13, 17)])
+def test_fit_loglog_slope_matches_exact_least_squares(qs):
+    """On the norm-graph counts m = (q-1)(q^2-q-1)/2 and k3 = C(q-1,3), the
+    fit equals the least-squares slope of the same float logs computed in
+    exact rational arithmetic."""
+    xs = [(q - 1) * (q * q - q - 1) // 2 for q in qs]
+    ys = [math.comb(q - 1, 3) for q in qs]
+    lx = [Fraction(math.log(x)) for x in xs]
+    ly = [Fraction(math.log(y)) for y in ys]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    exact = (sum((a - mx) * (b - my) for a, b in zip(lx, ly))
+             / sum((a - mx) ** 2 for a in lx))
+    assert abs(Fraction(fit_loglog_slope(xs, ys)) - exact) <= Fraction(1e-15) * exact
+
+
+@pytest.mark.parametrize("obj", [
+    [1, 2],
+    {"family": "norm_graph", "q": 5},
+    {"family": "norm_graph", "q": [5, 7, None]},
+])
+def test_experiment_spec_rejects_malformed_json(obj):
+    with pytest.raises(ValueError):
+        ExperimentSpec.from_json(obj)
 
 
 def test_experiment_tripartite():
