@@ -19,6 +19,7 @@ from . import bounds as bounds_mod
 from .bounds import ConditionError
 from .constructions import (CSV_HEADER, ExperimentSpec, deletion_method,
                             norm_graph, run_experiment)
+from .constructions import integral as _int
 from .extraction import ExtractionParams, extract_dense
 from .graphs import (Graph, Pattern, count_cliques, count_copies,
                      edge_clique_participation, is_free, load_edge_list,
@@ -69,9 +70,10 @@ def _emit(obj: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_params(text: str) -> dict:
+def _parse_params(text: str, kinds: dict) -> dict:
     """k=v pairs, comma separated; '+'-joined integers make a list, 'a/b'
-    makes an exact rational."""
+    makes an exact rational.  A pattern parameter keeps its raw text, which
+    may be a path holding '/'."""
     out: dict = {}
     if not text:
         return out
@@ -80,6 +82,9 @@ def _parse_params(text: str) -> dict:
             raise _CliError("invalid-params", f"expected k=v, got {chunk!r}")
         key, val = chunk.split("=", 1)
         key, val = key.strip(), val.strip()
+        if kinds.get(key) is _pattern:
+            out[key] = val
+            continue
         try:
             out[key] = _parse_value(val)
         except (ValueError, ZeroDivisionError):
@@ -103,14 +108,6 @@ def _parse_value(val: str):
         return val
 
 
-def _int(v) -> int:
-    """An integral finite value: 3, 3.0 or 6/2."""
-    if (isinstance(v, int) or isinstance(v, Fraction) and v.denominator == 1
-            or isinstance(v, float) and v.is_integer()):
-        return int(v)
-    raise ValueError(f"must be an integer, got {v}")
-
-
 def _number(v):
     """A finite int, Fraction or float, passed through as parsed."""
     if isinstance(v, (int, Fraction)) or isinstance(v, float) and math.isfinite(v):
@@ -123,9 +120,9 @@ def _sizes(v) -> list[int]:
     return v if isinstance(v, list) else [_int(v)]
 
 
-def _pattern(v) -> Pattern:
+def _pattern(v: str) -> Pattern:
     """A pattern literal or an edge-list path."""
-    return _load_pattern(str(v))
+    return _load_pattern(v)
 
 
 # Formula id -> (name of its `bounds` function, its parameters in call order
@@ -147,11 +144,11 @@ _FORMULAS = {
 
 
 def _run_bounds(args) -> dict:
-    params = _parse_params(args.params or "")
     fid = args.formula
     if fid not in _FORMULAS:
         raise _CliError("invalid-params", f"unknown formula id {fid!r}")
     name, kinds = _FORMULAS[fid]
+    params = _parse_params(args.params or "", kinds)
     values = []
     for key, kind in kinds.items():
         if key not in params:
@@ -176,7 +173,8 @@ def _build_parser() -> _Parser:
     top = _Parser(prog="mexlab", description=__doc__)
     top.add_argument("--threads", type=int,
                      default=int(os.environ.get("MEXLAB_THREADS", "1")),
-                     help="worker-count cap; never changes any output")
+                     help="worker-count cap; currently a no-op (checked to be >= 1, "
+                          "then unused), and never changes any output")
     sub = top.add_subparsers(dest="command")
 
     p = sub.add_parser("count", help="exact clique counts")

@@ -161,6 +161,15 @@ def deletion_method(f: Pattern, u: int, r: int, n: int, seed: int,
 TRIPARTITE_TRIANGLE_EXPONENT = Fraction(11, 9)
 
 
+def integral(v) -> int:
+    """An integral finite value: 3, 3.0 or 6/2 (a Fraction); anything else,
+    3.9 or "3" included, is a ValueError rather than a truncation."""
+    if (isinstance(v, int) or isinstance(v, Fraction) and v.denominator == 1
+            or isinstance(v, float) and v.is_integer()):
+        return int(v)
+    raise ValueError(f"must be an integer, got {v}")
+
+
 @dataclass
 class ExperimentSpec:
     """A named instance family with target clique counts for a log-log fit."""
@@ -188,16 +197,16 @@ class ExperimentSpec:
         try:
             return ExperimentSpec(
                 family=fam,
-                u=int(obj.get("u", 2)),
-                r=int(obj.get("r", 3)),
-                q_list=[int(x) for x in obj.get("q", [])],
-                s=int(obj.get("s", 2)),
-                n_list=[int(x) for x in obj.get("n", [])],
+                u=integral(obj.get("u", 2)),
+                r=integral(obj.get("r", 3)),
+                q_list=[integral(x) for x in obj.get("q", [])],
+                s=integral(obj.get("s", 2)),
+                n_list=[integral(x) for x in obj.get("n", [])],
                 pattern=str(obj.get("pattern", "")),
-                seeds=[int(x) for x in obj.get("seeds", [])],
+                seeds=[integral(x) for x in obj.get("seeds", [])],
                 c=float(obj.get("c", 1.0)),
             )
-        except TypeError as exc:  # a null, list or object where a number belongs
+        except (TypeError, ValueError) as exc:  # e.g. 32.9 or null for an int
             raise ValueError(f"experiment spec: {exc}") from None
 
 

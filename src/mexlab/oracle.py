@@ -1,18 +1,18 @@
 """Exhaustive ground truth for tiny extremal values.
 
-Graphs are enumerated one isomorphism class at a time by edge augmentation:
-children of a class add one edge (between existing vertices, to one fresh
-vertex, or as a fresh disjoint edge) and a child is kept only when deleting
-its canonically largest edge recreates the parent; a canonical-form set
-removes residual duplicates.  Containment by the forbidden pattern is
-monotone under edge addition, so pruning non-free children keeps the search
-exact.
+Graphs are enumerated one isomorphism class at a time by canonical edge
+augmentation (McKay 1998): children of a class add one edge (between
+existing vertices, to one fresh vertex, or as a fresh disjoint edge) and a
+child is kept only when its added edge lies in the automorphism orbit of its
+canonical deletion edge, so that each class has exactly one accepted parent;
+isomorphic siblings are merged by canonical form.  Containment by the
+forbidden pattern is monotone under edge addition, so pruning non-free
+children keeps the search exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graphs import Graph, Pattern, bits, count_copies, is_free
 
@@ -25,80 +25,158 @@ CANON_MAX_ORDER = 16
 # Canonical labeling
 # ---------------------------------------------------------------------------
 
-def _canonical_order(g: Graph) -> list[int]:
-    """Vertex order minimizing the packed upper-triangle adjacency string.
+def _refine(adj: list[int], cells: list[int], splitters: list[int]) -> None:
+    """Refine the ordered partition `cells` (vertex bitmasks) in place until
+    every vertex of a cell has as many neighbours in each splitter as the
+    other vertices of its cell.  A cell splits by that count into pieces in
+    ascending count order, and the pieces become splitters too, so starting
+    from all cells (or from a new singleton of an equitable partition) ends
+    equitable.  No step looks at a vertex label, so refinement commutes with
+    relabeling."""
+    n = len(adj)
+    for w in splitters:  # grows while it is read
+        if len(cells) == n:
+            return
+        reach = 0
+        for v in bits(w):
+            reach |= adj[v]
+        i = 0
+        while i < len(cells):
+            x = cells[i]
+            if x & (x - 1) == 0 or not x & reach:
+                i += 1
+                continue
+            pieces: dict[int, int] = {}
+            for v in bits(x):
+                c = (adj[v] & w).bit_count()
+                pieces[c] = pieces.get(c, 0) | 1 << v
+            if len(pieces) == 1:
+                i += 1
+                continue
+            split = [pieces[c] for c in sorted(pieces)]
+            cells[i:i + 1] = split
+            splitters += split
+            i += len(split)
 
-    Branch and bound over partial orders: a position contributes the bits of
-    the new vertex against the already-placed ones; branches whose prefix
-    exceeds the best known string are cut, and interchangeable twin
-    candidates are explored once.  Candidate columns are maintained
-    incrementally (one shifted bit per level).
+
+def _packed(adj: list[int], perm: list[int]) -> int:
+    """The upper-triangle adjacency string under a vertex order, as an int:
+    for k = 1..n-1, k bits telling which of perm[0..k-1] (most significant
+    first) are adjacent to perm[k]."""
+    n = len(perm)
+    rbit = [0] * n
+    for i, v in enumerate(perm):
+        rbit[v] = 1 << (n - 1 - i)
+    acc = 0
+    for k in range(1, n):
+        row = 0
+        for w in bits(adj[perm[k]]):
+            row |= rbit[w]
+        acc = acc << k | row >> (n - k)
+    return acc
+
+
+def _orbit_closure(mask: int, gens: list[list[int]]) -> int:
+    """The union of the orbits of the vertices in mask under gens."""
+    frontier = mask
+    while frontier:
+        grown = 0
+        for v in bits(frontier):
+            for gamma in gens:
+                grown |= 1 << gamma[v]
+        frontier = grown & ~mask
+        mask |= frontier
+    return mask
+
+
+def _canonical_order(g: Graph) -> tuple[list[int], list[list[int]]]:
+    """Canonical vertex order of g and generators of its automorphism group,
+    by individualization-refinement (McKay & Piperno 2014).
+
+    The root is the partition of the vertices by ascending degree, refined
+    to be equitable.  A node individualizes each vertex of its first
+    non-singleton cell in turn, placing it in front of the rest of its cell,
+    and refines again.  A leaf is a discrete partition, i.e. a vertex order,
+    and its certificate is the packed adjacency string of that order; the
+    canonical order is the first leaf of least certificate.  Two leaves with
+    equal certificates differ by an automorphism, which is recorded.  A child
+    in the orbit of an explored sibling under the recorded automorphisms
+    that fix the node's individualized vertices is skipped, and a leaf equal
+    to the best one ends the search up to the node where their paths part:
+    the rest of that subtree is the automorphism's image of one already
+    searched.  Every automorphism is then a product of recorded ones.
     """
     n = g.n
-    if n == 0:
-        return []
     adj = g.adj
-    best = [1 << k for k in range(n)]  # sentinel above any real k-bit column
-    best_perm: list[int] | None = None
-    order: list[int] = []
+    by_degree: dict[int, int] = {}
+    for v in range(n):
+        d = adj[v].bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    root = [by_degree[d] for d in sorted(by_degree)]
+    _refine(adj, root, list(root))
+    gens: list[list[int]] = []
+    best = None  # (certificate, order, path) of the best leaf so far
 
-    def dfs(k: int, cols: list) -> None:
-        nonlocal best_perm
-        if k == n:
-            best_perm = order[:]
-            return
-        cands = sorted(cols)
-        tried: list[tuple[int, int]] = []
-        for col, v in cands:
-            if col > best[k]:
-                break
-            twin = False
-            for col2, w in tried:
-                if col2 == col:
-                    pair = (1 << v) | (1 << w)
-                    if adj[v] & ~pair == adj[w] & ~pair:
-                        twin = True
-                        break
-            if twin:
-                continue
-            tried.append((col, v))
-            if col < best[k]:
-                best[k] = col
-                for j in range(k + 1, n):
-                    best[j] = 1 << j
-                best_perm = None
-            order.append(v)
-            dfs(k + 1, [(c << 1 | (adj[w] >> v & 1), w)
-                        for c, w in cols if w != v])
-            order.pop()
+    def search(cells: list[int], path: list[int]) -> int:
+        """Search below a node; return the depth at which to resume."""
+        nonlocal best
+        depth = len(path)
+        if len(cells) == n:
+            order = [c.bit_length() - 1 for c in cells]
+            cert = _packed(adj, order)
+            if best is None or cert < best[0]:
+                best = (cert, order, path)
+            elif cert == best[0]:
+                gamma = [0] * n
+                for v, w in zip(best[1], order):
+                    gamma[v] = w
+                gens.append(gamma)
+                depth = 0  # resume where the two paths part
+                while path[depth] == best[2][depth]:
+                    depth += 1
+            return depth
+        t = 0
+        while cells[t] & (cells[t] - 1) == 0:
+            t += 1
+        target = cells[t]
+        done = 0  # explored children and, once known, their orbits
+        applied = 0
+        for v in bits(target):
+            low = 1 << v
+            if done:
+                if applied < len(gens):
+                    applied = len(gens)
+                    done = _orbit_closure(done, [
+                        gamma for gamma in gens
+                        if all(gamma[p] == p for p in path)])
+                if done & low:
+                    continue
+            done |= low
+            child = cells[:t] + [low, target ^ low] + cells[t + 1:]
+            _refine(adj, child, [low])
+            back = search(child, path + [v])
+            if back < depth:
+                return back
+        return depth
 
-    dfs(0, [(0, v) for v in range(n)])
-    assert best_perm is not None
-    return best_perm
+    search(root, [])
+    return best[1], gens
 
 
 def _form_from_order(g: Graph, perm: list[int]) -> bytes:
-    acc = 0
-    nbits = 0
-    for k in range(1, g.n):
-        col = 0
-        av = g.adj[perm[k]]
-        for p in perm[:k]:
-            col = col << 1 | (av >> p & 1)
-        acc = acc << k | col
-        nbits += k
-    return bytes([g.n]) + acc.to_bytes((nbits + 7) // 8, "big")
+    nbits = g.n * (g.n - 1) // 2
+    return bytes([g.n]) + _packed(g.adj, perm).to_bytes((nbits + 7) // 8, "big")
 
 
 def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: equal for two graphs iff they are isomorphic."""
     if g.n > CANON_MAX_ORDER:
         raise ValueError(f"canonical form capped at {CANON_MAX_ORDER} vertices")
-    return _form_from_order(g, _canonical_order(g))
+    return _form_from_order(g, _canonical_order(g)[0])
 
 
 def canonical_relabel(g: Graph) -> Graph:
-    perm = _canonical_order(g)
+    perm = _canonical_order(g)[0]
     pos = {v: i for i, v in enumerate(perm)}
     return Graph(g.n, [(min(pos[u], pos[v]), max(pos[u], pos[v]))
                        for u, v in g.edges()])
@@ -119,6 +197,22 @@ def _largest_edge_in_order(g: Graph, perm: list[int]) -> tuple[int, int]:
                 u, v = perm[i], perm[j]
                 return (min(u, v), max(u, v))
     raise ValueError("graph has no edges")
+
+
+def _in_edge_orbit(edge: tuple[int, int], start: tuple[int, int],
+                   gens: list[list[int]]) -> bool:
+    """Whether edge lies in the orbit of start under the group gens generate."""
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        u, v = frontier.pop()
+        for gamma in gens:
+            a, b = gamma[u], gamma[v]
+            image = (a, b) if a < b else (b, a)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return edge in orbit
 
 
 # ---------------------------------------------------------------------------
@@ -167,26 +261,20 @@ class _Enumerator:
         yield 0, level
         for _ in range(max_edges):
             nxt = []
-            accepted = set()
-            parent_of: dict[bytes, bytes] = {}  # child key -> canonical parent key
-            for parent, parent_key in level:
-                for child in self._children(parent):
+            for parent, _ in level:
+                siblings = set()
+                for child, edge in self._children(parent):
                     self.graphs_examined += 1
                     if not self.admissible(child):
                         continue
-                    perm = _canonical_order(child)
+                    perm, gens = _canonical_order(child)
+                    deletion = _largest_edge_in_order(child, perm)  # canonical
+                    if not _in_edge_orbit(edge, deletion, gens):
+                        continue
                     key = _form_from_order(child, perm)
-                    if key in accepted:
+                    if key in siblings:
                         continue
-                    back_key = parent_of.get(key)
-                    if back_key is None:
-                        e0 = _largest_edge_in_order(child, perm)
-                        back = child.remove_edges([e0]).drop_isolated()
-                        back_key = canonical_form(back)
-                        parent_of[key] = back_key
-                    if back_key != parent_key:
-                        continue
-                    accepted.add(key)
+                    siblings.add(key)
                     self.classes_examined += 1
                     nxt.append((child, key))
             level = nxt
@@ -195,10 +283,10 @@ class _Enumerator:
             yield level[0][0].m, level
 
     def _children(self, g: Graph):
-        """One edge added: between existing vertices, to a fresh vertex, or as
-        a fresh disjoint edge.  Twin vertices (equal neighborhoods apart from
-        each other) attach isomorphically, so only one edge per twin-class
-        pair is generated."""
+        """(child, added edge) pairs, one edge added: between existing
+        vertices, to a fresh vertex, or as a fresh disjoint edge.  Twin
+        vertices (equal neighborhoods apart from each other) attach
+        isomorphically, so only one edge per twin-class pair is generated."""
         n = g.n
         cls = _twin_classes(g)
         seen_pairs = set()
@@ -209,7 +297,7 @@ class _Enumerator:
                 if key in seen_pairs:
                     continue
                 seen_pairs.add(key)
-                yield g.add_edge(u, v)
+                yield g.add_edge(u, v), (u, v)
         if n + 1 <= self.max_vertices:
             fresh = g.padded(n + 1)
             seen_attach = set()
@@ -217,9 +305,9 @@ class _Enumerator:
                 if cls[u] in seen_attach:
                     continue
                 seen_attach.add(cls[u])
-                yield fresh.add_edge(u, n)
+                yield fresh.add_edge(u, n), (u, n)
         if n + 2 <= self.max_vertices:
-            yield g.padded(n + 2).add_edge(n, n + 1)
+            yield g.padded(n + 2).add_edge(n, n + 1), (n, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +357,7 @@ def mex_exact(query: OracleQuery) -> OracleResult:
         raise ValueError(f"edge count must lie in 0..{query.max_edges}")
     if query.target.size == 0:
         raise ValueError("target pattern must have at least one edge")
-    max_v = query.max_vertices if query.max_vertices is not None else min(2 * m, 12)
+    max_v = query.max_vertices if query.max_vertices is not None else 2 * m
     enum = _Enumerator(max_v, lambda g: is_free(query.forbidden, g))
     final = []
     for edges, level in enum.levels(m):
@@ -310,18 +398,42 @@ def ex_exact(n: int, target: Pattern, forbidden: Pattern) -> OracleResult:
                         enum.graphs_examined, enum.classes_examined)
 
 
+def label_ordered_edge_sets(m: int):
+    """Every m-edge graph without isolated vertices whose lexicographically
+    sorted edge list meets its vertices in the order 0, 1, 2, ...: each edge
+    either joins two seen vertices, joins a seen vertex to the next label, or
+    opens a new component on the next two labels.  A breadth-first labeling,
+    one component after another, puts every graph in this form, so the sets
+    cover every isomorphism class; no canonical form is involved."""
+    if m < 0:
+        raise ValueError("edge count must be non-negative")
+    edges: list[tuple[int, int]] = []
+
+    def extend(after: tuple[int, int], seen: int):
+        if len(edges) == m:
+            yield Graph(seen, edges)
+            return
+        a, b = after
+        for u in range(max(a, 0), seen + 1):
+            if u == seen:
+                heads = [seen + 1]
+            else:
+                heads = range(b + 1 if u == a else u + 1, seen + 1)
+            for v in heads:
+                edges.append((u, v))
+                yield from extend((u, v), max(seen, v + 1))
+                edges.pop()
+
+    yield from extend((-1, -1), 0)
+
+
 def mex_exhaustive_reference(m: int, target: Pattern, forbidden: Pattern) -> int:
-    """Independent cross-check: enumerate every edge subset of K_{2m} with no
+    """Independent cross-check: scan every label-ordered m-edge graph with no
     isomorph rejection at all, filter, maximize."""
     if m < 1:
         return 0
-    n = 2 * m
-    slots = list(combinations(range(n), 2))
     best = 0
-    for chosen in combinations(slots, m):
-        g = Graph(n, chosen)
+    for g in label_ordered_edge_sets(m):
         if is_free(forbidden, g):
-            val = count_copies(target, g)
-            if val > best:
-                best = val
+            best = max(best, count_copies(target, g))
     return best

@@ -201,6 +201,21 @@ def test_bounds_rejects_malformed_params(fid, params, key, capsys, schema):
     assert repr(key) in obj["message"]
 
 
+def test_bounds_pattern_param_takes_a_path(tmp_path, capsys, schema):
+    # A '/' in a pattern parameter is part of a path, not a fraction.
+    path = tmp_path / "k33.el"
+    save_edge_list(pattern("K3_3").graph, path)
+    code, from_path = run_json(capsys, schema, "bounds", "--formula", "thm15_general",
+                               "--params", f"u=2,r=3,f={path}")
+    assert code == EXIT_OK
+    code, from_literal = run_json(capsys, schema, "bounds", "--formula",
+                                  "thm15_general", "--params", "u=2,r=3,f=K3_3")
+    assert code == EXIT_OK
+    assert from_path["params"].pop("pattern") == str(path)
+    assert from_literal["params"].pop("pattern") == "K3_3"
+    assert from_path == from_literal
+
+
 @pytest.mark.parametrize("fid,params", [
     ("thm13_f", f"alpha=2,beta={10 ** 400}"),  # int too large to convert to float
     ("cor12", f"r={10 ** 308},s=1.9"),  # the float value is inf
@@ -323,6 +338,8 @@ def test_experiment_cli(tmp_path, capsys, schema):
     {"family": "norm_graph", "q": 5},
     {"family": "norm_graph", "q": [5, 7, None]},
     {"family": "norm_graph", "q": [5, 5, 5]},
+    {"family": "tripartite", "n": [16, 32.9, 64]},  # was run as n = 32
+    {"family": "norm_graph", "q": [5, 7, 11], "s": 2.5},
 ])
 def test_experiment_rejects_malformed_spec(spec, tmp_path, capsys, schema):
     path = tmp_path / "spec.json"
