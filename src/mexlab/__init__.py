@@ -14,8 +14,8 @@ from .fields import FiniteField, field_make, is_prime
 from .graphs import (CliqueVector, Graph, Pattern, blowup, chromatic_number,
                      complete, complete_multipartite, count_cliques,
                      count_copies, cycle, disjoint_union,
-                     edge_clique_participation, format_edge_list, generate,
-                     gnp, hom_exists, is_free, load_edge_list,
+                     edge_clique_participation, format_edge_list, gnp,
+                     hom_exists, is_free, load_edge_list,
                      max_avg_degree, parse_pattern_literal, path, pattern,
                      read_edge_list, save_edge_list, splitmix64, star,
                      turan_graph)

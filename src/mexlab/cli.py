@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -171,8 +170,7 @@ def _run_bounds(args) -> dict:
 
 def _build_parser() -> _Parser:
     top = _Parser(prog="mexlab", description=__doc__)
-    top.add_argument("--threads", type=int,
-                     default=int(os.environ.get("MEXLAB_THREADS", "1")),
+    top.add_argument("--threads", type=int, default=1,
                      help="worker-count cap; currently a no-op (checked to be >= 1, "
                           "then unused), and never changes any output")
     sub = top.add_subparsers(dest="command")

@@ -107,7 +107,8 @@ def extract_dense(g: Graph, params: ExtractionParams):
     out = Graph(len(verts), [(relabel[u], relabel[v]) for u, v in kept])
     n0 = out.n
 
-    kr_input = count_cliques(g, r)[r]
+    # each r-clique of g is counted once at each of its C(r, 2) edges
+    kr_input = sum(participation.values()) // math.comb(r, 2)
     hypothesis_met = kr_input >= C * m ** (alpha * r / 2)
     cliques = count_cliques(out, r)
 

@@ -87,12 +87,6 @@ class FiniteField:
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
 
-    def element(self, coeffs) -> tuple:
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) != self.k:
-            raise ValueError(f"element needs exactly {self.k} coefficients")
-        return coeffs
-
     def from_index(self, i: int) -> tuple:
         """Element number i in the fixed enumeration: coefficient c_j is digit j
         of i in base p, low degree least significant."""
@@ -110,14 +104,8 @@ class FiniteField:
             i = i * self.p + c
         return i
 
-    def elements(self):
-        return (self.from_index(i) for i in range(self.order))
-
     def add(self, a, b) -> tuple:
         return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b) -> tuple:
-        return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def neg(self, a) -> tuple:
         return tuple(-x % self.p for x in a)

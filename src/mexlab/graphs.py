@@ -65,9 +65,6 @@ class Graph:
     def m(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
@@ -280,33 +277,6 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-def generate(kind: str, params, seed: int | None = None) -> Graph:
-    """Dispatch to a named generator; all outputs are label-deterministic."""
-    if kind == "complete":
-        return complete(int(params["n"] if isinstance(params, dict) else params))
-    if kind == "complete_multipartite":
-        return complete_multipartite(params["sizes"] if isinstance(params, dict) else params)
-    if kind == "turan":
-        p = params if isinstance(params, dict) else {"n": params[0], "k": params[1]}
-        return turan_graph(int(p["n"]), int(p["k"]))
-    if kind == "star":
-        return star(int(params["leaves"] if isinstance(params, dict) else params))
-    if kind == "cycle":
-        return cycle(int(params["length"] if isinstance(params, dict) else params))
-    if kind == "blowup":
-        p = params if isinstance(params, dict) else {"base": params[0], "s": params[1]}
-        base = p["base"]
-        if isinstance(base, Pattern):
-            base = base.graph
-        return blowup(base, int(p["s"]))
-    if kind == "gnp":
-        p = params if isinstance(params, dict) else {"n": params[0], "p": params[1]}
-        if seed is None:
-            seed = int(p.get("seed"))
-        return gnp(int(p["n"]), float(p["p"]), seed)
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
 _LITERAL_RE = re.compile(r"^(K|C|S)(\d+(?:_\d+)*)$")
 
 
@@ -368,25 +338,13 @@ def _degeneracy_order(g: Graph) -> list[int]:
     return order
 
 
-def count_cliques(g: Graph, R: int) -> CliqueVector:
-    """Exact number of r-cliques for every 1 <= r <= R."""
-    if R < 1:
-        raise ValueError("R must be >= 1")
-    counts = [0] * (R + 1)
-    counts[0] = 1
-    n = g.n
-    if n == 0:
-        return CliqueVector(R, tuple(counts))
-    order = _degeneracy_order(g)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    radj = [0] * n
-    for v in range(n):
-        row = 0
-        for w in bits(g.adj[v]):
-            row |= 1 << pos[w]
-        radj[pos[v]] = row
+def _clique_counts(adj, cand: int, R: int) -> list:
+    """counts[k] is the number of k-cliques inside cand, for 0 <= k <= R.
+
+    Each clique is grown from its lowest vertex upward, so adj[v] may hold
+    neighbors on both sides of v.
+    """
+    counts = [1] + [0] * R
 
     def rec(cand: int, size: int) -> None:
         size += 1
@@ -396,32 +354,29 @@ def count_cliques(g: Graph, R: int) -> CliqueVector:
         while cand:
             low = cand & -cand
             cand ^= low
-            sub = cand & radj[low.bit_length() - 1]
+            sub = cand & adj[low.bit_length() - 1]
             if sub:
                 rec(sub, size)
 
-    rec((1 << n) - 1, 0)
-    return CliqueVector(R, tuple(counts))
+    rec(cand, 0)
+    return counts
 
 
-def _count_cliques_within(adj, mask: int, k: int) -> int:
-    """Number of k-cliques whose vertices all lie in mask."""
-    if k == 0:
-        return 1
-
-    def rec(cand: int, need: int) -> int:
-        if need == 1:
-            return cand.bit_count()
-        total = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            sub = cand & adj[low.bit_length() - 1]
-            if sub:
-                total += rec(sub, need - 1)
-        return total
-
-    return rec(mask, k)
+def count_cliques(g: Graph, R: int) -> CliqueVector:
+    """Exact number of r-cliques for every 1 <= r <= R."""
+    if R < 1:
+        raise ValueError("R must be >= 1")
+    n = g.n
+    pos = [0] * n
+    for i, v in enumerate(_degeneracy_order(g)):
+        pos[v] = i
+    radj = [0] * n
+    for v in range(n):
+        row = 0
+        for w in bits(g.adj[v]):
+            row |= 1 << pos[w]
+        radj[pos[v]] = row
+    return CliqueVector(R, tuple(_clique_counts(radj, (1 << n) - 1, R)))
 
 
 def edge_clique_participation(g: Graph, r: int) -> dict:
@@ -430,14 +385,13 @@ def edge_clique_participation(g: Graph, r: int) -> dict:
         raise ValueError("r must be >= 3")
     if g.m == 0:
         raise ValueError("graph has no edges")
-    out = {}
-    for u, v in g.edges():
-        out[(u, v)] = _count_cliques_within(g.adj, g.adj[u] & g.adj[v], r - 2)
-    return out
+    adj = g.adj
+    return {(u, v): _clique_counts(adj, adj[u] & adj[v], r - 2)[r - 2]
+            for u, v in g.edges()}
 
 
 # ---------------------------------------------------------------------------
-# Pattern embeddings (injective, edge-preserving)
+# Pattern embeddings and homomorphisms (edge-preserving maps)
 # ---------------------------------------------------------------------------
 
 def _embedding_plan(f: Graph):
@@ -462,41 +416,45 @@ def _embedding_plan(f: Graph):
     return order, prev
 
 
-def _search_embeddings(f: Graph, g: Graph, plan, visit) -> None:
-    """Enumerate injective edge-preserving maps f -> g.
+def _search_embeddings(f: Pattern, g: Graph, visit, injective: bool = True) -> bool:
+    """Enumerate edge-preserving maps f -> g, injective unless told otherwise.
 
     visit(images) is called on each complete map (images[i] hosts plan
     position i); it returns True to continue or False to stop the search.
+    Returns False iff a visit stopped the search.
     """
-    order, prev = plan
-    k = f.n
+    if f.order > COUNTING_MAX_ORDER:
+        raise ValueError(
+            f"embedding search capped at {COUNTING_MAX_ORDER} pattern vertices")
+    prev = f.plan[1]
+    k = f.order
     if k == 0:
-        visit([])
-        return
+        return visit([])
     gadj = g.adj
     full = (1 << g.n) - 1
+    keep = -1 if injective else 0  # a homomorphism may reuse host vertices
     images = [0] * k
 
     def rec(i: int, used: int) -> bool:
         if i == k:
             return visit(images)
-        ps = prev[i]
-        if ps:
-            cand = gadj[images[ps[0]]]
-            for j in ps[1:]:
-                cand &= gadj[images[j]]
-            cand &= ~used
-        else:
-            cand = full & ~used
+        cand = full & ~used
+        for j in prev[i]:
+            cand &= gadj[images[j]]
         while cand:
             low = cand & -cand
             cand ^= low
             images[i] = low.bit_length() - 1
-            if not rec(i + 1, used | low):
+            if not rec(i + 1, used | low & keep):
                 return False
         return True
 
-    rec(0, 0)
+    return rec(0, 0)
+
+
+def _stop(_) -> bool:
+    """Visitor that ends a search at its first map."""
+    return False
 
 
 class Pattern:
@@ -549,15 +507,8 @@ def pattern(spec, name: str | None = None) -> Pattern:
     return Pattern(g, name or spec)
 
 
-def _require_counting_order(f: Pattern) -> None:
-    if f.order > COUNTING_MAX_ORDER:
-        raise ValueError(
-            f"embedding search capped at {COUNTING_MAX_ORDER} pattern vertices")
-
-
 def count_injective_maps(f: Pattern, g: Graph) -> int:
     """Number of injective edge-preserving maps from f into g."""
-    _require_counting_order(f)
     total = 0
 
     def visit(_):
@@ -565,7 +516,7 @@ def count_injective_maps(f: Pattern, g: Graph) -> int:
         total += 1
         return True
 
-    _search_embeddings(f.graph, g, f.plan, visit)
+    _search_embeddings(f, g, visit)
     return total
 
 
@@ -581,22 +532,12 @@ def count_copies(f: Pattern, g: Graph) -> int:
 
 def is_free(f: Pattern, g: Graph) -> bool:
     """True iff g contains no copy of f; exits on the first embedding found."""
-    _require_counting_order(f)
-    found = False
-
-    def visit(_):
-        nonlocal found
-        found = True
-        return False
-
-    _search_embeddings(f.graph, g, f.plan, visit)
-    return not found
+    return _search_embeddings(f, g, _stop)
 
 
 def iter_copies(f: Pattern, g: Graph):
     """Distinct copies of f in g as (vertex frozenset, edge frozenset) pairs,
     sorted for deterministic downstream processing."""
-    _require_counting_order(f)
     fedges = f.graph.edges()
     seen = set()
 
@@ -610,7 +551,7 @@ def iter_copies(f: Pattern, g: Graph):
     order = f.plan[0]
     posof = {v: i for i, v in enumerate(order)}
     key_edges = [(posof[x], posof[y]) for x, y in fedges]
-    _search_embeddings(f.graph, g, f.plan, visit)
+    _search_embeddings(f, g, visit)
     return sorted(seen, key=lambda c: (sorted(c[0]), sorted(c[1])))
 
 
@@ -657,37 +598,9 @@ def chromatic_number(g: Graph) -> int:
 
 def hom_exists(f: Pattern, t: Pattern) -> bool:
     """True iff an edge-preserving (not necessarily injective) map f -> t exists."""
-    _require_counting_order(f)
     if t.order > 8:
         raise ValueError("homomorphism target capped at 8 vertices")
-    F, T = f.graph, t.graph
-    if F.n == 0:
-        return True
-    if T.n == 0:
-        return False
-    order, prev = f.plan
-    full = (1 << T.n) - 1
-    images = [0] * F.n
-
-    def rec(i: int) -> bool:
-        if i == F.n:
-            return True
-        ps = prev[i]
-        if ps:
-            cand = T.adj[images[ps[0]]]
-            for j in ps[1:]:
-                cand &= T.adj[images[j]]
-        else:
-            cand = full
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            images[i] = low.bit_length() - 1
-            if rec(i + 1):
-                return True
-        return False
-
-    return rec(0)
+    return not _search_embeddings(f, t.graph, _stop, injective=False)
 
 
 def max_avg_degree(f: Pattern) -> Fraction:

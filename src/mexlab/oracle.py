@@ -320,8 +320,6 @@ class OracleQuery:
     size: int                 # m for mex, n for ex
     target: Pattern
     forbidden: Pattern
-    max_edges: int = ORACLE_MAX_EDGES
-    max_vertices: int | None = None
 
     def __post_init__(self):
         if self.mode not in ("mex", "ex"):
@@ -347,33 +345,34 @@ class OracleResult:
         }
 
 
+def _best(enum: _Enumerator, target: Pattern, candidates, none_msg: str) -> OracleResult:
+    """The (graph, canonical key) candidate with the most target copies; a
+    tie goes to the smaller key.  Reads enum's counters once candidates,
+    which may be drawn from it lazily, are exhausted."""
+    best = min(((count_copies(target, g), key, g) for g, key in candidates),
+               key=lambda c: (-c[0], c[1]), default=None)
+    if best is None:
+        raise ValueError(none_msg)
+    return OracleResult(best[0], best[2], enum.graphs_examined, enum.classes_examined)
+
+
 def mex_exact(query: OracleQuery) -> OracleResult:
     """Exact maximum of target-copy counts over forbidden-free graphs with
     exactly `size` edges and no isolated vertices."""
     if query.mode != "mex":
         raise ValueError("query mode must be 'mex'")
     m = query.size
-    if m < 0 or m > query.max_edges:
-        raise ValueError(f"edge count must lie in 0..{query.max_edges}")
+    if m < 0 or m > ORACLE_MAX_EDGES:
+        raise ValueError(f"edge count must lie in 0..{ORACLE_MAX_EDGES}")
     if query.target.size == 0:
         raise ValueError("target pattern must have at least one edge")
-    max_v = query.max_vertices if query.max_vertices is not None else 2 * m
-    enum = _Enumerator(max_v, lambda g: is_free(query.forbidden, g))
+    enum = _Enumerator(2 * m, lambda g: is_free(query.forbidden, g))
     final = []
     for edges, level in enum.levels(m):
         if edges == m:
             final = level
-    best_val = -1
-    best_key = None
-    best_graph = None
-    for g, key in final:
-        val = count_copies(query.target, g)
-        if val > best_val or (val == best_val and key < best_key):
-            best_val, best_key, best_graph = val, key, g
-    if best_graph is None:
-        raise ValueError("no admissible graph with the requested edge count")
-    return OracleResult(best_val, best_graph,
-                        enum.graphs_examined, enum.classes_examined)
+    return _best(enum, query.target, final,
+                 "no admissible graph with the requested edge count")
 
 
 def ex_exact(n: int, target: Pattern, forbidden: Pattern) -> OracleResult:
@@ -383,19 +382,10 @@ def ex_exact(n: int, target: Pattern, forbidden: Pattern) -> OracleResult:
         raise ValueError(f"vertex count must lie in 0..{ORACLE_MAX_N}")
     OracleQuery("ex", n, target, forbidden)  # shared validation
     enum = _Enumerator(n, lambda g: is_free(forbidden, g.padded(n)))
-    best_val = -1
-    best_key = None
-    best_graph = None
-    for _, level in enum.levels(n * (n - 1) // 2):
-        for g, key in level:
-            padded = g.padded(n)
-            val = count_copies(target, padded)
-            if val > best_val or (val == best_val and key < best_key):
-                best_val, best_key, best_graph = val, key, padded
-    if best_graph is None:
-        raise ValueError("no admissible graph on the requested vertex count")
-    return OracleResult(best_val, best_graph,
-                        enum.graphs_examined, enum.classes_examined)
+    candidates = ((g.padded(n), key) for _, level in enum.levels(n * (n - 1) // 2)
+                  for g, key in level)
+    return _best(enum, target, candidates,
+                 "no admissible graph on the requested vertex count")
 
 
 def label_ordered_edge_sets(m: int):

@@ -370,3 +370,11 @@ def test_threads_flag_does_not_change_output(capsys, schema):
     _, b = run_json(capsys, schema, "--threads", "4", "count",
                     "--input", "K5", "--max-clique", "4")
     assert a == b
+
+
+def test_threads_environment_variable_is_ignored(capsys, monkeypatch):
+    argv = ("count", "--input", "K3", "--max-clique", "2")
+    _, plain = run_cli(capsys, *argv)
+    monkeypatch.setenv("MEXLAB_THREADS", "abc")
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK and out == plain

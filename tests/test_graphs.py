@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from mexlab.bounds import clique_vector_obeys_bound
 from mexlab.graphs import (Graph, Pattern, blowup, chromatic_number, complete,
                            complete_multipartite, count_cliques, count_copies,
                            cycle, disjoint_union, edge_clique_participation,
-                           format_edge_list, generate, gnp, hom_exists,
+                           format_edge_list, gnp, hom_exists,
                            is_free, max_avg_degree, parse_pattern_literal,
                            path, pattern, read_edge_list, splitmix64, star,
                            turan_graph)
@@ -65,6 +66,25 @@ def test_participation_sums_to_clique_count():
         for r in (3, 4):
             part = edge_clique_participation(g, r)
             assert sum(part.values()) == math.comb(r, 2) * count_cliques(g, r)[r]
+
+
+def test_participation_matches_brute_force():
+    # r-cliques through uv are the (r-2)-subsets of N(u) & N(v) that span a clique
+    for i, g in enumerate(seeded_graphs(30, max_n=10, ps=(0.5, 0.7, 0.9))):
+        if g.m == 0:
+            continue
+        edges = set(g.edges())
+
+        def adjacent(a, b):
+            return (min(a, b), max(a, b)) in edges
+
+        for r in (3, 4, 5):
+            part = edge_clique_participation(g, r)
+            for u, v in edges:
+                common = [w for w in range(g.n) if adjacent(u, w) and adjacent(v, w)]
+                expect = sum(all(adjacent(a, b) for a, b in combinations(c, 2))
+                             for c in combinations(common, r - 2))
+                assert part[(u, v)] == expect, (i, r, (u, v))
 
 
 def test_participation_requires_edges():
@@ -177,6 +197,27 @@ def test_hom_exists_matches_chromatic():
             assert hom_exists(f, pattern(f"K{t}")) == (f.chromatic <= t)
 
 
+def _hom_brute_force(f, t):
+    """Whether some map V(f) -> V(t) sends every edge of f to an edge of t."""
+    fe, te = f.edges(), set(t.edges())
+    return any(all((min(m[a], m[b]), max(m[a], m[b])) in te for a, b in fe)
+               for m in product(range(t.n), repeat=f.n))
+
+
+def test_hom_exists_matches_brute_force():
+    checked = 0
+    for i in range(120):
+        f = gnp(i % 7, (0.3, 0.5, 0.8)[i % 3], seed=i)
+        t = gnp(i // 7 % 6, (0.4, 0.7)[i % 2], seed=1000 + i)
+        assert hom_exists(Pattern(f), Pattern(t)) == _hom_brute_force(f, t), i
+        checked += f.n > t.n and f.m > 0
+    assert checked > 20  # cases where any map must reuse host vertices
+    assert hom_exists(pattern("C7"), pattern("C5"))
+    assert not hom_exists(pattern("C5"), pattern("C7"))
+    assert _hom_brute_force(cycle(7), cycle(5))
+    assert not _hom_brute_force(cycle(5), cycle(7))
+
+
 # ---------------------------------------------------------------------------
 # Pattern invariants
 # ---------------------------------------------------------------------------
@@ -215,18 +256,6 @@ def test_generator_examples():
     assert star(5).m == 5 and star(5).n == 6
     assert cycle(5).m == 5
     assert disjoint_union(complete(3), complete(2)).m == 4
-
-
-def test_generate_dispatcher():
-    assert generate("complete", 4) == complete(4)
-    assert generate("complete_multipartite", [2, 2]) == complete_multipartite([2, 2])
-    assert generate("turan", (7, 3)) == turan_graph(7, 3)
-    assert generate("star", 3) == star(3)
-    assert generate("cycle", 6) == cycle(6)
-    assert generate("blowup", (complete(3), 2)) == blowup(complete(3), 2)
-    assert generate("gnp", (8, 0.5), seed=7) == gnp(8, 0.5, 7)
-    with pytest.raises(ValueError):
-        generate("nonsense", 3)
 
 
 def test_gnp_determinism_and_bounds():
