@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from fractions import Fraction
 
 from . import bounds as bounds_mod
 from .bounds import ConditionError
 from .constructions import (CSV_HEADER, ExperimentSpec, deletion_method,
-                            norm_graph, run_experiment)
+                            finite_number, norm_graph, run_experiment)
 from .constructions import integral as _int
 from .extraction import ExtractionParams, extract_dense
 from .graphs import (Graph, Pattern, count_cliques, count_copies,
@@ -109,7 +108,7 @@ def _parse_value(val: str):
 
 def _number(v):
     """A finite int, Fraction or float, passed through as parsed."""
-    if isinstance(v, (int, Fraction)) or isinstance(v, float) and math.isfinite(v):
+    if finite_number(v):
         return v
     raise ValueError(f"must be a finite number, got {v}")
 
@@ -268,7 +267,12 @@ def _dispatch(args) -> dict | None:
     if cmd == "extract":
         g = _load_graph(args.input)
         params = ExtractionParams(args.r, args.alpha, args.C)
-        out_graph, report = extract_dense(g, params)
+        try:
+            out_graph, report = extract_dense(g, params)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise _CliError("invalid-params",
+                            f"extract: r, alpha and C put a threshold or guarantee "
+                            f"constant out of float range ({exc})")
         if args.out:
             save_edge_list(out_graph, args.out)
         _emit(report.to_json(), args.report)

@@ -9,12 +9,14 @@ from fractions import Fraction
 
 from .bounds import ConditionError, cor14_kst, thm15_general
 from .fields import field_make, is_prime
-from .graphs import (Graph, Pattern, complete_multipartite, count_cliques,
-                     gnp, is_free, iter_copies)
+from .graphs import (EDGE_LIST_MAX_VERTICES, Graph, Pattern,
+                     complete_multipartite, count_cliques, gnp, is_free,
+                     iter_copies)
 
-NORM_GRAPH_MAX_VERTICES = 50000
+NORM_GRAPH_MAX_VERTICES = EDGE_LIST_MAX_VERTICES  # a built graph must load back
 DELETION_MAX_N = 500
 DELETION_MAX_R = 5
+DELETION_MAX_COPIES = 10000
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,9 @@ def deletion_method(f: Pattern, u: int, r: int, n: int, seed: int,
     f-copies (lexicographic tie-break) until none remain.
 
     p = min(1, c * n^(-(v-2)/(e - r(r-1)/2))); the run refuses to start when
-    the validity conditions on f fail.  Output is deterministic in
-    (f, u, r, n, seed, c).
+    the validity conditions on f fail, and stops with a ValueError once
+    the host holds more than DELETION_MAX_COPIES copies.  Output is
+    deterministic in (f, u, r, n, seed, c).
     """
     report = thm15_general(u, r, f)
     failed = report.failed_conditions()
@@ -119,6 +122,8 @@ def deletion_method(f: Pattern, u: int, r: int, n: int, seed: int,
         raise ValueError(f"n exceeds cap {DELETION_MAX_N}")
     if r > DELETION_MAX_R:
         raise ValueError(f"r exceeds cap {DELETION_MAX_R}")
+    if not (finite_number(c) and c > 0):
+        raise ValueError(f"c must be a finite positive number, got {c}")
 
     exponent = Fraction(f.order - 2, f.size - r * (r - 1) // 2)
     p_raw = c * n ** (-float(exponent))
@@ -126,7 +131,7 @@ def deletion_method(f: Pattern, u: int, r: int, n: int, seed: int,
     clamped = p_raw > 1.0
     g = gnp(n, p, seed)
 
-    copies = iter_copies(f, g)
+    copies = iter_copies(f, g, DELETION_MAX_COPIES)
     edge_copy_ids: dict[tuple, set] = {}
     for cid, (_, es) in enumerate(copies):
         for e in es:
@@ -168,6 +173,11 @@ def integral(v) -> int:
             or isinstance(v, float) and v.is_integer()):
         return int(v)
     raise ValueError(f"must be an integer, got {v}")
+
+
+def finite_number(v) -> bool:
+    """Whether v is a finite int, Fraction or float."""
+    return isinstance(v, (int, Fraction)) or isinstance(v, float) and math.isfinite(v)
 
 
 @dataclass

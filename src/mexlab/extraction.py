@@ -30,8 +30,8 @@ class ExtractionParams:
             raise ValueError("r must be >= 3")
         if not 2.0 / self.r < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (2/r, 1]")
-        if self.C <= 0:
-            raise ValueError("C must be positive")
+        if not (math.isfinite(self.C) and self.C > 0):
+            raise ValueError(f"C must be a finite positive number, got {self.C}")
 
 
 @dataclass

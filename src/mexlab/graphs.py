@@ -8,6 +8,7 @@ functions of the graph, so results never depend on evaluation order.
 from __future__ import annotations
 
 import heapq
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +17,8 @@ from functools import cached_property
 PATTERN_MAX_ORDER = 16
 COUNTING_MAX_ORDER = 12
 CHROMATIC_MAX_ORDER = 16
+EDGE_LIST_MAX_VERTICES = 50000
+LITERAL_MAX_EDGES = 1000000
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -144,6 +147,8 @@ def read_edge_list(text: str) -> Graph:
     if len(head) != 2:
         raise ValueError("header must be 'n m'")
     n, m = int(head[0]), int(head[1])
+    if n > EDGE_LIST_MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds cap {EDGE_LIST_MAX_VERTICES}")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
     seen = set()
@@ -284,20 +289,28 @@ def parse_pattern_literal(text: str) -> Graph | None:
     """Expand shorthand literals: K5, K3_4, K2_2_2, C5, S4 (star with 4 leaves).
 
     Returns None when the text is not a literal (callers fall back to a path).
+    A literal with more than LITERAL_MAX_EDGES edges is a ValueError, raised
+    before any edge is generated.
     """
     m = _LITERAL_RE.match(text.strip())
     if not m:
         return None
     kind, nums = m.group(1), [int(x) for x in m.group(2).split("_")]
-    if kind == "K":
-        if len(nums) == 1:
-            return complete(nums[0])
-        return complete_multipartite(nums)
-    if len(nums) != 1:
+    if kind != "K" and len(nums) != 1:
         return None
+    if kind != "K":
+        edges = nums[0]
+    elif len(nums) == 1:
+        edges = nums[0] * (nums[0] - 1) // 2
+    else:
+        edges = (sum(nums) ** 2 - sum(x * x for x in nums)) // 2
+    if edges > LITERAL_MAX_EDGES:
+        raise ValueError(f"{text.strip()} has {edges} edges, above cap {LITERAL_MAX_EDGES}")
     if kind == "C":
         return cycle(nums[0])
-    return star(nums[0])
+    if kind == "S":
+        return star(nums[0])
+    return complete(nums[0]) if len(nums) == 1 else complete_multipartite(nums)
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +407,25 @@ def edge_clique_participation(g: Graph, r: int) -> dict:
 # Pattern embeddings and homomorphisms (edge-preserving maps)
 # ---------------------------------------------------------------------------
 
+def _twin_classes(g: Graph) -> list[int]:
+    """Each vertex's twin class, named by its lowest member.  u and w are
+    twins iff N(u) - {w} = N(w) - {u}; twinhood is an equivalence, and every
+    permutation within one class is an automorphism."""
+    adj = g.adj
+
+    def twins(u: int, w: int) -> bool:
+        pair = 1 << u | 1 << w
+        return adj[u] & ~pair == adj[w] & ~pair
+
+    return [next(u for u in range(v + 1) if twins(u, v)) for v in range(g.n)]
+
+
 def _embedding_plan(f: Graph):
     """Static vertex order for backtracking: most already-placed neighbors first.
 
-    Returns (order, prev) where prev[i] lists the positions of earlier order
-    entries adjacent to order[i] in f.
+    Returns (order, prev, twin) where prev[i] lists the positions of earlier
+    order entries adjacent to order[i] in f, and twin[i] is the latest earlier
+    position holding a twin of order[i], or -1.
     """
     n = f.n
     degs = f.degrees()
@@ -413,26 +440,37 @@ def _embedding_plan(f: Graph):
     posof = {v: i for i, v in enumerate(order)}
     prev = [tuple(sorted(posof[w] for w in nbrs[v] if posof[w] < i))
             for i, v in enumerate(order)]
-    return order, prev
+    cls = _twin_classes(f)
+    twin = [max((j for j in range(i) if cls[order[j]] == cls[v]), default=-1)
+            for i, v in enumerate(order)]
+    return order, prev, twin
 
 
 def _search_embeddings(f: Pattern, g: Graph, visit, injective: bool = True) -> bool:
-    """Enumerate edge-preserving maps f -> g, injective unless told otherwise.
+    """Enumerate edge-preserving maps f -> g, injective unless told otherwise,
+    one per orbit of f's twin group.
 
-    visit(images) is called on each complete map (images[i] hosts plan
+    Permuting a twin class is an automorphism of f, so a map is visited only
+    if its images rise along the plan within each twin class (for
+    homomorphisms, do not fall: true twins are adjacent, so get distinct
+    images anyway).  Each orbit of injective maps holds one such map, so the
+    visits number the injective maps over the product of |class|!.
+
+    visit(images) is called on each visited map (images[i] hosts plan
     position i); it returns True to continue or False to stop the search.
     Returns False iff a visit stopped the search.
     """
     if f.order > COUNTING_MAX_ORDER:
         raise ValueError(
             f"embedding search capped at {COUNTING_MAX_ORDER} pattern vertices")
-    prev = f.plan[1]
+    _, prev, twin = f.plan
     k = f.order
     if k == 0:
         return visit([])
     gadj = g.adj
     full = (1 << g.n) - 1
     keep = -1 if injective else 0  # a homomorphism may reuse host vertices
+    above = -2 if injective else -1  # strict or non-strict bound on a twin's image
     images = [0] * k
 
     def rec(i: int, used: int) -> bool:
@@ -441,6 +479,9 @@ def _search_embeddings(f: Pattern, g: Graph, visit, injective: bool = True) -> b
         cand = full & ~used
         for j in prev[i]:
             cand &= gadj[images[j]]
+        t = twin[i]
+        if t >= 0:
+            cand &= above << images[t]
         while cand:
             low = cand & -cand
             cand ^= low
@@ -479,9 +520,16 @@ class Pattern:
         return _embedding_plan(self.graph)
 
     @cached_property
+    def self_maps(self) -> int:
+        """Automorphisms counted one per orbit of the twin group."""
+        return _count_maps(self, self.graph)
+
+    @cached_property
     def aut_count(self) -> int:
-        """Number of adjacency-preserving vertex permutations."""
-        return count_injective_maps(self, self.graph)
+        """Number of adjacency-preserving vertex permutations: self_maps
+        times the twin group's order, the product of |class|! over classes."""
+        cls = _twin_classes(self.graph)
+        return self.self_maps * math.prod(math.factorial(cls.count(c)) for c in set(cls))
 
     @cached_property
     def chromatic(self) -> int:
@@ -507,8 +555,8 @@ def pattern(spec, name: str | None = None) -> Pattern:
     return Pattern(g, name or spec)
 
 
-def count_injective_maps(f: Pattern, g: Graph) -> int:
-    """Number of injective edge-preserving maps from f into g."""
+def _count_maps(f: Pattern, g: Graph) -> int:
+    """Injective edge-preserving maps f -> g, one per orbit of f's twin group."""
     total = 0
 
     def visit(_):
@@ -521,13 +569,16 @@ def count_injective_maps(f: Pattern, g: Graph) -> int:
 
 
 def count_copies(f: Pattern, g: Graph) -> int:
-    """Number of subgraphs of g isomorphic to f (copies, not induced)."""
+    """Number of subgraphs of g isomorphic to f (copies, not induced).
+
+    copies = injective maps / |Aut(f)|; the search leaves the twin group's
+    factor out of both counts, so copies = maps(f, g) // maps(f, f).
+    """
     if f.order == 0:
         raise ValueError("pattern must have at least one vertex")
-    total = count_injective_maps(f, g)
-    aut = f.aut_count
-    assert total % aut == 0
-    return total // aut
+    total = _count_maps(f, g)
+    assert total % f.self_maps == 0
+    return total // f.self_maps
 
 
 def is_free(f: Pattern, g: Graph) -> bool:
@@ -535,9 +586,14 @@ def is_free(f: Pattern, g: Graph) -> bool:
     return _search_embeddings(f, g, _stop)
 
 
-def iter_copies(f: Pattern, g: Graph):
+def iter_copies(f: Pattern, g: Graph, limit: int):
     """Distinct copies of f in g as (vertex frozenset, edge frozenset) pairs,
-    sorted for deterministic downstream processing."""
+    sorted for deterministic downstream processing.
+
+    The search finds each copy |Aut(f)| / |twin group| times, so found
+    copies are deduplicated.  More than limit distinct copies is a
+    ValueError, raised as soon as the search finds one too many.
+    """
     fedges = f.graph.edges()
     seen = set()
 
@@ -546,6 +602,8 @@ def iter_copies(f: Pattern, g: Graph):
         es = frozenset((min(images[x], images[y]), max(images[x], images[y]))
                        for x, y in key_edges)
         seen.add((vs, es))
+        if len(seen) > limit:
+            raise ValueError(f"more than {limit} copies of {f.name}")
         return True
 
     order = f.plan[0]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, Pattern, bits, count_copies, is_free
+from .graphs import Graph, Pattern, _twin_classes, bits, count_copies, is_free
 
 ORACLE_MAX_EDGES = 8
 ORACLE_MAX_N = 8
@@ -219,28 +219,6 @@ def _in_edge_orbit(edge: tuple[int, int], start: tuple[int, int],
 # Isomorph-free enumeration by edge augmentation
 # ---------------------------------------------------------------------------
 
-def _twin_classes(g: Graph) -> list[int]:
-    """Union-find classes of vertices with equal neighborhoods apart from each
-    other; swapping two class members is an automorphism."""
-    n = g.n
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(n):
-        for v in range(u + 1, n):
-            pair = (1 << u) | (1 << v)
-            if g.adj[u] & ~pair == g.adj[v] & ~pair:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[max(ru, rv)] = min(ru, rv)
-    return [find(v) for v in range(n)]
-
-
 class _Enumerator:
     """Edge-augmentation levels of graphs without isolated vertices.
 
@@ -366,6 +344,10 @@ def mex_exact(query: OracleQuery) -> OracleResult:
         raise ValueError(f"edge count must lie in 0..{ORACLE_MAX_EDGES}")
     if query.target.size == 0:
         raise ValueError("target pattern must have at least one edge")
+    if not all(query.target.graph.adj):
+        # each added isolated vertex would add target copies
+        raise ValueError("target pattern must have no isolated vertex: "
+                         "mex is unbounded for it")
     enum = _Enumerator(2 * m, lambda g: is_free(query.forbidden, g))
     final = []
     for edges, level in enum.levels(m):

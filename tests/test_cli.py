@@ -378,3 +378,65 @@ def test_threads_environment_variable_is_ignored(capsys, monkeypatch):
     monkeypatch.setenv("MEXLAB_THREADS", "abc")
     code, out = run_cli(capsys, *argv)
     assert code == EXIT_OK and out == plain
+
+
+def test_construct_deletion_stops_at_copy_cap(tmp_path, schema):
+    # c = 10 clamps p toward 1: the host holds millions of K3_4 copies
+    src = Path(mexlab.__file__).resolve().parent.parent
+    out = tmp_path / "g.el"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mexlab.cli", "construct", "deletion",
+         "--pattern", "K3_4", "--u", "2", "--r", "3", "--n", "200",
+         "--seed", "1", "--c", "10", "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=30)
+    assert proc.returncode == EXIT_VALIDATION and not proc.stderr
+    obj = json.loads(proc.stdout)
+    jsonschema.validate(obj, schema)
+    assert obj["code"] == "invalid-params" and "10000 copies" in obj["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "deletion", "--pattern", "K3_4", "--u", "2", "--r", "3",
+     "--n", "10", "--seed", "1", "--c", "nan"],
+    ["construct", "deletion", "--pattern", "K3_4", "--u", "2", "--r", "3",
+     "--n", "10", "--seed", "1", "--c", "inf"],
+    ["construct", "deletion", "--pattern", "K3_4", "--u", "2", "--r", "3",
+     "--n", "10", "--seed", "1", "--c", "0"],
+    ["construct", "deletion", "--pattern", "K3_4", "--u", "2", "--r", "3",
+     "--n", "10", "--seed", "1", "--c", "-1"],
+    ["extract", "--input", "K6", "--r", "3", "--alpha", "1", "--C", "1e308"],
+    ["extract", "--input", "K6", "--r", "3", "--alpha", "1", "--C", "1e-320"],
+    ["extract", "--input", "K6", "--r", "3", "--alpha", "1", "--C", "inf"],
+    ["extract", "--input", "K6", "--r", "3", "--alpha", "1", "--C", "nan"],
+    ["extract", "--input", "K6", "--r", "3", "--alpha", "nan", "--C", "1"],
+    ["extract", "--input", "K6", "--r", "3", "--alpha", "inf", "--C", "1"],
+    ["count", "--input", "K100000", "--max-clique", "2"],
+    ["count", "--input", "C100000000", "--max-clique", "2"],
+])
+def test_cli_rejects_out_of_range_parameters(argv, tmp_path, capsys, schema):
+    out = tmp_path / "g.el"
+    code, obj = run_json(capsys, schema, *argv, "--out", str(out))
+    assert code == EXIT_VALIDATION and obj["code"] == "invalid-params"
+    assert not out.exists()  # rejected before any result was computed
+
+
+def test_cli_rejects_huge_edge_list_header(tmp_path, capsys, schema):
+    path = tmp_path / "big.el"
+    path.write_text("100000000000 1\n0 1\n")
+    code, obj = run_json(capsys, schema, "count", "--input", str(path),
+                         "--max-clique", "2")
+    assert code == EXIT_VALIDATION and obj["code"] == "invalid-input"
+
+
+def test_oracle_mex_rejects_target_with_isolated_vertex(tmp_path, capsys, schema):
+    path = tmp_path / "k2_plus_k1.el"
+    path.write_text("3 1\n0 1\n")
+    code, obj = run_json(capsys, schema, "oracle", "mex", "--m", "3",
+                         "--target", str(path), "--forbidden", "K3")
+    assert code == EXIT_VALIDATION and obj["code"] == "invalid-params"
+    # ex fixes the vertex count, so the same target has a finite maximum there
+    code, obj = run_json(capsys, schema, "oracle", "ex", "--n", "4",
+                         "--target", str(path), "--forbidden", "K3")
+    assert code == EXIT_OK and obj["value"] == 8

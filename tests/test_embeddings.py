@@ -1,0 +1,51 @@
+"""The twin-pruned embedding search against the unpruned reference search
+(tests/embedding_reference.py) and against brute force."""
+
+import math
+from itertools import permutations
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import embedding_reference as ref
+from mexlab.graphs import (Pattern, count_copies, gnp, is_free, iter_copies,
+                           parse_pattern_literal)
+
+LITERALS = [f"K{n}" for n in range(1, 9)] + [
+    "K1_2", "K1_3", "K2_2", "K2_3", "K3_3", "K2_4", "K3_4", "K4_4",
+    "K2_2_2", "K1_1_2", "K1_2_3", "C4", "C5", "C6", "S3"]
+
+
+@st.composite
+def patterns(draw):
+    if draw(st.booleans()):
+        return parse_pattern_literal(draw(st.sampled_from(LITERALS)))
+    return gnp(draw(st.integers(1, 8)), draw(st.sampled_from([0.3, 0.5, 0.7, 0.9])),
+               draw(st.integers(0, 2 ** 32)))
+
+
+@st.composite
+def hosts(draw):
+    return gnp(draw(st.integers(0, 14)), draw(st.sampled_from([0.2, 0.35, 0.5, 0.7])),
+               draw(st.integers(0, 2 ** 32)))
+
+
+def _brute_force_aut_count(f) -> int:
+    edges = set(f.edges())
+    return sum(all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in edges)
+               for p in permutations(range(f.n)))
+
+
+@given(patterns(), hosts())
+@settings(max_examples=300, deadline=None)
+def test_search_matches_unpruned_reference(f, g):
+    # the reference visits every injective map; keep its expected count small
+    host_p = 2 * g.m / (g.n * (g.n - 1)) if g.n > 1 else 0.0
+    assume(math.perm(g.n, f.n) * host_p ** f.m <= 20000)
+    pat = Pattern(f)
+    assert count_copies(pat, g) == ref.count_copies(f, g)
+    assert is_free(pat, g) == ref.is_free(f, g)
+    assert iter_copies(pat, g, 10 ** 9) == ref.copies(f, g)
+    assert pat.aut_count == ref.count_injective_maps(f, f)
+    if f.n <= 7:
+        assert pat.aut_count == _brute_force_aut_count(f)

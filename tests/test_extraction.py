@@ -21,8 +21,9 @@ def test_params_validation():
         ExtractionParams(3, 0.5, 1.0)   # alpha <= 2/r
     with pytest.raises(ValueError):
         ExtractionParams(3, 1.1, 1.0)
-    with pytest.raises(ValueError):
-        ExtractionParams(3, 1.0, 0.0)
+    for C in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            ExtractionParams(3, 1.0, C)
 
 
 def test_worked_example_complete_plus_matching():

@@ -13,8 +13,8 @@ from mexlab.bounds import clique_vector_obeys_bound
 from mexlab.graphs import (Graph, Pattern, blowup, chromatic_number, complete,
                            complete_multipartite, count_cliques, count_copies,
                            cycle, disjoint_union, edge_clique_participation,
-                           format_edge_list, gnp, hom_exists,
-                           is_free, max_avg_degree, parse_pattern_literal,
+                           format_edge_list, gnp, hom_exists, is_free,
+                           iter_copies, max_avg_degree, parse_pattern_literal,
                            path, pattern, read_edge_list, splitmix64, star,
                            turan_graph)
 from mexlab.oracle import are_isomorphic
@@ -96,6 +96,12 @@ def test_count_copies_examples():
     assert count_copies(pattern("K1_2"), complete(3)) == 3
     assert count_copies(pattern("C4"), complete_multipartite([2, 3])) == 3
     assert count_copies(pattern("K1_2"), complete(4)) == 12
+
+
+def test_iter_copies_stops_above_limit():
+    assert len(iter_copies(pattern("K3"), complete(5), 10)) == 10
+    with pytest.raises(ValueError):
+        iter_copies(pattern("K3"), complete(5), 9)
 
 
 def test_count_copies_rejects_empty_pattern():
@@ -235,6 +241,8 @@ def test_pattern_cached_fields_recompute():
 
 
 def test_aut_counts():
+    # self_maps counts automorphisms one per orbit of the twin group
+    assert [pattern(s).self_maps for s in ("K3_4", "K2_2_2", "C4", "K4")] == [1, 6, 2, 1]
     assert pattern("C4").aut_count == 8
     assert pattern("K4").aut_count == 24
     assert pattern("K3_4").aut_count == math.factorial(3) * math.factorial(4)
@@ -302,6 +310,7 @@ def test_edge_list_round_trip():
     "3 2\n0 1\n0 1\n",       # duplicate
     "3 1\n0 3\n",            # out of range
     "3 2\n0 1\n",            # wrong edge count
+    "100000000000 1\n0 1\n",  # vertex count above the cap, before allocation
 ])
 def test_edge_list_rejects(text):
     with pytest.raises(ValueError):
@@ -316,3 +325,6 @@ def test_pattern_literals():
     assert parse_pattern_literal("S4") == star(4)
     assert parse_pattern_literal("nope") is None
     assert parse_pattern_literal("k5") is None
+    for big in ("K100000", "K1000_2000", "C10000000", "S10000000"):
+        with pytest.raises(ValueError):
+            parse_pattern_literal(big)

@@ -154,6 +154,8 @@ def test_mex_rejects():
         mex_exact(OracleQuery("mex", 9, pattern("K3"), pattern("K4")))
     with pytest.raises(ValueError):
         mex_exact(OracleQuery("mex", 3, Pattern(Graph(2)), pattern("K4")))
+    with pytest.raises(ValueError):  # K2 + K1: unbounded, one isolated vertex
+        mex_exact(OracleQuery("mex", 3, Pattern(Graph(3, [(0, 1)])), pattern("K3")))
     with pytest.raises(ValueError):
         OracleQuery("nope", 3, pattern("K3"), pattern("K4"))
     with pytest.raises(ValueError):
