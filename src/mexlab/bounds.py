@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
-from .graphs import Pattern, chromatic_number, induced_sizes
+from .graphs import Pattern, chromatic_number
 
 LEMMA_CONSTANT_MAX_R = 20
+COR14_MAX_S = 1000  # keeps the reported (s-1)! + 1 under 2600 digits
 
 
 class ConditionError(ValueError):
@@ -87,32 +87,6 @@ def lemma_constant(u: int, r: int) -> float:
     return math.factorial(u) ** (r / u) / math.factorial(r)
 
 
-@lru_cache(maxsize=None)
-def lemma_constant_recursive(u: int, r: int) -> float:
-    """Same constant via the base-and-step recursion instead of the closed form."""
-    _check_ur(u, r)
-    if (u, r) == (1, 2):
-        return 0.5
-    if r == u + 1:
-        return u / (u + 1) * lemma_constant_recursive(u - 1, u) ** ((u - 1) / u)
-    return lemma_constant_recursive(r - 1, r) * lemma_constant_recursive(u, r - 1) ** (r / (r - 1))
-
-
-def clique_vector_obeys_bound(counts) -> bool:
-    """Strict inequality k_r < C(u,r) k_u^(r/u) for every u < r with k_u > 0.
-
-    counts[i] must hold k_i for 1 <= i <= len(counts)-1.
-    """
-    R = len(counts) - 1
-    for u in range(1, R):
-        if counts[u] <= 0:
-            continue
-        for r in range(u + 1, R + 1):
-            if not counts[r] < lemma_constant(u, r) * counts[u] ** (r / u):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Exponent formulas
 # ---------------------------------------------------------------------------
@@ -139,8 +113,8 @@ def cor14_kst(r: int, s: int) -> ExponentReport:
     """Exponent (rs - r(r-1)/2) / (2s-1) for complete-bipartite forbidden graphs."""
     if r < 3:
         raise ValueError("r must be >= 3")
-    if s < 2:
-        raise ValueError("s must be >= 2")
+    if not 2 <= s <= COR14_MAX_S:
+        raise ValueError(f"s must lie in 2..{COR14_MAX_S}")
     frac = Fraction(r * s - _binom2(r), 2 * s - 1)
     s_min = 2 if r == 3 else r
     tight = (r >= 4 and s >= 2 * r - 2) or (r == 3 and s >= 2)
@@ -289,16 +263,3 @@ def cor17_classifier(f: Pattern, t: int) -> bool:
     if t < 2:
         raise ValueError("t must be >= 2")
     return chromatic_number(f.graph) > t
-
-
-def phi_exponent(f: Pattern, rho):
-    """min over subgraphs F0 of f with e(F0) > 0 of v(F0) - rho * e(F0).
-
-    Exact when rho is rational; the subgraph-count functional of a random
-    graph with p = n^-rho diverges iff this is non-negative.
-    """
-    if f.size == 0:
-        raise ValueError("pattern has no edges")
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
-    return min(v - rho * e for v, e in induced_sizes(f.graph))

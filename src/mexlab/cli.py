@@ -22,7 +22,7 @@ from .extraction import ExtractionParams, extract_dense
 from .graphs import (Graph, Pattern, count_cliques, count_copies,
                      edge_clique_participation, is_free, load_edge_list,
                      parse_pattern_literal, save_edge_list)
-from .oracle import OracleQuery, ex_exact, mex_exact
+from .oracle import ex_exact, mex_exact
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -92,7 +92,10 @@ def _parse_params(text: str, kinds: dict) -> dict:
 
 def _parse_value(val: str):
     if "+" in val:
-        return [int(x) for x in val.split("+")]
+        try:
+            return [int(x) for x in val.split("+")]
+        except ValueError:
+            pass  # not a list of integers: '1e+5' is a float
     if "/" in val:
         num, den = val.split("/", 1)
         return Fraction(int(num), int(den))
@@ -169,9 +172,6 @@ def _run_bounds(args) -> dict:
 
 def _build_parser() -> _Parser:
     top = _Parser(prog="mexlab", description=__doc__)
-    top.add_argument("--threads", type=int, default=1,
-                     help="worker-count cap; currently a no-op (checked to be >= 1, "
-                          "then unused), and never changes any output")
     sub = top.add_subparsers(dest="command")
 
     p = sub.add_parser("count", help="exact clique counts")
@@ -296,8 +296,8 @@ def _dispatch(args) -> dict | None:
         raise _CliError("usage", "construct needs a subcommand: norm-graph | deletion")
     if cmd == "oracle":
         if args.oracle_mode == "mex":
-            res = mex_exact(OracleQuery("mex", args.m, _load_pattern(args.target),
-                                        _load_pattern(args.forbidden)))
+            res = mex_exact(args.m, _load_pattern(args.target),
+                            _load_pattern(args.forbidden))
         elif args.oracle_mode == "ex":
             res = ex_exact(args.n, _load_pattern(args.target),
                            _load_pattern(args.forbidden))
@@ -319,33 +319,15 @@ def _dispatch(args) -> dict | None:
     raise _CliError("usage", f"missing subcommand")
 
 
-def _first_subcommand(argv: list[str]) -> str | None:
-    skip_next = False
-    for tok in argv:
-        if skip_next:
-            skip_next = False
-            continue
-        if tok == "--threads":
-            skip_next = True
-            continue
-        if tok.startswith("-"):
-            continue
-        return tok
-    return None
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    sub = _first_subcommand(argv)
-    if sub is not None and sub not in KNOWN_COMMANDS:
+    if argv and not argv[0].startswith("-") and argv[0] not in KNOWN_COMMANDS:
         _emit({"code": "unknown-command",
-               "message": f"unknown subcommand {sub!r}"}, None)
+               "message": f"unknown subcommand {argv[0]!r}"}, None)
         return EXIT_USAGE
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise _CliError("invalid-params", "--threads must be >= 1")
         if args.command is None:
             raise _CliError("usage", "a subcommand is required")
         report = _dispatch(args)

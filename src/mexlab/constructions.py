@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bounds import ConditionError, cor14_kst, thm15_general
-from .fields import field_make, is_prime
+from .fields import FiniteField, is_prime
 from .graphs import (EDGE_LIST_MAX_VERTICES, Graph, Pattern,
                      complete_multipartite, count_cliques, gnp, is_free,
                      iter_copies)
@@ -42,7 +42,7 @@ def norm_graph(q: int, s: int) -> Graph:
     base-q counting order of coefficient vectors.
     """
     NormGraphParams(q, s)
-    F = field_make(q, s - 1)
+    F = FiniteField(q, s - 1)
     ext = F.order
     n = ext * (q - 1)
     norm_of = [None] * ext

@@ -107,9 +107,6 @@ class FiniteField:
     def add(self, a, b) -> tuple:
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
-    def neg(self, a) -> tuple:
-        return tuple(-x % self.p for x in a)
-
     def mul(self, a, b) -> tuple:
         p, k = self.p, self.k
         conv = [0] * (2 * k - 1)
@@ -136,19 +133,9 @@ class FiniteField:
             e >>= 1
         return result
 
-    def inv(self, a) -> tuple:
-        if a == self.zero:
-            raise ZeroDivisionError("inverse of zero")
-        return self.pow(a, self.order - 2)
-
     def norm_to_base(self, a) -> int:
         """Field norm down to GF(p): a^((p^k - 1)/(p - 1)), returned as an int."""
         t = self.pow(a, (self.order - 1) // (self.p - 1))
         if any(t[1:]):
             raise AssertionError("norm left the base field")
         return t[0]
-
-
-def field_make(p: int, k: int) -> FiniteField:
-    """GF(p^k) with the lexicographically smallest monic irreducible modulus."""
-    return FiniteField(p, k)

@@ -100,23 +100,6 @@ class Graph:
             g.adj[v] &= ~(1 << u)
         return g
 
-    def induced(self, vertices) -> "Graph":
-        """Induced subgraph, relabeled 0..k-1 in the sorted order of vertices."""
-        verts = sorted(vertices)
-        pos = {v: i for i, v in enumerate(verts)}
-        out = Graph(len(verts))
-        for i, v in enumerate(verts):
-            row = 0
-            for w in bits(self.adj[v]):
-                j = pos.get(w)
-                if j is not None:
-                    row |= 1 << j
-            out.adj[i] = row
-        return out
-
-    def drop_isolated(self) -> "Graph":
-        return self.induced([v for v in range(self.n) if self.adj[v]])
-
     def padded(self, n: int) -> "Graph":
         """Same graph with isolated vertices appended up to order n."""
         if n < self.n:
@@ -210,19 +193,6 @@ def complete_multipartite(sizes) -> Graph:
     return Graph(n, edges)
 
 
-def turan_graph(n: int, k: int) -> Graph:
-    """Complete k-partite graph on n vertices with parts as equal as possible."""
-    if k < 1 or n < 0:
-        raise ValueError("need k >= 1 and n >= 0")
-    k = min(k, n) if n else k
-    big = n % k
-    sizes = [n // k + 1] * big + [n // k] * (k - big)
-    sizes = [s for s in sizes if s > 0]
-    if not sizes:
-        return Graph(0)
-    return complete_multipartite(sizes)
-
-
 def star(leaves: int) -> Graph:
     if leaves < 0:
         raise ValueError("leaf count must be non-negative")
@@ -233,30 +203,6 @@ def cycle(length: int) -> Graph:
     if length < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return Graph(length, [(v, (v + 1) % length) for v in range(length)])
-
-
-def path(length: int) -> Graph:
-    """Path on `length` vertices."""
-    if length < 1:
-        raise ValueError("path needs at least 1 vertex")
-    return Graph(length, [(v, v + 1) for v in range(length - 1)])
-
-
-def blowup(base: Graph, s: int) -> Graph:
-    """Replace each vertex by an independent set of size s, joining across base edges."""
-    if s < 1:
-        raise ValueError("blow-up factor must be positive")
-    edges = []
-    for u, v in base.edges():
-        for a in range(s):
-            for b in range(s):
-                edges.append((u * s + a, v * s + b))
-    return Graph(base.n * s, edges)
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    edges = g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()]
-    return Graph(g.n + h.n, edges)
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
@@ -377,8 +323,8 @@ def _clique_counts(adj, cand: int, R: int) -> list:
 
 def count_cliques(g: Graph, R: int) -> CliqueVector:
     """Exact number of r-cliques for every 1 <= r <= R."""
-    if R < 1:
-        raise ValueError("R must be >= 1")
+    if not 1 <= R <= EDGE_LIST_MAX_VERTICES:
+        raise ValueError(f"R must lie in 1..{EDGE_LIST_MAX_VERTICES}")
     n = g.n
     pos = [0] * n
     for i, v in enumerate(_degeneracy_order(g)):
@@ -394,8 +340,8 @@ def count_cliques(g: Graph, R: int) -> CliqueVector:
 
 def edge_clique_participation(g: Graph, r: int) -> dict:
     """For each edge e, the number of r-cliques containing e."""
-    if r < 3:
-        raise ValueError("r must be >= 3")
+    if not 3 <= r <= EDGE_LIST_MAX_VERTICES:
+        raise ValueError(f"r must lie in 3..{EDGE_LIST_MAX_VERTICES}")
     if g.m == 0:
         raise ValueError("graph has no edges")
     adj = g.adj
@@ -404,7 +350,7 @@ def edge_clique_participation(g: Graph, r: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Pattern embeddings and homomorphisms (edge-preserving maps)
+# Pattern embeddings (injective edge-preserving maps)
 # ---------------------------------------------------------------------------
 
 def _twin_classes(g: Graph) -> list[int]:
@@ -446,15 +392,14 @@ def _embedding_plan(f: Graph):
     return order, prev, twin
 
 
-def _search_embeddings(f: Pattern, g: Graph, visit, injective: bool = True) -> bool:
-    """Enumerate edge-preserving maps f -> g, injective unless told otherwise,
-    one per orbit of f's twin group.
+def _search_embeddings(f: Pattern, g: Graph, visit) -> bool:
+    """Enumerate injective edge-preserving maps f -> g, one per orbit of f's
+    twin group.
 
     Permuting a twin class is an automorphism of f, so a map is visited only
-    if its images rise along the plan within each twin class (for
-    homomorphisms, do not fall: true twins are adjacent, so get distinct
-    images anyway).  Each orbit of injective maps holds one such map, so the
-    visits number the injective maps over the product of |class|!.
+    if its images rise along the plan within each twin class.  Each orbit
+    holds one such map, so the visits number the maps over the product of
+    |class|!.
 
     visit(images) is called on each visited map (images[i] hosts plan
     position i); it returns True to continue or False to stop the search.
@@ -469,8 +414,6 @@ def _search_embeddings(f: Pattern, g: Graph, visit, injective: bool = True) -> b
         return visit([])
     gadj = g.adj
     full = (1 << g.n) - 1
-    keep = -1 if injective else 0  # a homomorphism may reuse host vertices
-    above = -2 if injective else -1  # strict or non-strict bound on a twin's image
     images = [0] * k
 
     def rec(i: int, used: int) -> bool:
@@ -481,12 +424,12 @@ def _search_embeddings(f: Pattern, g: Graph, visit, injective: bool = True) -> b
             cand &= gadj[images[j]]
         t = twin[i]
         if t >= 0:
-            cand &= above << images[t]
+            cand &= -2 << images[t]  # strictly above the twin's image
         while cand:
             low = cand & -cand
             cand ^= low
             images[i] = low.bit_length() - 1
-            if not rec(i + 1, used | low & keep):
+            if not rec(i + 1, used | low):
                 return False
         return True
 
@@ -530,10 +473,6 @@ class Pattern:
         times the twin group's order, the product of |class|! over classes."""
         cls = _twin_classes(self.graph)
         return self.self_maps * math.prod(math.factorial(cls.count(c)) for c in set(cls))
-
-    @cached_property
-    def chromatic(self) -> int:
-        return chromatic_number(self.graph)
 
     @cached_property
     def max_avg_degree(self) -> Fraction:
@@ -614,7 +553,7 @@ def iter_copies(f: Pattern, g: Graph, limit: int):
 
 
 # ---------------------------------------------------------------------------
-# Chromatic number, homomorphisms, max average degree
+# Chromatic number, max average degree
 # ---------------------------------------------------------------------------
 
 def chromatic_number(g: Graph) -> int:
@@ -654,13 +593,6 @@ def chromatic_number(g: Graph) -> int:
     return n
 
 
-def hom_exists(f: Pattern, t: Pattern) -> bool:
-    """True iff an edge-preserving (not necessarily injective) map f -> t exists."""
-    if t.order > 8:
-        raise ValueError("homomorphism target capped at 8 vertices")
-    return not _search_embeddings(f, t.graph, _stop, injective=False)
-
-
 def max_avg_degree(f: Pattern) -> Fraction:
     """max over subgraphs F0 with e(F0) > 0 of 2 e(F0) / v(F0), exact.
 
@@ -669,13 +601,7 @@ def max_avg_degree(f: Pattern) -> Fraction:
     """
     if f.size == 0:
         raise ValueError("pattern has no edges")
-    return max(Fraction(2 * e, v) for v, e in induced_sizes(f.graph))
-
-
-def induced_sizes(g: Graph):
-    """Yield (v, e) for each vertex subset of g that spans an edge: the
-    subset's size and the number of edges it induces, in mask order."""
-    for mask in range(1, 1 << g.n):
-        twice_e = sum((g.adj[v] & mask).bit_count() for v in bits(mask))
-        if twice_e:
-            yield mask.bit_count(), twice_e // 2
+    adj = f.graph.adj
+    return max(Fraction(sum((adj[v] & mask).bit_count() for v in bits(mask)),
+                        mask.bit_count())
+               for mask in range(1, 1 << f.order))

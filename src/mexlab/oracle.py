@@ -175,19 +175,6 @@ def canonical_form(g: Graph) -> bytes:
     return _form_from_order(g, _canonical_order(g)[0])
 
 
-def canonical_relabel(g: Graph) -> Graph:
-    perm = _canonical_order(g)[0]
-    pos = {v: i for i, v in enumerate(perm)}
-    return Graph(g.n, [(min(pos[u], pos[v]), max(pos[u], pos[v]))
-                       for u, v in g.edges()])
-
-
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.m != h.m:
-        return False
-    return canonical_form(g) == canonical_form(h)
-
-
 def _largest_edge_in_order(g: Graph, perm: list[int]) -> tuple[int, int]:
     """The edge mapping to the largest position pair under the given labeling."""
     for i in range(g.n - 1, 0, -1):
@@ -293,20 +280,6 @@ class _Enumerator:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class OracleQuery:
-    mode: str                 # "mex" or "ex"
-    size: int                 # m for mex, n for ex
-    target: Pattern
-    forbidden: Pattern
-
-    def __post_init__(self):
-        if self.mode not in ("mex", "ex"):
-            raise ValueError("mode must be 'mex' or 'ex'")
-        if self.forbidden.order < 3 and self.forbidden.size < 1:
-            raise ValueError("forbidden pattern must have >= 3 vertices or an edge")
-
-
-@dataclass
 class OracleResult:
     value: int
     witness: Graph
@@ -334,26 +307,29 @@ def _best(enum: _Enumerator, target: Pattern, candidates, none_msg: str) -> Orac
     return OracleResult(best[0], best[2], enum.graphs_examined, enum.classes_examined)
 
 
-def mex_exact(query: OracleQuery) -> OracleResult:
+def _check_forbidden(forbidden: Pattern) -> None:
+    if forbidden.order < 3 and forbidden.size < 1:
+        raise ValueError("forbidden pattern must have >= 3 vertices or an edge")
+
+
+def mex_exact(m: int, target: Pattern, forbidden: Pattern) -> OracleResult:
     """Exact maximum of target-copy counts over forbidden-free graphs with
-    exactly `size` edges and no isolated vertices."""
-    if query.mode != "mex":
-        raise ValueError("query mode must be 'mex'")
-    m = query.size
+    exactly m edges and no isolated vertices."""
+    _check_forbidden(forbidden)
     if m < 0 or m > ORACLE_MAX_EDGES:
         raise ValueError(f"edge count must lie in 0..{ORACLE_MAX_EDGES}")
-    if query.target.size == 0:
+    if target.size == 0:
         raise ValueError("target pattern must have at least one edge")
-    if not all(query.target.graph.adj):
+    if not all(target.graph.adj):
         # each added isolated vertex would add target copies
         raise ValueError("target pattern must have no isolated vertex: "
                          "mex is unbounded for it")
-    enum = _Enumerator(2 * m, lambda g: is_free(query.forbidden, g))
+    enum = _Enumerator(2 * m, lambda g: is_free(forbidden, g))
     final = []
     for edges, level in enum.levels(m):
         if edges == m:
             final = level
-    return _best(enum, query.target, final,
+    return _best(enum, target, final,
                  "no admissible graph with the requested edge count")
 
 
@@ -362,50 +338,9 @@ def ex_exact(n: int, target: Pattern, forbidden: Pattern) -> OracleResult:
     exactly n vertices."""
     if not 0 <= n <= ORACLE_MAX_N:
         raise ValueError(f"vertex count must lie in 0..{ORACLE_MAX_N}")
-    OracleQuery("ex", n, target, forbidden)  # shared validation
+    _check_forbidden(forbidden)
     enum = _Enumerator(n, lambda g: is_free(forbidden, g.padded(n)))
     candidates = ((g.padded(n), key) for _, level in enum.levels(n * (n - 1) // 2)
                   for g, key in level)
     return _best(enum, target, candidates,
                  "no admissible graph on the requested vertex count")
-
-
-def label_ordered_edge_sets(m: int):
-    """Every m-edge graph without isolated vertices whose lexicographically
-    sorted edge list meets its vertices in the order 0, 1, 2, ...: each edge
-    either joins two seen vertices, joins a seen vertex to the next label, or
-    opens a new component on the next two labels.  A breadth-first labeling,
-    one component after another, puts every graph in this form, so the sets
-    cover every isomorphism class; no canonical form is involved."""
-    if m < 0:
-        raise ValueError("edge count must be non-negative")
-    edges: list[tuple[int, int]] = []
-
-    def extend(after: tuple[int, int], seen: int):
-        if len(edges) == m:
-            yield Graph(seen, edges)
-            return
-        a, b = after
-        for u in range(max(a, 0), seen + 1):
-            if u == seen:
-                heads = [seen + 1]
-            else:
-                heads = range(b + 1 if u == a else u + 1, seen + 1)
-            for v in heads:
-                edges.append((u, v))
-                yield from extend((u, v), max(seen, v + 1))
-                edges.pop()
-
-    yield from extend((-1, -1), 0)
-
-
-def mex_exhaustive_reference(m: int, target: Pattern, forbidden: Pattern) -> int:
-    """Independent cross-check: scan every label-ordered m-edge graph with no
-    isomorph rejection at all, filter, maximize."""
-    if m < 1:
-        return 0
-    best = 0
-    for g in label_ordered_edge_sets(m):
-        if is_free(forbidden, g):
-            best = max(best, count_copies(target, g))
-    return best

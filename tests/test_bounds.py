@@ -2,14 +2,14 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import bowtie, petersen
-from mexlab.bounds import (COND_EDGE_COUNT, COND_MADC, cor12_exponent,
-                           cor14_kst, cor17_classifier,
+from conftest import bowtie, lemma_constant_recursive, petersen
+from mexlab.bounds import (COND_EDGE_COUNT, COND_MADC, COR14_MAX_S,
+                           cor12_exponent, cor14_kst, cor17_classifier,
                            cor44_tripartite_lower, lemma_constant,
-                           lemma_constant_recursive, phi_exponent,
                            remark42_one_part, thm13_f, thm15_general,
                            thm41_kst_lower, thm43_multipartite,
                            thm46_join_cycle)
@@ -64,6 +64,9 @@ def test_cor14():
     assert not cor14_kst(4, 5).tight
     assert not cor14_kst(5, 7).tight
     assert cor14_kst(5, 8).tight
+    assert cor14_kst(3, COR14_MAX_S).value_rational == Fraction(2997, 1999)
+    with pytest.raises(ValueError):  # before (s-1)! is computed
+        cor14_kst(3, COR14_MAX_S + 1)
 
 
 def test_thm15_examples():
@@ -163,13 +166,28 @@ def test_cor17():
         cor17_classifier(pattern("K3"), 1)
 
 
+def _phi(f, rho):
+    """min over vertex subsets spanning an edge of v - rho * e."""
+    g = f.graph
+    if g.m == 0:
+        raise ValueError("phi needs a pattern with an edge")
+    best = None
+    for k in range(2, g.n + 1):
+        for sub in combinations(range(g.n), k):
+            e = sum(1 for u, v in g.edges() if u in sub and v in sub)
+            if e and (best is None or k - rho * e < best):
+                best = k - rho * e
+    return best
+
+
 def test_phi_exponent():
-    assert phi_exponent(pattern("K3"), 1) == 0
-    assert phi_exponent(pattern("K2_2"), Fraction(1, 2)) == Fraction(3, 2)
+    # the reference _phi that test_phi_positive_under_thm15_conditions uses
+    assert _phi(pattern("K3"), 1) == 0
+    assert _phi(pattern("K2_2"), Fraction(1, 2)) == Fraction(3, 2)
     for f in [pattern("K3"), pattern("K2_3"), Pattern(bowtie())]:
-        assert phi_exponent(f, 0) == 2
+        assert _phi(f, 0) == 2
     with pytest.raises(ValueError):
-        phi_exponent(Pattern(pattern("K3").graph.remove_edges([(0, 1), (0, 2), (1, 2)])), 1)
+        _phi(Pattern(pattern("K3").graph.remove_edges([(0, 1), (0, 2), (1, 2)])), 1)
 
 
 def test_phi_positive_under_thm15_conditions():
@@ -183,4 +201,4 @@ def test_phi_positive_under_thm15_conditions():
             rep = thm15_general(2, r, f)
             rho = Fraction(f.order - 2, f.size - r * (r - 1) // 2)
             if not rep.failed_conditions():
-                assert phi_exponent(f, rho) > 0
+                assert _phi(f, rho) > 0

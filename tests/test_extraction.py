@@ -2,8 +2,9 @@
 
 import pytest
 
+from conftest import disjoint_union
 from mexlab.extraction import ExtractionParams, extract_dense
-from mexlab.graphs import (Graph, complete, count_cliques, disjoint_union,
+from mexlab.graphs import (Graph, complete, count_cliques,
                            edge_clique_participation, gnp, star)
 
 
