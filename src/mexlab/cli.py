@@ -22,7 +22,7 @@ from .extraction import ExtractionParams, extract_dense
 from .graphs import (Graph, Pattern, count_cliques, count_copies,
                      edge_clique_participation, is_free, load_edge_list,
                      parse_pattern_literal, save_edge_list)
-from .oracle import ex_exact, mex_exact
+from .oracle import ORACLE_MAX_EDGES, ORACLE_MAX_N, ex_exact, mex_exact
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -226,12 +226,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exhaustive small-case maxima")
     osub = p.add_subparsers(dest="oracle_mode")
     pm = osub.add_parser("mex")
-    pm.add_argument("--m", type=int, required=True)
+    pm.add_argument("--m", type=int, required=True,
+                    help=f"edge count, 0..{ORACLE_MAX_EDGES}")
     pm.add_argument("--target", required=True)
     pm.add_argument("--forbidden", required=True)
     pm.add_argument("--report")
     pe = osub.add_parser("ex")
-    pe.add_argument("--n", type=int, required=True)
+    pe.add_argument("--n", type=int, required=True,
+                    help=f"vertex count, 0..{ORACLE_MAX_N}")
     pe.add_argument("--target", required=True)
     pe.add_argument("--forbidden", required=True)
     pe.add_argument("--report")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .bounds import lemma_constant
+from .bounds import LEMMA_CONSTANT_MAX_R, lemma_constant
 from .graphs import CliqueVector, Graph, count_cliques, edge_clique_participation
 
 REL_SLACK = 1e-9  # absorbs float rounding of m**alpha in the flag checks
@@ -26,8 +26,8 @@ class ExtractionParams:
     C: float
 
     def __post_init__(self):
-        if self.r < 3:
-            raise ValueError("r must be >= 3")
+        if not 3 <= self.r <= LEMMA_CONSTANT_MAX_R:  # the guarantees need C(i, r)
+            raise ValueError(f"r must lie in 3..{LEMMA_CONSTANT_MAX_R}")
         if not 2.0 / self.r < self.alpha <= 1.0:
             raise ValueError("alpha must lie in (2/r, 1]")
         if not (math.isfinite(self.C) and self.C > 0):

@@ -2,12 +2,16 @@
 
 Graphs are enumerated one isomorphism class at a time by canonical edge
 augmentation (McKay 1998): children of a class add one edge (between
-existing vertices, to one fresh vertex, or as a fresh disjoint edge) and a
-child is kept only when its added edge lies in the automorphism orbit of its
-canonical deletion edge, so that each class has exactly one accepted parent;
-isomorphic siblings are merged by canonical form.  Containment by the
-forbidden pattern is monotone under edge addition, so pruning non-free
-children keeps the search exact.
+existing vertices, to one fresh vertex, or as a fresh disjoint edge), and
+each child has one canonical deletion edge, so that each class has exactly
+one accepted parent.  The deletion edge is chosen first by an edge
+invariant that relabeling preserves, as nauty's geng does: a child whose
+added edge falls short of the greatest invariant is rejected before it is
+labeled.  Among the edges of greatest invariant, the one last in canonical
+order is the deletion edge, and a child is kept only when its added edge
+lies in that edge's automorphism orbit; isomorphic siblings are merged by
+canonical form.  Containment by the forbidden pattern is monotone under
+edge addition, so pruning non-free children keeps the search exact.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 from .graphs import Graph, Pattern, _twin_classes, bits, count_copies, is_free
 
-ORACLE_MAX_EDGES = 8
+ORACLE_MAX_EDGES = 10
 ORACLE_MAX_N = 8
 CANON_MAX_ORDER = 16
 
@@ -175,15 +179,53 @@ def canonical_form(g: Graph) -> bytes:
     return _form_from_order(g, _canonical_order(g)[0])
 
 
-def _largest_edge_in_order(g: Graph, perm: list[int]) -> tuple[int, int]:
-    """The edge mapping to the largest position pair under the given labeling."""
-    for i in range(g.n - 1, 0, -1):
-        row = g.adj[perm[i]]
-        for j in range(i - 1, -1, -1):
-            if row >> perm[j] & 1:
-                u, v = perm[i], perm[j]
-                return (min(u, v), max(u, v))
-    raise ValueError("graph has no edges")
+def _edge_invariant(adj: list[int], deg: list[int], u: int, v: int) -> tuple:
+    """inv(u, v): the endpoint degrees, the number of common neighbours,
+    and the endpoint neighbour-degree sums, each pair sorted.  No part reads
+    a vertex label, so relabeling preserves it."""
+    su = sum(deg[w] for w in bits(adj[u]))
+    sv = sum(deg[w] for w in bits(adj[v]))
+    return (min(deg[u], deg[v]), max(deg[u], deg[v]), (adj[u] & adj[v]).bit_count(),
+            min(su, sv), max(su, sv))
+
+
+def _top_edges(g: Graph, edge: tuple[int, int]) -> list[tuple[int, int]] | None:
+    """The edges of g of greatest invariant, or None when edge is not one of
+    them.  The sorted degree pairs are compared first, on vertex masks; the
+    rest of the invariant is computed only for the edges tied with edge."""
+    adj = g.adj
+    deg = [row.bit_count() for row in adj]
+    a, b = sorted((deg[edge[0]], deg[edge[1]]))
+    above_a = at_a = above_b = at_b = 0
+    for v, d in enumerate(deg):
+        if d > a:
+            above_a |= 1 << v
+        elif d == a:
+            at_a |= 1 << v
+        if d > b:
+            above_b |= 1 << v
+        elif d == b:
+            at_b |= 1 << v
+    # An edge's sorted degree pair exceeds (a, b) iff both of its ends lie
+    # above a, or one end has degree a and the other lies above b.
+    if (any(adj[v] & above_a for v in bits(above_a))
+            or any(adj[v] & above_b for v in bits(at_a))):
+        return None
+    tied = {(min(u, v), max(u, v)) for u in bits(at_a) for v in bits(adj[u] & at_b)}
+    if len(tied) == 1:
+        return [edge]
+    inv = {e: _edge_invariant(adj, deg, *e) for e in tied}
+    best = max(inv.values())
+    return [e for e in tied if inv[e] == best] if inv[edge] == best else None
+
+
+def _last_in_order(edges: list[tuple[int, int]], perm: list[int]) -> tuple[int, int]:
+    """The edge mapping to the largest position pair under the vertex order."""
+    pos = [0] * len(perm)
+    for i, v in enumerate(perm):
+        pos[v] = i
+    return max(edges, key=lambda e: (max(pos[e[0]], pos[e[1]]),
+                                     min(pos[e[0]], pos[e[1]])))
 
 
 def _in_edge_orbit(edge: tuple[int, int], start: tuple[int, int],
@@ -230,10 +272,11 @@ class _Enumerator:
                 siblings = set()
                 for child, edge in self._children(parent):
                     self.graphs_examined += 1
-                    if not self.admissible(child):
+                    top = _top_edges(child, edge)
+                    if top is None or not self.admissible(child):
                         continue
                     perm, gens = _canonical_order(child)
-                    deletion = _largest_edge_in_order(child, perm)  # canonical
+                    deletion = _last_in_order(top, perm)  # canonical
                     if not _in_edge_orbit(edge, deletion, gens):
                         continue
                     key = _form_from_order(child, perm)

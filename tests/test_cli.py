@@ -24,8 +24,9 @@ from mexlab.bounds import (cor12_exponent, cor14_kst, cor17_classifier,
                            thm46_join_cycle)
 from mexlab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from mexlab.constructions import norm_graph
-from mexlab.graphs import (complete, format_edge_list, load_edge_list,
+from mexlab.graphs import (complete, format_edge_list, gnp, load_edge_list,
                            pattern, read_edge_list, save_edge_list)
+from mexlab.oracle import ORACLE_MAX_EDGES, ORACLE_MAX_N
 
 
 @pytest.fixture(scope="module")
@@ -447,3 +448,26 @@ def test_oracle_mex_rejects_target_with_isolated_vertex(tmp_path, capsys, schema
     code, obj = run_json(capsys, schema, "oracle", "ex", "--n", "4",
                          "--target", str(path), "--forbidden", "K3")
     assert code == EXIT_OK and obj["value"] == 8
+
+
+def test_extract_rejects_r_beyond_the_lemma_constants_at_once(tmp_path, capsys,
+                                                              schema, monkeypatch):
+    path = tmp_path / "dense.el"
+    save_edge_list(gnp(60, 0.5, 1), path)
+
+    def participation_pass(g, r):
+        raise AssertionError("r = 21 reached the participation pass")
+
+    monkeypatch.setattr("mexlab.extraction.edge_clique_participation",
+                        participation_pass)
+    code, obj = run_json(capsys, schema, "extract", "--input", str(path),
+                         "--r", "21", "--alpha", "1", "--C", "1")
+    assert code == EXIT_VALIDATION and obj["code"] == "invalid-params"
+
+
+@pytest.mark.parametrize("mode,flag,cap", [("mex", "--m", ORACLE_MAX_EDGES),
+                                           ("ex", "--n", ORACLE_MAX_N)])
+def test_oracle_help_names_the_accepted_range(mode, flag, cap, capsys):
+    with pytest.raises(SystemExit):
+        main(["oracle", mode, "--help"])
+    assert f"0..{cap}" in capsys.readouterr().out

@@ -27,6 +27,14 @@ def test_params_validation():
             ExtractionParams(3, 1.0, C)
 
 
+def test_params_reject_r_beyond_the_lemma_constants():
+    # the guarantees need C(i, r), defined for r <= 20 only, so a larger r
+    # must be rejected before the participation pass
+    ExtractionParams(20, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        ExtractionParams(21, 1.0, 1.0)
+
+
 def test_worked_example_complete_plus_matching():
     g = complete_plus_matching(10, 20)
     out, rep = extract_dense(g, ExtractionParams(3, 1.0, 0.2))

@@ -15,13 +15,16 @@ from conftest import (bowtie, disjoint_union, k4_minus_edge,
 from mexlab.bounds import lemma_constant
 from mexlab.graphs import (Graph, Pattern, complete, complete_multipartite,
                            count_copies, cycle, gnp, is_free, pattern, star)
-from mexlab.oracle import (_canonical_order, _Enumerator, canonical_form,
-                           ex_exact, mex_exact)
+from mexlab.oracle import (CANON_MAX_ORDER, ORACLE_MAX_EDGES, _canonical_order,
+                           _edge_invariant, _Enumerator, _last_in_order,
+                           _top_edges, canonical_form, ex_exact, mex_exact)
 
 TWO_K2 = Pattern(Graph(4, [(0, 1), (2, 3)]), "2K2")
 
-# OEIS A000664: graphs with m edges and no isolated vertices, m = 0..8.
-A000664 = [1, 1, 2, 5, 11, 26, 68, 177, 497]
+# OEIS A000664: graphs with m edges and no isolated vertices, m = 0..10.
+A000664 = [1, 1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613]
+# OEIS A000088: graphs on n vertices, n = 0..7.
+A000088 = [1, 1, 2, 4, 11, 34, 156, 1044]
 
 
 def _relabeled(n, edges, perm):
@@ -126,8 +129,67 @@ def test_canonical_form_on_graphs_with_many_automorphisms():
 
 
 def test_enumerator_level_sizes_match_oeis():
-    sizes = [len(level) for _, level in _Enumerator(16).levels(8)]
+    sizes = [len(level) for _, level in
+             _Enumerator(2 * ORACLE_MAX_EDGES).levels(ORACLE_MAX_EDGES)]
     assert sizes == A000664
+
+
+def test_ex_unfiltered_class_counts_match_oeis():
+    # K9 fits in no graph examined, so nothing is filtered; each graph on n
+    # vertices is one class without isolated vertices on at most n, padded.
+    for n in range(1, 8):
+        res = ex_exact(n, pattern("K2"), pattern("K9"))
+        assert res.iso_classes_examined == A000088[n]
+
+
+# ---------------------------------------------------------------------------
+# Canonical deletion edge: greatest invariant first, then canonical order
+# ---------------------------------------------------------------------------
+
+def _invariant_by_definition(g, u, v):
+    """(sorted endpoint degrees, common neighbours, sorted neighbour-degree
+    sums), read off the edge list."""
+    nbrs = {x: set() for x in range(g.n)}
+    for a, b in g.edges():
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    sums = sorted(sum(len(nbrs[w]) for w in nbrs[x]) for x in (u, v))
+    return (*sorted((len(nbrs[u]), len(nbrs[v]))), len(nbrs[u] & nbrs[v]), *sums)
+
+
+def _deletion_position(g):
+    """Where g's canonical deletion edge sits in its canonical order."""
+    top = next(t for t in (_top_edges(g, e) for e in g.edges()) if t is not None)
+    order = _canonical_order(g)[0]
+    pos = {v: i for i, v in enumerate(order)}
+    return sorted((pos[v] for v in _last_in_order(top, order)), reverse=True)
+
+
+@given(st.integers(2, 9), st.data(), st.integers(0, 2 ** 32))
+@settings(max_examples=80, deadline=None)
+def test_deletion_edge_has_the_greatest_invariant(n, data, seed):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    g = Graph(n, chosen)
+    h = _relabeled(n, chosen, perm)
+    inv = {}
+    for u, v in g.edges():
+        inv[(u, v)] = _invariant_by_definition(g, u, v)
+        assert _edge_invariant(g.adj, g.degrees(), u, v) == inv[(u, v)]
+        assert _edge_invariant(h.adj, h.degrees(), perm[u], perm[v]) == inv[(u, v)]
+    best = max(inv.values())
+    order = _canonical_order(g)[0]
+    for edge in inv:
+        top = _top_edges(g, edge)
+        if inv[edge] < best:
+            assert top is None
+            continue
+        assert sorted(top) == sorted(e for e in inv if inv[e] == best)
+        assert inv[_last_in_order(top, order)] == best
+    # the same edge of the canonical graph, whatever the labeling
+    assert _deletion_position(g) == _deletion_position(h)
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +228,26 @@ def test_mex_2k2_k3_needs_all_2m_vertices():
     res = mex_exact(7, TWO_K2, pattern("K3"))
     assert res.value == 21
     assert res.witness.n == 14
+    # 10K2 has more vertices than canonical_form accepts; the enumerator
+    # labels children without that cap.
+    res = mex_exact(10, TWO_K2, pattern("K3"))
+    assert res.value == math.comb(10, 2) == 45
+    assert res.witness.n == 20 > CANON_MAX_ORDER
+
+
+@pytest.mark.parametrize("m,value,graphs,classes", [
+    (8, 4, 4714, 778), (9, 4, 16041, 2230), (10, 5, 56361, 6759)])
+def test_mex_k3_k4_counters_are_pinned(m, value, graphs, classes):
+    # Counts of the enumeration without the invariant prefilter, which must
+    # drop only children that the orbit test would drop.
+    res = mex_exact(m, pattern("K3"), pattern("K4"))
+    assert (res.value, res.graphs_examined, res.iso_classes_examined) == (
+        value, graphs, classes)
 
 
 def test_mex_rejects():
     with pytest.raises(ValueError):
-        mex_exact(9, pattern("K3"), pattern("K4"))
+        mex_exact(11, pattern("K3"), pattern("K4"))
     with pytest.raises(ValueError):
         mex_exact(3, Pattern(Graph(2)), pattern("K4"))
     with pytest.raises(ValueError):  # K2 + K1: unbounded, one isolated vertex
