@@ -3,6 +3,13 @@
 Adjacency is stored as one Python int per vertex (bit v of ``adj[u]`` is the
 edge uv).  All counting routines are exact integer computations and pure
 functions of the graph, so results never depend on evaluation order.
+
+Clique counts, whole-graph (``count_cliques``) and per edge
+(``edge_clique_participation``), come from one kernel, ``_clique_counts``:
+a succinct clique tree that pivots where the candidate set is dense and
+deep, so a k-clique inside a pivot set is counted by a binomial rather than
+listed, and that enumerates cliques one by one, with bulk popcounts for the
+last two sizes, where the set is sparse, small or shallow.
 """
 
 from __future__ import annotations
@@ -297,27 +304,137 @@ def _degeneracy_order(g: Graph) -> list[int]:
     return order
 
 
+# A clique-tree node tries to pivot only with more than _PIVOT_DEPTH clique
+# sizes left to count, and only if its cand has _PIVOT_ALWAYS vertices or
+# more, or _PIVOT_PROBE or more of which its top vertex sees half.  A pivot
+# is taken only if it sees at least half of cand.
+_PIVOT_DEPTH = 3
+_PIVOT_PROBE = 12
+_PIVOT_ALWAYS = 32
+
+
 def _clique_counts(adj, cand: int, R: int) -> list:
     """counts[k] is the number of k-cliques inside cand, for 0 <= k <= R.
 
-    Each clique is grown from its lowest vertex upward, so adj[v] may hold
-    neighbors on both sides of v.
-    """
-    counts = [1] + [0] * R
+    A succinct clique tree (Jain & Seshadhri, WSDM 2020).  A node is a set
+    cand with `held` vertices that every clique below it contains and `piv`
+    pivots that it may contain, so it stands for x^held (1+x)^piv times the
+    clique polynomial of cand.  The node pivots on the vertex p of cand with
+    the most neighbours in cand: a clique either lies in p's closed
+    neighbourhood (then p becomes a pivot and cand shrinks to cand & N(p),
+    in a loop) or holds a first non-neighbour v of p (a held branch on the
+    explicit stack, with the earlier non-neighbours removed).
 
-    def rec(cand: int, size: int) -> None:
+    Where a pivot does not pay, on a shallow remainder or a sparse or small
+    cand, the node is enumerated instead: each clique grows from its lowest
+    vertex upward, the last two sizes are counted by bulk popcounts, and
+    the counts land in the node's (held, piv) row.  The clique of a node's
+    held vertices alone is counted by its parent, with its siblings', except
+    at the end of a pivot chain.  counts[k] sums row[a] * C(piv, k - a).
+
+    adj[v] may hold neighbours on both sides of v.  The enumeration is the
+    only recursion, and it never starts on a cand of _PIVOT_ALWAYS vertices
+    or more, so no clique size reaches Python's recursion limit.
+    """
+    top = max(cand.bit_count(), 1)
+    if R > top:  # no clique of cand has more than top vertices
+        return _clique_counts(adj, cand, top) + [0] * (R - top)
+    rows = {0: [1] + [0] * R}  # rows[piv][a]: nodes with a chosen vertices
+    stack = []
+
+    def row(piv: int) -> list:
+        r = rows.get(piv)
+        if r is None:
+            r = rows[piv] = [0] * (R + 1)
+        return r
+
+    def enum(cand: int, size: int, row: list) -> None:
         size += 1
-        counts[size] += cand.bit_count()
-        if size >= R:
+        row[size] += cand.bit_count()
+        if size + 1 >= R:
+            if size < R:
+                total = 0
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    total += (cand & adj[low.bit_length() - 1]).bit_count()
+                row[R] += total
             return
         while cand:
             low = cand & -cand
             cand ^= low
             sub = cand & adj[low.bit_length() - 1]
             if sub:
-                rec(sub, size)
+                enum(sub, size, row)
 
-    rec(cand, 0)
+    def branch(cand: int, held: int, piv: int) -> None:
+        s = cand.bit_count()
+        if R - held > _PIVOT_DEPTH and (
+                s >= _PIVOT_ALWAYS or s >= _PIVOT_PROBE
+                and 2 * (adj[cand.bit_length() - 1] & cand).bit_count() >= s):
+            stack.append((cand, held, piv))
+        else:
+            enum(cand, held, row(piv))
+
+    branch(cand, 0, 0)
+    while stack:
+        cand, held, piv = stack.pop()
+        first = piv
+        while cand:
+            s = cand.bit_count()
+            best = -1
+            univ = 0
+            rest = cand
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                d = (adj[v] & cand).bit_count()
+                if d > best:
+                    best, p = d, v
+                if d == s - 1:
+                    univ |= low
+            if univ:  # pivot on every vertex that sees all of cand at once
+                piv += univ.bit_count()
+                cand ^= univ
+                continue
+            if 2 * best < s:
+                break
+            rest = cand
+            nonnbr = cand & ~adj[p] ^ (1 << p)
+            row(piv)[held + 1] += nonnbr.bit_count()
+            while nonnbr:
+                low = nonnbr & -nonnbr
+                nonnbr ^= low
+                rest ^= low
+                sub = rest & adj[low.bit_length() - 1]
+                if sub:
+                    branch(sub, held + 1, piv)
+            cand &= adj[p]
+            piv += 1
+        if piv != first:  # the chain's own cliques, with first..piv pivots
+            row(piv)[held] += 1
+            row(first)[held] -= 1
+        if cand.bit_count() < _PIVOT_PROBE:
+            if cand:
+                enum(cand, held, row(piv))
+            continue
+        row(piv)[held + 1] += cand.bit_count()
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            sub = cand & adj[low.bit_length() - 1]
+            if sub:
+                branch(sub, held + 1, piv)
+    if len(rows) == 1:
+        return rows[0]
+    counts = [0] * (R + 1)
+    for piv, r in rows.items():
+        for a, c in enumerate(r):
+            if c:
+                for j in range(min(piv, R - a) + 1):
+                    counts[a + j] += c  # c * C(piv, j)
+                    c = c * (piv - j) // (j + 1)
     return counts
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import product
 
@@ -96,3 +98,18 @@ def mex_exhaustive_reference(m: int, target: Pattern, forbidden: Pattern) -> int
         if is_free(forbidden, g):
             best = max(best, count_copies(target, g))
     return best
+
+
+@contextmanager
+def recursion_headroom(frames: int):
+    """Lower Python's recursion limit to `frames` above the current depth,
+    so a recursion as deep as a large clique fails fast."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

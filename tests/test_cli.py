@@ -3,9 +3,11 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mexlab
+from conftest import recursion_headroom
 from mexlab import bounds as bounds_mod
 from mexlab.bounds import (cor12_exponent, cor14_kst, cor17_classifier,
                            cor44_tripartite_lower, lemma_constant,
@@ -372,6 +375,53 @@ def test_exit_codes(capsys, schema):
         code, obj = run_json(capsys, schema, "--threads", threads, "count",
                              "--input", "K5", "--max-clique", "3")
         assert code == EXIT_VALIDATION and obj["code"] == "usage"
+
+
+def test_deep_clique_sizes_exit_zero(capsys, schema):
+    # Both used to recurse once per clique vertex and end in a RecursionError
+    # traceback with exit 1.
+    code, obj = run_json(capsys, schema, "count", "--input", "K1100",
+                         "--max-clique", "1100")
+    assert code == EXIT_OK
+    assert [obj[f"k{r}"] for r in range(1, 1101)] == [
+        math.comb(1100, r) for r in range(1, 1101)]
+    with recursion_headroom(60):
+        code, out = run_cli(capsys, "participation", "--input", "K70", "--r", "70")
+    obj = json.loads(out)
+    jsonschema.validate(obj, schema)
+    assert code == EXIT_OK and len(obj["participation"]) == 70 * 69 // 2
+    assert {count for _, _, count in obj["participation"]} == {1}
+
+
+# Literal hosts of at most 60 vertices, plus names that are not hosts.  A
+# multipartite host has at most 4 parts: it has the product of its part sizes
+# as maximal cliques, and the clique tree visits each of them.
+_FUZZ_HOSTS = st.one_of(
+    st.integers(0, 60).map(lambda n: f"K{n}"),
+    st.integers(0, 60).map(lambda n: f"C{n}"),
+    st.integers(0, 59).map(lambda n: f"S{n}"),
+    st.lists(st.integers(1, 15), min_size=2, max_size=4).map(
+        lambda sizes: "K" + "_".join(map(str, sizes))),
+    st.sampled_from(["K", "C_3", "no-such-host.el"]))
+_FUZZ_BUDGET_S = 5.0
+
+
+@settings(max_examples=120, deadline=None)
+@given(command=st.sampled_from([("count", "--max-clique"), ("participation", "--r")]),
+       host=_FUZZ_HOSTS,
+       size=st.one_of(st.integers(-5, 70), st.integers(-5, 10 ** 6)))
+def test_count_and_participation_argv_fuzz(command, host, size, schema):
+    name, flag = command
+    argv = [name, "--input", host, flag, str(size)]
+    buf = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    elapsed = time.perf_counter() - start
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_USAGE, EXIT_IO), argv
+    validator = jsonschema.Draft202012Validator(schema)
+    validator.validate(json.loads(buf.getvalue(), parse_constant=pytest.fail))
+    assert elapsed < _FUZZ_BUDGET_S, (argv, elapsed)
 
 
 def test_threads_environment_variable_is_ignored(capsys, monkeypatch):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bowtie, hom_brute_force, path, petersen
+from conftest import (bowtie, disjoint_union, hom_brute_force, path,
+                      petersen, recursion_headroom)
 from mexlab.bounds import lemma_constant
 from mexlab.graphs import (Graph, Pattern, chromatic_number, complete,
                            complete_multipartite, count_cliques, count_copies,
@@ -67,8 +68,12 @@ def test_participation_sums_to_clique_count():
 
 
 def test_participation_matches_brute_force():
-    # r-cliques through uv are the (r-2)-subsets of N(u) & N(v) that span a clique
-    for i, g in enumerate(seeded_graphs(30, max_n=10, ps=(0.5, 0.7, 0.9))):
+    # r-cliques through uv are the (r-2)-subsets of N(u) & N(v) that span a
+    # clique.  The G(18, 0.9) hosts give common neighbourhoods of about 13
+    # vertices, where r = 6 and 7 take the clique tree's pivot path.
+    hosts = list(seeded_graphs(30, max_n=10, ps=(0.5, 0.7, 0.9)))
+    hosts += [gnp(18, 0.9, seed) for seed in (1, 2)]
+    for i, g in enumerate(hosts):
         if g.m == 0:
             continue
         edges = set(g.edges())
@@ -76,13 +81,68 @@ def test_participation_matches_brute_force():
         def adjacent(a, b):
             return (min(a, b), max(a, b)) in edges
 
-        for r in (3, 4, 5):
+        for r in (3, 4, 5, 6, 7):
             part = edge_clique_participation(g, r)
             for u, v in edges:
                 common = [w for w in range(g.n) if adjacent(u, w) and adjacent(v, w)]
                 expect = sum(all(adjacent(a, b) for a, b in combinations(c, 2))
                              for c in combinations(common, r - 2))
                 assert part[(u, v)] == expect, (i, r, (u, v))
+
+
+def test_complete_graph_counts_are_binomials():
+    for n in range(1, 61):
+        assert count_cliques(complete(n), n).counts == tuple(
+            math.comb(n, k) for k in range(n + 1)), n
+
+
+def test_multipartite_counts_are_elementary_symmetric():
+    # k_r of a complete multipartite graph is e_r of its part sizes, the
+    # coefficient of x^r in the product of (1 + a x) over the parts
+    for i in range(40):
+        sizes = [1 + (7 * i + 3 * j) % 9 for j in range(1 + i % 6)]
+        poly = [1]
+        for a in sizes:
+            poly = [c + a * b for c, b in zip(poly + [0], [0] + poly)]
+        R = len(sizes) + 2
+        want = tuple(poly + [0] * (R + 1 - len(poly)))
+        assert count_cliques(complete_multipartite(sizes), R).counts == want, sizes
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+# The reference lists every clique, so n is capped per p to keep that list
+# near 10^5 cliques.
+_NX_MAX_N = {0.5: 40, 0.7: 32, 0.9: 22}
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(sorted(_NX_MAX_N)), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_count_cliques_matches_networkx(nx, p, seed, data):
+    n = data.draw(st.integers(0, _NX_MAX_N[p]), label="n")
+    g = gnp(n, p, seed)
+    R = max(n, 1)
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(g.edges())
+    want = [1] + [0] * R
+    for clique in nx.enumerate_all_cliques(h):
+        want[len(clique)] += 1
+    assert count_cliques(g, R).counts == tuple(want)
+
+
+def test_deep_counts_stay_under_the_recursion_limit():
+    # A K200 beside 300 isolated vertices makes the whole vertex set sparse:
+    # the root takes one enumeration level, and the K200's out-neighbourhoods
+    # below it pivot.
+    g = disjoint_union(complete(200), Graph(300))
+    with recursion_headroom(60):
+        cv = count_cliques(g, 200)
+    assert cv.counts == (1, 500) + tuple(math.comb(200, k) for k in range(2, 201))
 
 
 def test_participation_requires_edges():
