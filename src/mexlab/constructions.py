@@ -3,6 +3,7 @@ random-graph deletion procedure, plus log-log scaling experiments."""
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -132,21 +133,27 @@ def deletion_method(f: Pattern, u: int, r: int, n: int, seed: int,
     g = gnp(n, p, seed)
 
     copies = iter_copies(f, g, DELETION_MAX_COPIES)
-    edge_copy_ids: dict[tuple, set] = {}
+    live: dict[tuple, set] = {}  # each edge's surviving copies
     for cid, (_, es) in enumerate(copies):
         for e in es:
-            edge_copy_ids.setdefault(e, set()).add(cid)
-    live = {e: set(ids) for e, ids in edge_copy_ids.items()}
+            live.setdefault(e, set()).add(cid)
+    # A lazy max-heap: an entry is current iff its count is the edge's.
+    heap = [(-len(ids), e) for e, ids in live.items()]
+    heapq.heapify(heap)
     deleted = []
-    alive = set(range(len(copies)))
+    alive = len(copies)
     while alive:
-        target = max(live, key=lambda e: (len(live[e]), (-e[0], -e[1])))
+        count, target = heapq.heappop(heap)
+        if -count != len(live[target]):
+            continue
         deleted.append(target)
-        for cid in list(live[target]):
-            alive.discard(cid)
+        dying, live[target] = live[target], set()
+        alive -= len(dying)
+        for cid in dying:
             for e2 in copies[cid][1]:
-                live[e2].discard(cid)
-        del live[target]
+                if e2 != target:
+                    live[e2].discard(cid)
+                    heapq.heappush(heap, (-len(live[e2]), e2))
 
     out = g.remove_edges(deleted)
     before = count_cliques(g, max(u, r))

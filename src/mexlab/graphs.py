@@ -10,11 +10,13 @@ a succinct clique tree that pivots where the candidate set is dense and
 deep, so a k-clique inside a pivot set is counted by a binomial rather than
 listed, and that enumerates cliques one by one, with bulk popcounts for the
 last two sizes, where the set is sparse, small or shallow.
+
+Pattern copies (``count_copies``, ``is_free``, ``iter_copies``) come from one
+map search, ``_search_embeddings``, which visits one map per copy.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -285,22 +287,36 @@ class CliqueVector:
 
 
 def _degeneracy_order(g: Graph) -> list[int]:
-    n = g.n
-    cur = g.degrees()
-    heap = [(d, v) for v, d in enumerate(cur)]
-    heapq.heapify(heap)
-    removed = [False] * n
+    """Remove the lowest vertex of least remaining degree, repeatedly.
+    buckets[d] is the bitmask of the remaining vertices of degree d, and bit
+    d of live is set iff buckets[d] is not empty; neighbours of a removed
+    vertex move down one bucket as a bitmask per degree, not one by one."""
+    buckets = [0] * g.n
+    for v, d in enumerate(g.degrees()):
+        buckets[d] |= 1 << v
+    live = sum(1 << d for d, b in enumerate(buckets) if b)
+    alive = (1 << g.n) - 1
     order = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != cur[v]:
-            continue
-        removed[v] = True
-        order.append(v)
-        for w in bits(g.adj[v]):
-            if not removed[w]:
-                cur[w] -= 1
-                heapq.heappush(heap, (cur[w], w))
+    while live:
+        d = (live & -live).bit_length() - 1
+        low = buckets[d] & -buckets[d]
+        order.append(low.bit_length() - 1)
+        alive ^= low
+        nbrs = g.adj[order[-1]] & alive
+        buckets[d] ^= low
+        if not buckets[d]:
+            live ^= 1 << d
+        while nbrs:
+            moved = buckets[d] & nbrs
+            if moved:
+                nbrs ^= moved
+                buckets[d] ^= moved
+                buckets[d - 1] |= moved
+                live |= 1 << d - 1
+                if not buckets[d]:
+                    live ^= 1 << d
+            rest = live >> d + 1
+            d += (rest & -rest).bit_length()  # the next non-empty bucket
     return order
 
 
@@ -484,11 +500,19 @@ def _twin_classes(g: Graph) -> list[int]:
 
 
 def _embedding_plan(f: Graph):
-    """Static vertex order for backtracking: most already-placed neighbors first.
+    """Static vertex order for backtracking (most already-placed neighbors
+    first) with symmetry-breaking bounds, as (order, prev, low, self_maps).
 
-    Returns (order, prev, twin) where prev[i] lists the positions of earlier
-    order entries adjacent to order[i] in f, and twin[i] is the latest earlier
-    position holding a twin of order[i], or -1.
+    prev[i] lists the earlier positions adjacent to order[i] in f, and low[i]
+    is the earlier position whose image order[i]'s image must lie above, or
+    -1.  Images rising within each twin class leave one map per coset of the
+    twin group; self_maps counts these automorphisms.  They permute the
+    classes, and Grochow and Kellis's conditions (RECOMB 2007) break the
+    rest: walking the classes in order, class C's first image lies below the
+    first image of every other class in its orbit, then the group shrinks to
+    C's stabilizer.  If class D lies in the orbits of C and then of a later
+    C', C' lies in C's orbit, so D's bound from C' implies its bound from C;
+    each position keeps only its latest bound.
     """
     n = f.n
     degs = f.degrees()
@@ -504,31 +528,24 @@ def _embedding_plan(f: Graph):
     prev = [tuple(sorted(posof[w] for w in nbrs[v] if posof[w] < i))
             for i, v in enumerate(order)]
     cls = _twin_classes(f)
-    twin = [max((j for j in range(i) if cls[order[j]] == cls[v]), default=-1)
-            for i, v in enumerate(order)]
-    return order, prev, twin
+    low = [max((j for j in range(i) if cls[order[j]] == cls[v]), default=-1)
+           for i, v in enumerate(order)]
+    heads = [i for i, t in enumerate(low) if t < 0]  # each class's first position
+    head_of = {cls[order[h]]: k for k, h in enumerate(heads)}
+    group = []  # each self-map as the permutation of class indices it induces
+    _backtrack(prev, low, f, lambda images: group.append(
+        [head_of[cls[images[h]]] for h in heads]) or True)
+    self_maps = len(group)
+    for k, h in enumerate(heads):
+        for d in {perm[k] for perm in group} - {k}:
+            low[heads[d]] = h
+        group = [perm for perm in group if perm[k] == k]
+    return order, prev, low, self_maps
 
 
-def _search_embeddings(f: Pattern, g: Graph, visit) -> bool:
-    """Enumerate injective edge-preserving maps f -> g, one per orbit of f's
-    twin group.
-
-    Permuting a twin class is an automorphism of f, so a map is visited only
-    if its images rise along the plan within each twin class.  Each orbit
-    holds one such map, so the visits number the maps over the product of
-    |class|!.
-
-    visit(images) is called on each visited map (images[i] hosts plan
-    position i); it returns True to continue or False to stop the search.
-    Returns False iff a visit stopped the search.
-    """
-    if f.order > COUNTING_MAX_ORDER:
-        raise ValueError(
-            f"embedding search capped at {COUNTING_MAX_ORDER} pattern vertices")
-    _, prev, twin = f.plan
-    k = f.order
-    if k == 0:
-        return visit([])
+def _backtrack(prev, low, g: Graph, visit) -> bool:
+    """The map search over a plan's prev and low lists; see _search_embeddings."""
+    k = len(prev)
     gadj = g.adj
     full = (1 << g.n) - 1
     images = [0] * k
@@ -539,18 +556,34 @@ def _search_embeddings(f: Pattern, g: Graph, visit) -> bool:
         cand = full & ~used
         for j in prev[i]:
             cand &= gadj[images[j]]
-        t = twin[i]
+        t = low[i]
         if t >= 0:
-            cand &= -2 << images[t]  # strictly above the twin's image
+            cand &= -2 << images[t]  # strictly above that position's image
         while cand:
-            low = cand & -cand
-            cand ^= low
-            images[i] = low.bit_length() - 1
-            if not rec(i + 1, used | low):
+            low_bit = cand & -cand
+            cand ^= low_bit
+            images[i] = low_bit.bit_length() - 1
+            if not rec(i + 1, used | low_bit):
                 return False
         return True
 
     return rec(0, 0)
+
+
+def _search_embeddings(f: Pattern, g: Graph, visit) -> bool:
+    """Enumerate the copies of f in g, one injective edge-preserving map
+    f -> g per copy.
+
+    Two maps give the same copy iff they differ by an automorphism of f.
+    The plan's lower bounds admit exactly one map of each automorphism
+    orbit, so the visits number the copies.
+
+    visit(images) is called on each visited map (images[i] hosts plan
+    position i); it returns True to continue or False to stop the search.
+    Returns False iff a visit stopped the search.
+    """
+    _, prev, low, _ = f.plan
+    return _backtrack(prev, low, g, visit)
 
 
 def _stop(_) -> bool:
@@ -577,12 +610,15 @@ class Pattern:
 
     @cached_property
     def plan(self):
+        if self.order > COUNTING_MAX_ORDER:
+            raise ValueError(
+                f"embedding search capped at {COUNTING_MAX_ORDER} pattern vertices")
         return _embedding_plan(self.graph)
 
     @cached_property
     def self_maps(self) -> int:
-        """Automorphisms counted one per orbit of the twin group."""
-        return _count_maps(self, self.graph)
+        """Automorphisms counted one per coset of the twin group."""
+        return self.plan[3]
 
     @cached_property
     def aut_count(self) -> int:
@@ -612,7 +648,7 @@ def pattern(spec, name: str | None = None) -> Pattern:
 
 
 def _count_maps(f: Pattern, g: Graph) -> int:
-    """Injective edge-preserving maps f -> g, one per orbit of f's twin group."""
+    """Maps visited by the search of f in g, one per copy."""
     total = 0
 
     def visit(_):
@@ -627,14 +663,11 @@ def _count_maps(f: Pattern, g: Graph) -> int:
 def count_copies(f: Pattern, g: Graph) -> int:
     """Number of subgraphs of g isomorphic to f (copies, not induced).
 
-    copies = injective maps / |Aut(f)|; the search leaves the twin group's
-    factor out of both counts, so copies = maps(f, g) // maps(f, f).
+    The search visits one map per copy, so this is its map count.
     """
     if f.order == 0:
         raise ValueError("pattern must have at least one vertex")
-    total = _count_maps(f, g)
-    assert total % f.self_maps == 0
-    return total // f.self_maps
+    return _count_maps(f, g)
 
 
 def is_free(f: Pattern, g: Graph) -> bool:
@@ -643,30 +676,25 @@ def is_free(f: Pattern, g: Graph) -> bool:
 
 
 def iter_copies(f: Pattern, g: Graph, limit: int):
-    """Distinct copies of f in g as (vertex frozenset, edge frozenset) pairs,
+    """The copies of f in g as (vertex frozenset, edge frozenset) pairs,
     sorted for deterministic downstream processing.
 
-    The search finds each copy |Aut(f)| / |twin group| times, so found
-    copies are deduplicated.  More than limit distinct copies is a
+    The search visits each copy once.  More than limit copies is a
     ValueError, raised as soon as the search finds one too many.
     """
-    fedges = f.graph.edges()
-    seen = set()
+    found = []
 
     def visit(images):
-        vs = frozenset(images)
-        es = frozenset((min(images[x], images[y]), max(images[x], images[y]))
-                       for x, y in key_edges)
-        seen.add((vs, es))
-        if len(seen) > limit:
+        found.append((frozenset(images), frozenset(
+            (min(images[x], images[y]), max(images[x], images[y])) for x, y in key_edges)))
+        if len(found) > limit:
             raise ValueError(f"more than {limit} copies of {f.name}")
         return True
 
-    order = f.plan[0]
-    posof = {v: i for i, v in enumerate(order)}
-    key_edges = [(posof[x], posof[y]) for x, y in fedges]
+    posof = {v: i for i, v in enumerate(f.plan[0])}
+    key_edges = [(posof[x], posof[y]) for x, y in f.graph.edges()]
     _search_embeddings(f, g, visit)
-    return sorted(seen, key=lambda c: (sorted(c[0]), sorted(c[1])))
+    return sorted(found, key=lambda c: (sorted(c[0]), sorted(c[1])))
 
 
 # ---------------------------------------------------------------------------

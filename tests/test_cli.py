@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from importlib import resources
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mexlab
@@ -28,8 +29,10 @@ from mexlab.bounds import (cor12_exponent, cor14_kst, cor17_classifier,
 from mexlab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from mexlab.constructions import norm_graph
 from mexlab.graphs import (complete, format_edge_list, gnp, load_edge_list,
-                           pattern, read_edge_list, save_edge_list)
+                           parse_pattern_literal, pattern, read_edge_list,
+                           save_edge_list)
 from mexlab.oracle import ORACLE_MAX_EDGES, ORACLE_MAX_N
+from test_embeddings import LITERALS
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +80,17 @@ def test_pattern_count_and_free_check(capsys, schema):
     code, obj = run_json(capsys, schema, "free-check",
                          "--pattern", "K3", "--input", "S5")
     assert code == EXIT_OK and obj["free"] is True
+
+
+def test_pattern_count_of_a_highly_symmetric_pattern(capsys, schema):
+    # K2_2_2_2_2_2 has 2^6 6! automorphisms, 720 per coset of its twin
+    # group; the search must visit one map per copy to finish in time.
+    start = time.perf_counter()
+    code, obj = run_json(capsys, schema, "pattern-count",
+                         "--pattern", "K2_2_2_2_2_2", "--input", "K12")
+    assert time.perf_counter() - start < _FUZZ_BUDGET_S
+    assert code == EXIT_OK
+    assert obj["count"] == math.factorial(12) // (2 ** 6 * math.factorial(6)) == 10395
 
 
 def test_bounds_report(capsys, schema):
@@ -418,6 +432,50 @@ def test_count_and_participation_argv_fuzz(command, host, size, schema):
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     elapsed = time.perf_counter() - start
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_USAGE, EXIT_IO), argv
+    validator = jsonschema.Draft202012Validator(schema)
+    validator.validate(json.loads(buf.getvalue(), parse_constant=pytest.fail))
+    assert elapsed < _FUZZ_BUDGET_S, (argv, elapsed)
+
+
+# Hosts for pattern-count and free-check: literals of at most 14 vertices,
+# G(n, p) samples given as edge-list files, and a missing file.
+_FUZZ_COPY_HOSTS = st.one_of(
+    st.integers(0, 14).map(lambda n: f"K{n}"),
+    st.integers(3, 14).map(lambda n: f"C{n}"),
+    st.integers(0, 13).map(lambda n: f"S{n}"),
+    st.lists(st.integers(1, 5), min_size=2, max_size=4).map(
+        lambda sizes: "K" + "_".join(map(str, sizes))),
+    st.builds(gnp, st.integers(0, 14), st.sampled_from([0.2, 0.35, 0.5, 0.7]),
+              st.integers(0, 2 ** 32)),
+    st.just("no-such-host.el"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["pattern-count", "free-check"]),
+       pat=st.sampled_from(LITERALS + ["K0", "S0", "C2", "K13", "K17"]),
+       host=_FUZZ_COPY_HOSTS)
+def test_pattern_count_and_free_check_argv_fuzz(command, pat, host, schema):
+    with tempfile.TemporaryDirectory() as tmp:
+        g = host
+        if isinstance(host, str):
+            g = parse_pattern_literal(host)
+        else:
+            host = os.path.join(tmp, "host.el")
+            save_edge_list(g, host)
+        try:
+            f = parse_pattern_literal(pat)
+        except ValueError:  # C2
+            f = None
+        if f is not None and g is not None and g.n > 1:
+            # as in the embedding tests: few injective maps expected
+            assume(math.perm(g.n, f.n) * (2 * g.m / (g.n * (g.n - 1))) ** f.m <= 20000)
+        argv = [command, "--pattern", pat, "--input", host]
+        buf = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        elapsed = time.perf_counter() - start
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_USAGE, EXIT_IO), argv
     validator = jsonschema.Draft202012Validator(schema)
     validator.validate(json.loads(buf.getvalue(), parse_constant=pytest.fail))

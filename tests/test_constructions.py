@@ -11,7 +11,8 @@ from mexlab.constructions import (ExperimentSpec, NormGraphParams,
                                   norm_graph, run_experiment,
                                   tripartite_instance)
 from mexlab.graphs import (Pattern, bits, complete_multipartite,
-                           count_cliques, count_copies, is_free, pattern)
+                           count_cliques, count_copies, gnp, is_free,
+                           iter_copies, pattern)
 
 
 def test_norm_graph_small():
@@ -115,6 +116,38 @@ def test_deletion_actually_deletes_when_copies_exist():
     assert run.edges_deleted >= 1
     assert is_free(f, g)
     assert count_copies(f, g) == 0
+
+
+def scan_greedy_deletion(copies) -> list:
+    """The greedy deletion by a scan over every live edge per deleted edge,
+    as it was computed before the lazy heap."""
+    live = {}
+    for cid, (_, es) in enumerate(copies):
+        for e in es:
+            live.setdefault(e, set()).add(cid)
+    deleted = []
+    alive = set(range(len(copies)))
+    while alive:
+        target = max(live, key=lambda e: (len(live[e]), (-e[0], -e[1])))
+        deleted.append(target)
+        for cid in list(live[target]):
+            alive.discard(cid)
+            for e2 in copies[cid][1]:
+                live[e2].discard(cid)
+        del live[target]
+    return deleted
+
+
+@pytest.mark.parametrize("pat,n,seed,c", [
+    ("K3_4", 90, 4, 2.0), ("K3_4", 120, 7, 2.5), ("K2_2_2", 150, 3, 1.5),
+    ("K2_2_2", 200, 11, 2.0)])
+def test_deletion_matches_scan_reference(pat, n, seed, c):
+    f = pattern(pat)
+    g, run = deletion_method(f, 2, 3, n, seed, c)
+    host = gnp(n, run.p, seed)
+    deleted = scan_greedy_deletion(iter_copies(f, host, 10 ** 4))
+    assert run.copies_found > 1 and run.edges_deleted == len(deleted)
+    assert g == host.remove_edges(deleted)
 
 
 def test_tripartite_instance_parts():

@@ -1,5 +1,6 @@
-"""The twin-pruned embedding search against the unpruned reference search
-(tests/embedding_reference.py) and against brute force."""
+"""The embedding search, which visits one map per copy, against the
+unpruned reference search (tests/embedding_reference.py), which visits every
+injective map, and against brute force."""
 
 import math
 from itertools import permutations
@@ -8,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import embedding_reference as ref
-from mexlab.graphs import (Pattern, count_copies, gnp, is_free, iter_copies,
+from mexlab.graphs import (Pattern, _count_maps, _search_embeddings, complete,
+                           count_copies, gnp, is_free, iter_copies,
                            parse_pattern_literal)
 
 LITERALS = [f"K{n}" for n in range(1, 9)] + [
@@ -49,3 +51,24 @@ def test_search_matches_unpruned_reference(f, g):
     assert pat.aut_count == ref.count_injective_maps(f, f)
     if f.n <= 7:
         assert pat.aut_count == _brute_force_aut_count(f)
+
+
+@given(patterns())
+@settings(max_examples=200, deadline=None)
+def test_search_visits_one_map_of_a_pattern_in_itself(f):
+    assert _count_maps(Pattern(f), f) == 1
+
+
+def test_visits_equal_copies():
+    # K2_2_2_2 has 4! automorphism cosets of its twin group, so a search
+    # that breaks only twin symmetry visits each copy 24 times (2520 visits).
+    f = Pattern(parse_pattern_literal("K2_2_2_2"))
+    visits = 0
+
+    def visit(_):
+        nonlocal visits
+        visits += 1
+        return True
+
+    _search_embeddings(f, complete(8), visit)
+    assert visits == count_copies(f, complete(8)) == math.factorial(8) // (2 ** 4 * 24)
