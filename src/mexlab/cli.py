@@ -54,11 +54,6 @@ def _load_graph(spec: str) -> Graph:
         raise _CliError("invalid-input", f"{spec}: {exc}")
 
 
-def _load_pattern(spec: str) -> Pattern:
-    g = _load_graph(spec)
-    return Pattern(g, spec)
-
-
 def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     if out:
@@ -123,7 +118,7 @@ def _sizes(v) -> list[int]:
 
 def _pattern(v: str) -> Pattern:
     """A pattern literal or an edge-list path."""
-    return _load_pattern(v)
+    return Pattern(_load_graph(v), v)
 
 
 # Formula id -> (name of its `bounds` function, its parameters in call order
@@ -170,7 +165,8 @@ def _run_bounds(args) -> dict:
     return result.to_json()
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict]:
+    """The parser and its subcommand parsers by name."""
     top = _Parser(prog="mexlab", description=__doc__)
     sub = top.add_subparsers(dest="command")
 
@@ -241,11 +237,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="scaling experiment to CSV")
     p.add_argument("spec")
     p.add_argument("--csv", required=True)
-    return top
-
-
-KNOWN_COMMANDS = {"count", "participation", "pattern-count", "free-check",
-                  "extract", "bounds", "construct", "oracle", "experiment"}
+    return top, sub.choices
 
 
 def _dispatch(args) -> dict | None:
@@ -259,11 +251,11 @@ def _dispatch(args) -> dict | None:
         return {"r": args.r,
                 "participation": [[u, v, part[(u, v)]] for u, v in sorted(part)]}
     if cmd == "pattern-count":
-        f = _load_pattern(args.pattern)
+        f = _pattern(args.pattern)
         g = _load_graph(args.input)
         return {"pattern": args.pattern, "count": count_copies(f, g)}
     if cmd == "free-check":
-        f = _load_pattern(args.pattern)
+        f = _pattern(args.pattern)
         g = _load_graph(args.input)
         return {"pattern": args.pattern, "free": is_free(f, g)}
     if cmd == "extract":
@@ -289,7 +281,7 @@ def _dispatch(args) -> dict | None:
                    "n": g.n, "m": g.m, "out": args.out}, None)
             return None
         if args.construct_kind == "deletion":
-            f = _load_pattern(args.pattern)
+            f = _pattern(args.pattern)
             g, run = deletion_method(f, args.u, args.r, args.n, args.seed, args.c)
             if args.out:
                 save_edge_list(g, args.out)
@@ -298,18 +290,22 @@ def _dispatch(args) -> dict | None:
         raise _CliError("usage", "construct needs a subcommand: norm-graph | deletion")
     if cmd == "oracle":
         if args.oracle_mode == "mex":
-            res = mex_exact(args.m, _load_pattern(args.target),
-                            _load_pattern(args.forbidden))
+            res = mex_exact(args.m, _pattern(args.target),
+                            _pattern(args.forbidden))
         elif args.oracle_mode == "ex":
-            res = ex_exact(args.n, _load_pattern(args.target),
-                           _load_pattern(args.forbidden))
+            res = ex_exact(args.n, _pattern(args.target),
+                           _pattern(args.forbidden))
         else:
             raise _CliError("usage", "oracle needs a subcommand: mex | ex")
         _emit(res.to_json(), args.report)
         return None
     if cmd == "experiment":
         with open(args.spec, "r", encoding="ascii") as fh:
-            spec = ExperimentSpec.from_json(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except RecursionError:
+                raise _CliError("invalid-input", f"{args.spec}: JSON nested too deeply")
+        spec = ExperimentSpec.from_json(obj)
         result = run_experiment(spec)
         with open(args.csv, "w", encoding="ascii", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -323,11 +319,11 @@ def _dispatch(args) -> dict | None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and not argv[0].startswith("-") and argv[0] not in KNOWN_COMMANDS:
+    parser, commands = _build_parser()
+    if argv and not argv[0].startswith("-") and argv[0] not in commands:
         _emit({"code": "unknown-command",
                "message": f"unknown subcommand {argv[0]!r}"}, None)
         return EXIT_USAGE
-    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:

@@ -10,9 +10,9 @@ from fractions import Fraction
 
 from .bounds import ConditionError, cor14_kst, thm15_general
 from .fields import FiniteField, is_prime
-from .graphs import (EDGE_LIST_MAX_VERTICES, Graph, Pattern,
-                     complete_multipartite, count_cliques, gnp, is_free,
-                     iter_copies)
+from .graphs import (EDGE_LIST_MAX_VERTICES, LITERAL_MAX_EDGES, Graph,
+                     Pattern, complete_multipartite, count_cliques, gnp,
+                     is_free, iter_copies, pattern)
 
 NORM_GRAPH_MAX_VERTICES = EDGE_LIST_MAX_VERTICES  # a built graph must load back
 DELETION_MAX_N = 500
@@ -26,6 +26,12 @@ class NormGraphParams:
     s: int
 
     def __post_init__(self):
+        # q^(s-1) (q-1) is at least q - 1 and 2^(s-1): bound q and s before
+        # the trial-division primality test and the power
+        if (self.q - 1 > NORM_GRAPH_MAX_VERTICES
+                or self.s > NORM_GRAPH_MAX_VERTICES.bit_length()):
+            raise ValueError(f"(q, s) = ({self.q}, {self.s}) has over "
+                             f"{NORM_GRAPH_MAX_VERTICES} vertices")
         if not is_prime(self.q):
             raise ValueError(f"q = {self.q} is not prime")
         if self.s < 2:
@@ -119,8 +125,8 @@ def deletion_method(f: Pattern, u: int, r: int, n: int, seed: int,
     failed = report.failed_conditions()
     if failed:
         raise ConditionError(failed[0].text)
-    if n > DELETION_MAX_N:
-        raise ValueError(f"n exceeds cap {DELETION_MAX_N}")
+    if not 1 <= n <= DELETION_MAX_N:
+        raise ValueError(f"n must lie in 1..{DELETION_MAX_N}")
     if r > DELETION_MAX_R:
         raise ValueError(f"r exceeds cap {DELETION_MAX_R}")
     if not (finite_number(c) and c > 0):
@@ -275,18 +281,29 @@ def _emit_row(spec, param: str, g: Graph) -> ExperimentRow:
     return ExperimentRow(spec.family, param, g.n, g.m, cv[2], cv[3], cv[4])
 
 
-def tripartite_instance(n: int) -> Graph:
-    """Complete tripartite graph with parts n, floor(sqrt(n)), floor(n^(1/3))."""
+def tripartite_parts(n: int) -> list[int]:
+    """Parts n, floor(sqrt(n)), floor(n^(1/3)) of the complete tripartite
+    instance.  As for a K literal, an n above EDGE_LIST_MAX_VERTICES or an
+    instance above LITERAL_MAX_EDGES edges is a ValueError; below the edge
+    cap the instance has fewer than EDGE_LIST_MAX_VERTICES vertices."""
+    if n > EDGE_LIST_MAX_VERTICES:  # also keeps n ** (1/3) in float range
+        raise ValueError(f"tripartite n = {n} exceeds cap {EDGE_LIST_MAX_VERTICES}")
     b = math.isqrt(n)
     c = round(n ** (1 / 3))
     while c ** 3 > n:
         c -= 1
     while (c + 1) ** 3 <= n:
         c += 1
-    return complete_multipartite([n, b, c])
+    edges = n * b + b * c + c * n
+    if edges > LITERAL_MAX_EDGES:
+        raise ValueError(f"tripartite n = {n} has {edges} edges, above cap "
+                         f"{LITERAL_MAX_EDGES}")
+    return [n, b, c]
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+    if not {spec.u, spec.r} <= {2, 3, 4}:  # the clique sizes a row holds
+        raise ValueError(f"u = {spec.u} and r = {spec.r} must lie in 2..4")
     rows: list[ExperimentRow] = []
     if spec.family == "norm_graph":
         if len(spec.q_list) < 3:
@@ -297,12 +314,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     elif spec.family == "tripartite":
         if len(spec.n_list) < 3:
             raise ValueError("need at least 3 instances to fit a slope")
-        for n in spec.n_list:
-            rows.append(_emit_row(spec, f"n={n}", tripartite_instance(n)))
+        parts = [tripartite_parts(n) for n in spec.n_list]  # caps first
+        for n, sizes in zip(spec.n_list, parts):
+            rows.append(_emit_row(spec, f"n={n}", complete_multipartite(sizes)))
         predicted = float(TRIPARTITE_TRIANGLE_EXPONENT)
     elif spec.family == "deletion":
-        from .graphs import pattern as make_pattern
-        f = make_pattern(spec.pattern)
+        f = pattern(spec.pattern)
         seeds = spec.seeds or [0]
         if len(spec.n_list) * len(seeds) < 3:
             raise ValueError("need at least 3 instances to fit a slope")

@@ -93,22 +93,24 @@ def _orbit_closure(mask: int, gens: list[list[int]]) -> int:
     return mask
 
 
-def _canonical_order(g: Graph) -> tuple[list[int], list[list[int]]]:
-    """Canonical vertex order of g and generators of its automorphism group,
-    by individualization-refinement (McKay & Piperno 2014).
+def _canonical_order(g: Graph) -> tuple[list[int], list[list[int]], bytes]:
+    """Canonical vertex order of g, generators of its automorphism group and
+    canonical form, by individualization-refinement (McKay & Piperno 2014).
 
     The root is the partition of the vertices by ascending degree, refined
     to be equitable.  A node individualizes each vertex of its first
     non-singleton cell in turn, placing it in front of the rest of its cell,
     and refines again.  A leaf is a discrete partition, i.e. a vertex order,
     and its certificate is the packed adjacency string of that order; the
-    canonical order is the first leaf of least certificate.  Two leaves with
-    equal certificates differ by an automorphism, which is recorded.  A child
-    in the orbit of an explored sibling under the recorded automorphisms
-    that fix the node's individualized vertices is skipped, and a leaf equal
-    to the best one ends the search up to the node where their paths part:
-    the rest of that subtree is the automorphism's image of one already
-    searched.  Every automorphism is then a product of recorded ones.
+    canonical order is the first leaf of least certificate, and the canonical
+    form is the byte n followed by that certificate in big-endian bytes.
+    Two leaves with equal certificates differ by an automorphism, which is
+    recorded.  A child in the orbit of an explored sibling under the
+    recorded automorphisms that fix the node's individualized vertices is
+    skipped, and a leaf equal to the best one ends the search up to the node
+    where their paths part: the rest of that subtree is the automorphism's
+    image of one already searched.  Every automorphism is then a product of
+    recorded ones.
     """
     n = g.n
     adj = g.adj
@@ -164,19 +166,15 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[list[int]]]:
         return depth
 
     search(root, [])
-    return best[1], gens
-
-
-def _form_from_order(g: Graph, perm: list[int]) -> bytes:
-    nbits = g.n * (g.n - 1) // 2
-    return bytes([g.n]) + _packed(g.adj, perm).to_bytes((nbits + 7) // 8, "big")
+    nbytes = (n * (n - 1) // 2 + 7) // 8
+    return best[1], gens, bytes([n]) + best[0].to_bytes(nbytes, "big")
 
 
 def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: equal for two graphs iff they are isomorphic."""
     if g.n > CANON_MAX_ORDER:
         raise ValueError(f"canonical form capped at {CANON_MAX_ORDER} vertices")
-    return _form_from_order(g, _canonical_order(g)[0])
+    return _canonical_order(g)[2]
 
 
 def _edge_invariant(adj: list[int], deg: list[int], u: int, v: int) -> tuple:
@@ -275,11 +273,10 @@ class _Enumerator:
                     top = _top_edges(child, edge)
                     if top is None or not self.admissible(child):
                         continue
-                    perm, gens = _canonical_order(child)
+                    perm, gens, key = _canonical_order(child)
                     deletion = _last_in_order(top, perm)  # canonical
                     if not _in_edge_orbit(edge, deletion, gens):
                         continue
-                    key = _form_from_order(child, perm)
                     if key in siblings:
                         continue
                     siblings.add(key)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -420,13 +421,9 @@ _FUZZ_HOSTS = st.one_of(
 _FUZZ_BUDGET_S = 5.0
 
 
-@settings(max_examples=120, deadline=None)
-@given(command=st.sampled_from([("count", "--max-clique"), ("participation", "--r")]),
-       host=_FUZZ_HOSTS,
-       size=st.one_of(st.integers(-5, 70), st.integers(-5, 10 ** 6)))
-def test_count_and_participation_argv_fuzz(command, host, size, schema):
-    name, flag = command
-    argv = [name, "--input", host, flag, str(size)]
+def run_fuzz_case(argv, schema):
+    """Run argv in process: the exit code is a documented one, stdout is
+    one strict-JSON report of the schema, and the run keeps the budget."""
     buf = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(buf):
@@ -436,6 +433,16 @@ def test_count_and_participation_argv_fuzz(command, host, size, schema):
     validator = jsonschema.Draft202012Validator(schema)
     validator.validate(json.loads(buf.getvalue(), parse_constant=pytest.fail))
     assert elapsed < _FUZZ_BUDGET_S, (argv, elapsed)
+    return code
+
+
+@settings(max_examples=120, deadline=None)
+@given(command=st.sampled_from([("count", "--max-clique"), ("participation", "--r")]),
+       host=_FUZZ_HOSTS,
+       size=st.one_of(st.integers(-5, 70), st.integers(-5, 10 ** 6)))
+def test_count_and_participation_argv_fuzz(command, host, size, schema):
+    name, flag = command
+    run_fuzz_case([name, "--input", host, flag, str(size)], schema)
 
 
 # Hosts for pattern-count and free-check: literals of at most 14 vertices,
@@ -470,16 +477,7 @@ def test_pattern_count_and_free_check_argv_fuzz(command, pat, host, schema):
         if f is not None and g is not None and g.n > 1:
             # as in the embedding tests: few injective maps expected
             assume(math.perm(g.n, f.n) * (2 * g.m / (g.n * (g.n - 1))) ** f.m <= 20000)
-        argv = [command, "--pattern", pat, "--input", host]
-        buf = io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(buf):
-            code = main(argv)
-        elapsed = time.perf_counter() - start
-    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_USAGE, EXIT_IO), argv
-    validator = jsonschema.Draft202012Validator(schema)
-    validator.validate(json.loads(buf.getvalue(), parse_constant=pytest.fail))
-    assert elapsed < _FUZZ_BUDGET_S, (argv, elapsed)
+        run_fuzz_case([command, "--pattern", pat, "--input", host], schema)
 
 
 def test_threads_environment_variable_is_ignored(capsys, monkeypatch):
@@ -579,3 +577,117 @@ def test_oracle_help_names_the_accepted_range(mode, flag, cap, capsys):
     with pytest.raises(SystemExit):
         main(["oracle", mode, "--help"])
     assert f"0..{cap}" in capsys.readouterr().out
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("n", [10000, 100000])
+def test_experiment_refuses_an_oversized_tripartite_n_at_once(n, tmp_path, schema):
+    # n = 100000 is a complete tripartite graph on 100,362 vertices with
+    # about 3.6e7 edges, and n = 10000 has 1,212,100 edges, as many as its
+    # refused K10000_100_21 literal; neither may be built.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"family": "tripartite", "n": [8, 9, n]}))
+    csv_path = tmp_path / "rows.csv"
+    src = Path(mexlab.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "mexlab.cli", "experiment", str(spec),
+         "--csv", str(csv_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=5, preexec_fn=_limit_address_space)
+    assert proc.returncode == EXIT_VALIDATION and not proc.stderr
+    obj = json.loads(proc.stdout)
+    jsonschema.validate(obj, schema)
+    assert obj["code"] == "invalid-params"
+    assert not csv_path.exists()
+
+
+def test_experiment_rejects_deeply_nested_json(tmp_path, capsys, schema):
+    spec = tmp_path / "spec.json"
+    spec.write_text("[" * 100000)
+    code, obj = run_json(capsys, schema, "experiment", str(spec),
+                         "--csv", str(tmp_path / "rows.csv"))
+    assert code == EXIT_VALIDATION and obj["code"] == "invalid-input"
+
+
+# Values of the wrong type, non-integral or non-finite numbers, and
+# integers far out of range, for any field of an experiment spec.
+_SPEC_ODD = st.sampled_from([-1, 0, 10 ** 12, 10 ** 400, 2 ** 61 - 1, 2.5, 3.0,
+                             float("nan"), float("inf"), -float("inf"), 1e308,
+                             "3", "é", None, True, [3], {"a": 1}])
+# Runnable fields per family, kept small: norm graphs with q <= 11 and
+# s <= 3 have at most 1210 vertices, tripartite n <= 300, deletion n <= 60.
+_SPEC_VALID = {
+    "norm_graph": {"q": st.lists(st.sampled_from([2, 3, 5, 7, 11]), min_size=3,
+                                 max_size=5, unique=True),
+                   "s": st.sampled_from([2, 3]), "u": st.just(2),
+                   "r": st.sampled_from([3, 4])},
+    "tripartite": {"n": st.lists(st.integers(1, 300), min_size=3, max_size=5,
+                                 unique=True),
+                   "u": st.sampled_from([2, 3]), "r": st.sampled_from([3, 4])},
+    "deletion": {"n": st.lists(st.integers(8, 60), min_size=1, max_size=3, unique=True),
+                 "seeds": st.lists(st.integers(0, 2 ** 64), min_size=1, max_size=3),
+                 "pattern": st.sampled_from(["K3_4", "K2_2_2"]), "u": st.just(2),
+                 "r": st.just(3), "c": st.sampled_from([0.5, 1.0, 1.3, 2])},
+}
+
+
+@st.composite
+def experiment_specs(draw):
+    """A spec of a runnable family with some fields or list entries spoilt,
+    or of an unknown family, as file bytes that may end in non-ASCII or
+    malformed text."""
+    family = draw(st.sampled_from(
+        sorted(_SPEC_VALID) * 3 + ["Tripartite", "gnp", None]))
+    spec = {"family": family}
+    for key, valid in _SPEC_VALID.get(family, _SPEC_VALID["tripartite"]).items():
+        roll = draw(st.integers(0, 19))
+        value = draw(valid)
+        if roll == 0:
+            continue  # the field's default
+        if roll == 1:
+            value = draw(_SPEC_ODD)
+        elif roll == 2 and isinstance(value, list):
+            value[draw(st.integers(0, len(value) - 1))] = draw(_SPEC_ODD)
+        spec[key] = value
+    text = json.dumps(spec).encode()  # NaN and Infinity as Python writes them
+    tail = draw(st.sampled_from([b""] * 12 + [b"\xff\xfe", "é".encode(), b"}", b"\x00"]))
+    return spec, text + tail
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=experiment_specs())
+def test_experiment_argv_fuzz(case, schema):
+    spec, raw = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, csv_path = Path(tmp, "spec.json"), Path(tmp, "rows.csv")
+        path.write_bytes(raw)
+        code = run_fuzz_case(["experiment", str(path), "--csv", str(csv_path)], schema)
+        assert code == EXIT_OK or not csv_path.exists(), spec
+
+
+# Values out of range, non-finite, huge or malformed for --r, --alpha and
+# --C; each flag takes one about a quarter of the time.
+_EXTRACT_ODD = st.one_of(
+    st.floats().map(repr), st.integers(-2, 22).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "1e-320", "5e-324", "-0.0",
+                     "1e308", "1000000", "10" * 200, "3.0", "x"]))
+_EXTRACT_VALID = {"--r": st.integers(3, 8).map(str),
+                  "--alpha": st.floats(0.7, 1.0).map(repr),
+                  "--C": st.floats(1e-3, 1e3).map(repr)}
+
+
+@st.composite
+def extract_argvs(draw):
+    argv = ["extract", "--input", draw(_FUZZ_HOSTS)]
+    for flag, valid in _EXTRACT_VALID.items():
+        argv += [flag, draw(_EXTRACT_ODD if draw(st.integers(0, 3)) == 1 else valid)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=extract_argvs())
+def test_extract_argv_fuzz(argv, schema):
+    run_fuzz_case(argv, schema)

@@ -9,10 +9,9 @@ from mexlab.bounds import COND_MADC, ConditionError
 from mexlab.constructions import (ExperimentSpec, NormGraphParams,
                                   deletion_method, fit_loglog_slope,
                                   norm_graph, run_experiment,
-                                  tripartite_instance)
-from mexlab.graphs import (Pattern, bits, complete_multipartite,
-                           count_cliques, count_copies, gnp, is_free,
-                           iter_copies, pattern)
+                                  tripartite_parts)
+from mexlab.graphs import (Pattern, bits, count_cliques, count_copies, gnp,
+                           is_free, iter_copies, pattern)
 
 
 def test_norm_graph_small():
@@ -151,10 +150,12 @@ def test_deletion_matches_scan_reference(pat, n, seed, c):
 
 
 def test_tripartite_instance_parts():
-    g = tripartite_instance(64)
-    assert g == complete_multipartite([64, 8, 4])
-    g = tripartite_instance(1024)
-    assert g == complete_multipartite([1024, 32, 10])
+    assert tripartite_parts(64) == [64, 8, 4]
+    assert tripartite_parts(1024) == [1024, 32, 10]
+    assert tripartite_parts(8000) == [8000, 89, 20]  # 873,780 edges
+    for n in (10000, 50001, 10 ** 400):  # 1,212,100 edges; the K literal cap
+        with pytest.raises(ValueError):
+            tripartite_parts(n)
 
 
 def test_fit_loglog_slope():

@@ -1,6 +1,5 @@
 """Graph core: generators, exact counting, invariants."""
 
-import heapq
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -12,8 +11,7 @@ from hypothesis import strategies as st
 from conftest import (bowtie, disjoint_union, hom_brute_force, path,
                       petersen, recursion_headroom)
 from mexlab.bounds import lemma_constant
-from mexlab.graphs import (Graph, Pattern, _degeneracy_order, bits,
-                           chromatic_number, complete,
+from mexlab.graphs import (Graph, Pattern, chromatic_number, complete,
                            complete_multipartite, count_cliques, count_copies,
                            cycle, edge_clique_participation, format_edge_list,
                            gnp, is_free, iter_copies, max_avg_degree,
@@ -145,41 +143,6 @@ def test_deep_counts_stay_under_the_recursion_limit():
     with recursion_headroom(60):
         cv = count_cliques(g, 200)
     assert cv.counts == (1, 500) + tuple(math.comb(200, k) for k in range(2, 201))
-
-
-def heap_degeneracy_order(g):
-    """The degeneracy order by a heap of (degree, vertex) pairs with one push
-    per edge, as it was computed before the bucket queue."""
-    cur = g.degrees()
-    heap = [(d, v) for v, d in enumerate(cur)]
-    heapq.heapify(heap)
-    removed = [False] * g.n
-    order = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != cur[v]:
-            continue
-        removed[v] = True
-        order.append(v)
-        for w in bits(g.adj[v]):
-            if not removed[w]:
-                cur[w] -= 1
-                heapq.heappush(heap, (cur[w], w))
-    return order
-
-
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(0, 70), p=st.sampled_from([0.05, 0.2, 0.5, 0.9, 1.0]),
-       seed=st.integers(0, 2 ** 32))
-def test_degeneracy_order_matches_heap_reference(n, p, seed):
-    g = gnp(n, p, seed)
-    assert _degeneracy_order(g) == heap_degeneracy_order(g)
-
-
-def test_degeneracy_order_examples():
-    for g in [star(40), complete(30), complete_multipartite([1, 5, 9]),
-              disjoint_union(complete(6), cycle(9)), Graph(3)]:
-        assert _degeneracy_order(g) == heap_degeneracy_order(g)
 
 
 def test_participation_requires_edges():
