@@ -48,8 +48,6 @@ def _load_graph(spec: str) -> Graph:
         return lit
     try:
         return load_edge_list(spec)
-    except OSError:
-        raise
     except ValueError as exc:
         raise _CliError("invalid-input", f"{spec}: {exc}")
 
@@ -314,7 +312,7 @@ def _dispatch(args) -> dict | None:
         return {"family": spec.family, "rows": len(result.rows),
                 "predictedExponent": result.predicted_exponent,
                 "fittedSlope": result.fitted_slope, "csv": args.csv}
-    raise _CliError("usage", f"missing subcommand")
+    raise _CliError("usage", "missing subcommand")
 
 
 def main(argv=None) -> int:

@@ -18,6 +18,7 @@ NORM_GRAPH_MAX_VERTICES = EDGE_LIST_MAX_VERTICES  # a built graph must load back
 DELETION_MAX_N = 500
 DELETION_MAX_R = 5
 DELETION_MAX_COPIES = 10000
+EXPERIMENT_MAX_INSTANCES = 32
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def deletion_method(f: Pattern, u: int, r: int, n: int, seed: int,
 
     copies = iter_copies(f, g, DELETION_MAX_COPIES)
     live: dict[tuple, set] = {}  # each edge's surviving copies
-    for cid, (_, es) in enumerate(copies):
+    for cid, es in enumerate(copies):
         for e in es:
             live.setdefault(e, set()).add(cid)
     # A lazy max-heap: an entry is current iff its count is the edge's.
@@ -156,7 +157,7 @@ def deletion_method(f: Pattern, u: int, r: int, n: int, seed: int,
         dying, live[target] = live[target], set()
         alive -= len(dying)
         for cid in dying:
-            for e2 in copies[cid][1]:
+            for e2 in copies[cid]:
                 if e2 != target:
                     live[e2].discard(cid)
                     heapq.heappush(heap, (-len(live[e2]), e2))
@@ -229,7 +230,8 @@ class ExperimentSpec:
                 seeds=[integral(x) for x in obj.get("seeds", [])],
                 c=float(obj.get("c", 1.0)),
             )
-        except (TypeError, ValueError) as exc:  # e.g. 32.9 or null for an int
+        except (TypeError, ValueError, OverflowError) as exc:  # e.g. 32.9 or null
+            # for an int, or 10 ** 400 for c
             raise ValueError(f"experiment spec: {exc}") from None
 
 
@@ -304,32 +306,31 @@ def tripartite_parts(n: int) -> list[int]:
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     if not {spec.u, spec.r} <= {2, 3, 4}:  # the clique sizes a row holds
         raise ValueError(f"u = {spec.u} and r = {spec.r} must lie in 2..4")
+    seeds = spec.seeds or [0]
+    instances = {"norm_graph": len(spec.q_list), "tripartite": len(spec.n_list),
+                 "deletion": len(spec.n_list) * len(seeds)}.get(spec.family)
+    if instances is None:
+        raise ValueError(f"unknown experiment family {spec.family!r}")
+    if not 3 <= instances <= EXPERIMENT_MAX_INSTANCES:  # before any graph is built
+        raise ValueError(f"need 3..{EXPERIMENT_MAX_INSTANCES} instances to fit "
+                         f"a slope, got {instances}")
     rows: list[ExperimentRow] = []
     if spec.family == "norm_graph":
-        if len(spec.q_list) < 3:
-            raise ValueError("need at least 3 instances to fit a slope")
         for q in spec.q_list:
             rows.append(_emit_row(spec, f"q={q}", norm_graph(q, spec.s)))
         predicted = cor14_kst(spec.r, spec.s).value
     elif spec.family == "tripartite":
-        if len(spec.n_list) < 3:
-            raise ValueError("need at least 3 instances to fit a slope")
         parts = [tripartite_parts(n) for n in spec.n_list]  # caps first
         for n, sizes in zip(spec.n_list, parts):
             rows.append(_emit_row(spec, f"n={n}", complete_multipartite(sizes)))
         predicted = float(TRIPARTITE_TRIANGLE_EXPONENT)
-    elif spec.family == "deletion":
+    else:
         f = pattern(spec.pattern)
-        seeds = spec.seeds or [0]
-        if len(spec.n_list) * len(seeds) < 3:
-            raise ValueError("need at least 3 instances to fit a slope")
         for n in spec.n_list:
             for seed in seeds:
                 g, _ = deletion_method(f, spec.u, spec.r, n, seed, spec.c)
                 rows.append(_emit_row(spec, f"n={n};seed={seed}", g))
         predicted = thm15_general(spec.u, spec.r, f).value
-    else:
-        raise ValueError(f"unknown experiment family {spec.family!r}")
 
     counts = {2: [r.k2 for r in rows], 3: [r.k3 for r in rows],
               4: [r.k4 for r in rows]}

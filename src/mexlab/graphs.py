@@ -14,12 +14,12 @@ count runs over the vertices sorted by degree, the order with which Chiba
 and Nishizeki (SIAM J. Comput. 1985) list K_r in O(a(G)^(r-2) m) time.
 
 Pattern copies (``count_copies``, ``is_free``, ``iter_copies``) come from one
-map search, ``_search_embeddings``, which visits one map per copy.
+map search, ``_backtrack`` over a pattern's plan, which visits one map per
+copy.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -473,18 +473,19 @@ def _twin_classes(g: Graph) -> list[int]:
 
 def _embedding_plan(f: Graph):
     """Static vertex order for backtracking (most already-placed neighbors
-    first) with symmetry-breaking bounds, as (order, prev, low, self_maps).
+    first) with symmetry-breaking bounds, as (prev, low) over its positions.
 
-    prev[i] lists the earlier positions adjacent to order[i] in f, and low[i]
-    is the earlier position whose image order[i]'s image must lie above, or
-    -1.  Images rising within each twin class leave one map per coset of the
-    twin group; self_maps counts these automorphisms.  They permute the
-    classes, and Grochow and Kellis's conditions (RECOMB 2007) break the
-    rest: walking the classes in order, class C's first image lies below the
-    first image of every other class in its orbit, then the group shrinks to
-    C's stabilizer.  If class D lies in the orbits of C and then of a later
-    C', C' lies in C's orbit, so D's bound from C' implies its bound from C;
-    each position keeps only its latest bound.
+    prev[i] lists the earlier positions adjacent to position i in f, so the
+    pairs (j, i) with j in prev[i] are the edges of f.  low[i] is the earlier
+    position whose image position i's image must lie above, or -1.  Images
+    rising within each twin class leave one map per coset of the twin group.
+    The automorphisms left permute the classes, and Grochow and Kellis's
+    conditions (RECOMB 2007) break them: walking the classes in order, class
+    C's first image lies below the first image of every other class in its
+    orbit, then the group shrinks to C's stabilizer.  If class D lies in the
+    orbits of C and then of a later C', C' lies in C's orbit, so D's bound
+    from C' implies its bound from C; each position keeps only its latest
+    bound.
     """
     n = f.n
     degs = f.degrees()
@@ -507,16 +508,25 @@ def _embedding_plan(f: Graph):
     group = []  # each self-map as the permutation of class indices it induces
     _backtrack(prev, low, f, lambda images: group.append(
         [head_of[cls[images[h]]] for h in heads]) or True)
-    self_maps = len(group)
     for k, h in enumerate(heads):
         for d in {perm[k] for perm in group} - {k}:
             low[heads[d]] = h
         group = [perm for perm in group if perm[k] == k]
-    return order, prev, low, self_maps
+    return prev, low
 
 
 def _backtrack(prev, low, g: Graph, visit) -> bool:
-    """The map search over a plan's prev and low lists; see _search_embeddings."""
+    """The map search: enumerate the copies of a pattern in g, one injective
+    edge-preserving map per copy, over the pattern's plan (prev, low).
+
+    Two maps give the same copy iff they differ by an automorphism of the
+    pattern.  The plan's lower bounds admit exactly one map of each
+    automorphism orbit, so the visits number the copies.
+
+    visit(images) is called on each visited map (images[i] hosts plan
+    position i); it returns True to continue or False to stop the search.
+    Returns False iff a visit stopped the search.
+    """
     k = len(prev)
     gadj = g.adj
     full = (1 << g.n) - 1
@@ -540,27 +550,6 @@ def _backtrack(prev, low, g: Graph, visit) -> bool:
         return True
 
     return rec(0, 0)
-
-
-def _search_embeddings(f: Pattern, g: Graph, visit) -> bool:
-    """Enumerate the copies of f in g, one injective edge-preserving map
-    f -> g per copy.
-
-    Two maps give the same copy iff they differ by an automorphism of f.
-    The plan's lower bounds admit exactly one map of each automorphism
-    orbit, so the visits number the copies.
-
-    visit(images) is called on each visited map (images[i] hosts plan
-    position i); it returns True to continue or False to stop the search.
-    Returns False iff a visit stopped the search.
-    """
-    _, prev, low, _ = f.plan
-    return _backtrack(prev, low, g, visit)
-
-
-def _stop(_) -> bool:
-    """Visitor that ends a search at its first map."""
-    return False
 
 
 class Pattern:
@@ -588,18 +577,6 @@ class Pattern:
         return _embedding_plan(self.graph)
 
     @cached_property
-    def self_maps(self) -> int:
-        """Automorphisms counted one per coset of the twin group."""
-        return self.plan[3]
-
-    @cached_property
-    def aut_count(self) -> int:
-        """Number of adjacency-preserving vertex permutations: self_maps
-        times the twin group's order, the product of |class|! over classes."""
-        cls = _twin_classes(self.graph)
-        return self.self_maps * math.prod(math.factorial(cls.count(c)) for c in set(cls))
-
-    @cached_property
     def max_avg_degree(self) -> Fraction:
         return max_avg_degree(self)
 
@@ -619,19 +596,6 @@ def pattern(spec, name: str | None = None) -> Pattern:
     return Pattern(g, name or spec)
 
 
-def _count_maps(f: Pattern, g: Graph) -> int:
-    """Maps visited by the search of f in g, one per copy."""
-    total = 0
-
-    def visit(_):
-        nonlocal total
-        total += 1
-        return True
-
-    _search_embeddings(f, g, visit)
-    return total
-
-
 def count_copies(f: Pattern, g: Graph) -> int:
     """Number of subgraphs of g isomorphic to f (copies, not induced).
 
@@ -639,34 +603,42 @@ def count_copies(f: Pattern, g: Graph) -> int:
     """
     if f.order == 0:
         raise ValueError("pattern must have at least one vertex")
-    return _count_maps(f, g)
+    total = 0
+
+    def visit(_):
+        nonlocal total
+        total += 1
+        return True
+
+    _backtrack(*f.plan, g, visit)
+    return total
 
 
 def is_free(f: Pattern, g: Graph) -> bool:
     """True iff g contains no copy of f; exits on the first embedding found."""
-    return _search_embeddings(f, g, _stop)
+    return _backtrack(*f.plan, g, lambda _: False)
 
 
-def iter_copies(f: Pattern, g: Graph, limit: int):
-    """The copies of f in g as (vertex frozenset, edge frozenset) pairs,
-    sorted for deterministic downstream processing.
+def iter_copies(f: Pattern, g: Graph, limit: int) -> list:
+    """The copies of f in g, in search order, each as the tuple of its host
+    edges (u, v), u < v, listed by plan position.
 
     The search visits each copy once.  More than limit copies is a
     ValueError, raised as soon as the search finds one too many.
     """
+    prev = f.plan[0]
+    key_edges = [(j, i) for i in range(len(prev)) for j in prev[i]]
     found = []
 
     def visit(images):
-        found.append((frozenset(images), frozenset(
-            (min(images[x], images[y]), max(images[x], images[y])) for x, y in key_edges)))
+        found.append(tuple((min(images[j], images[i]), max(images[j], images[i]))
+                           for j, i in key_edges))
         if len(found) > limit:
             raise ValueError(f"more than {limit} copies of {f.name}")
         return True
 
-    posof = {v: i for i, v in enumerate(f.plan[0])}
-    key_edges = [(posof[x], posof[y]) for x, y in f.graph.edges()]
-    _search_embeddings(f, g, visit)
-    return sorted(found, key=lambda c: (sorted(c[0]), sorted(c[1])))
+    _backtrack(*f.plan, g, visit)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ from mexlab.bounds import (cor12_exponent, cor14_kst, cor17_classifier,
                            thm41_kst_lower, thm43_multipartite,
                            thm46_join_cycle)
 from mexlab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from mexlab.constructions import norm_graph
+from mexlab.constructions import (EXPERIMENT_MAX_INSTANCES,
+                                  NORM_GRAPH_MAX_VERTICES, norm_graph)
 from mexlab.graphs import (complete, format_edge_list, gnp, load_edge_list,
                            parse_pattern_literal, pattern, read_edge_list,
                            save_edge_list)
@@ -604,6 +605,29 @@ def test_experiment_refuses_an_oversized_tripartite_n_at_once(n, tmp_path, schem
     assert not csv_path.exists()
 
 
+def test_experiment_refuses_too_many_instances_at_once(tmp_path, schema):
+    # 3 n values times 40 seeds is 120 deletions on hosts of up to 500
+    # vertices; the spec is refused before the first host is sampled.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"family": "deletion", "n": [300, 400, 500],
+                                "pattern": "K2_2_2", "c": 1.5,
+                                "seeds": list(range(40))}))
+    csv_path = tmp_path / "rows.csv"
+    src = Path(mexlab.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "mexlab.cli", "experiment", str(spec),
+         "--csv", str(csv_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=5)
+    assert proc.returncode == EXIT_VALIDATION and not proc.stderr
+    obj = json.loads(proc.stdout)
+    jsonschema.validate(obj, schema)
+    assert obj["code"] == "invalid-params"
+    assert obj["message"] == (f"need 3..{EXPERIMENT_MAX_INSTANCES} instances "
+                              "to fit a slope, got 120")
+    assert not csv_path.exists()
+
+
 def test_experiment_rejects_deeply_nested_json(tmp_path, capsys, schema):
     spec = tmp_path / "spec.json"
     spec.write_text("[" * 100000)
@@ -691,3 +715,120 @@ def extract_argvs(draw):
 @given(argv=extract_argvs())
 def test_extract_argv_fuzz(argv, schema):
     run_fuzz_case(argv, schema)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory for the construct and oracle fuzzes, holding a 2K2 edge
+    list; each case removes the outputs of the case before it."""
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "2K2.el").write_text("4 2\n0 1\n2 3\n")
+    return path
+
+
+def run_fuzz_case_writing(argv, out, schema):
+    """run_fuzz_case for a command that writes out on success and only then."""
+    out.unlink(missing_ok=True)
+    code = run_fuzz_case(argv + ["--out", str(out)], schema)
+    assert out.exists() == (code == EXIT_OK), argv
+    if code == EXIT_OK:
+        load_edge_list(out)
+    return code
+
+
+def _spoilt(draw, valid, odd):
+    """A draw of valid, or of odd about one time in five."""
+    return draw(odd if draw(st.integers(0, 4)) == 0 else valid)
+
+
+# Patterns that meet the thm15 conditions for (u, r) = (2, 3) (K3_4, K2_2_2,
+# K4_4, K3_5) or also for (2, 4) and (3, 4) (K8); the odd ones fail them
+# (K3_3, K4, C4) or are not patterns.  K4_4_4 also meets them, but a host
+# of 14 to 60 vertices with just under DELETION_MAX_COPIES of its copies
+# takes 1 to 14 s to search, past the fuzz budget.
+_DELETION_PATTERNS = (
+    st.sampled_from(["K3_4", "K2_2_2", "K4_4", "K3_5", "K8"]),
+    st.sampled_from(["K3_3", "K4", "C4", "K0", "S0", "C2", "K13", "K17",
+                     "no-such-pattern.el"]))
+
+
+@st.composite
+def deletion_argvs(draw):
+    u, r = _spoilt(draw, st.sampled_from([(2, 3)] * 4 + [(2, 4), (3, 4)]),
+                   st.tuples(st.integers(-1, 5), st.integers(-1, 7)))
+    n = _spoilt(draw, st.integers(1, 60), st.sampled_from([-1, 0, 501, 10 ** 30]))
+    c = _spoilt(draw, st.floats(0.1, 3.0).map(repr), st.sampled_from(
+        ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "-0.0", "x", "3,5"]))
+    return ["construct", "deletion", "--pattern", _spoilt(draw, *_DELETION_PATTERNS),
+            "--u", str(u), "--r", str(r), "--n", str(n),
+            "--seed", str(draw(st.integers(-2 ** 70, 2 ** 70))), "--c", c]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=deletion_argvs())
+def test_construct_deletion_argv_fuzz(argv, fuzz_dir, schema):
+    run_fuzz_case_writing(argv, fuzz_dir / "deletion.el", schema)
+
+
+_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+@st.composite
+def norm_graph_qs(draw):
+    """(q, s): a valid pair of at most 1500 vertices, with q or s spoilt by
+    a non-prime, a value around the vertex cap or far beyond it, or flag
+    text that is not an integer."""
+    q, s = draw(st.sampled_from([(q, s) for q in _PRIMES for s in range(2, 6)
+                                 if q ** (s - 1) * (q - 1) <= 1500]))
+    odd_text = st.sampled_from(["x", "3.0", "1e3", "", "0x7"])
+    q = _spoilt(draw, st.just(q), st.integers(-3, 40) | odd_text | st.sampled_from(
+        [49999, 50021, 10 ** 6, 2 ** 61 - 1, 10 ** 400]))
+    s = _spoilt(draw, st.just(s), st.integers(-2, 8) | odd_text | st.sampled_from(
+        [16, 17, 100, 10 ** 9]))
+    if (isinstance(q, int) and isinstance(s, int)
+            and 2 <= q <= NORM_GRAPH_MAX_VERTICES + 1 and 2 <= s <= 16):
+        # a valid instance near the vertex cap has millions of edges
+        assume(not 1500 < q ** (s - 1) * (q - 1) <= NORM_GRAPH_MAX_VERTICES)
+    return str(q), str(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(qs=norm_graph_qs())
+def test_construct_norm_graph_argv_fuzz(qs, fuzz_dir, schema):
+    q, s = qs
+    out = fuzz_dir / "norm.el"
+    run_fuzz_case_writing(["construct", "norm-graph", "--q", q, "--s", s], out, schema)
+
+
+# Oracle targets and forbidden graphs: the literals, the empty graph K0, a
+# single vertex S0, a 2K2 edge list and a missing path.  K0 and S0 are not
+# forbidden graphs, and neither is a target of mex.
+_ORACLE_PATTERNS = st.sampled_from(LITERALS + ["K0", "S0", "2K2.el", "no-such.el"])
+# a valid query above these sizes runs past the fuzz budget
+_ORACLE_FAST = {"mex": 8, "ex": 7}
+
+
+@st.composite
+def oracle_argvs(draw):
+    mode = draw(st.sampled_from(sorted(_ORACLE_FAST)))
+    size = draw(st.integers(-3, 12) if mode == "mex" else st.integers(-3, 10))
+    target = draw(_ORACLE_PATTERNS)
+    if _ORACLE_FAST[mode] < size <= (ORACLE_MAX_EDGES if mode == "mex" else ORACLE_MAX_N):
+        forbidden = draw(st.sampled_from(["K0", "S0", "no-such.el"]))
+    else:
+        forbidden = draw(_ORACLE_PATTERNS)
+    return mode, ["oracle", mode, "--m" if mode == "mex" else "--n", str(size),
+                  "--target", target, "--forbidden", forbidden]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=oracle_argvs())
+def test_oracle_argv_fuzz(case, fuzz_dir, schema):
+    mode, argv = case
+    argv = [str(fuzz_dir / a) if a == "2K2.el" else a for a in argv]
+    code = run_fuzz_case(argv, schema)
+    size, forbidden = int(argv[3]), argv[-1]
+    if forbidden in ("K0", "S0"):
+        assert code in (EXIT_VALIDATION, EXIT_IO), argv
+    if size > _ORACLE_FAST[mode]:
+        assert code != EXIT_OK, argv

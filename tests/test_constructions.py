@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from mexlab.bounds import COND_MADC, ConditionError
-from mexlab.constructions import (ExperimentSpec, NormGraphParams,
-                                  deletion_method, fit_loglog_slope,
-                                  norm_graph, run_experiment,
+from mexlab.constructions import (EXPERIMENT_MAX_INSTANCES, ExperimentSpec,
+                                  NormGraphParams, deletion_method,
+                                  fit_loglog_slope, norm_graph, run_experiment,
                                   tripartite_parts)
 from mexlab.graphs import (Pattern, bits, count_cliques, count_copies, gnp,
                            is_free, iter_copies, pattern)
@@ -121,7 +121,7 @@ def scan_greedy_deletion(copies) -> list:
     """The greedy deletion by a scan over every live edge per deleted edge,
     as it was computed before the lazy heap."""
     live = {}
-    for cid, (_, es) in enumerate(copies):
+    for cid, es in enumerate(copies):
         for e in es:
             live.setdefault(e, set()).add(cid)
     deleted = []
@@ -131,7 +131,7 @@ def scan_greedy_deletion(copies) -> list:
         deleted.append(target)
         for cid in list(live[target]):
             alive.discard(cid)
-            for e2 in copies[cid][1]:
+            for e2 in copies[cid]:
                 live[e2].discard(cid)
         del live[target]
     return deleted
@@ -190,10 +190,19 @@ def test_fit_loglog_slope_matches_exact_least_squares(qs):
     [1, 2],
     {"family": "norm_graph", "q": 5},
     {"family": "norm_graph", "q": [5, 7, None]},
+    {"family": "deletion", "c": 10 ** 400},  # no float holds it
 ])
 def test_experiment_spec_rejects_malformed_json(obj):
     with pytest.raises(ValueError):
         ExperimentSpec.from_json(obj)
+
+
+def test_experiment_instance_cap():
+    ns = list(range(8, 8 + EXPERIMENT_MAX_INSTANCES))
+    res = run_experiment(ExperimentSpec(family="tripartite", n_list=ns))
+    assert len(res.rows) == EXPERIMENT_MAX_INSTANCES
+    with pytest.raises(ValueError, match="instances"):
+        run_experiment(ExperimentSpec(family="tripartite", n_list=ns + [100]))
 
 
 def test_experiment_tripartite():
