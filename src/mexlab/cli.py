@@ -31,10 +31,9 @@ EXIT_IO = 74
 
 
 class _CliError(Exception):
-    def __init__(self, code: str, message: str, failed_condition: str | None = None):
+    def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-        self.failed_condition = failed_condition
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,24 +237,26 @@ def _build_parser() -> tuple[_Parser, dict]:
     return top, sub.choices
 
 
-def _dispatch(args) -> dict | None:
+def _dispatch(args) -> tuple[dict, str | None]:
+    """The subcommand's report and the path to write it to (None for
+    stdout)."""
     cmd = args.command
     if cmd == "count":
         g = _load_graph(args.input)
-        return count_cliques(g, args.max_clique).to_json()
+        return count_cliques(g, args.max_clique).to_json(), args.out
     if cmd == "participation":
         g = _load_graph(args.input)
         part = edge_clique_participation(g, args.r)
-        return {"r": args.r,
-                "participation": [[u, v, part[(u, v)]] for u, v in sorted(part)]}
+        return {"r": args.r, "participation": [
+            [u, v, part[(u, v)]] for u, v in sorted(part)]}, args.out
     if cmd == "pattern-count":
         f = _pattern(args.pattern)
         g = _load_graph(args.input)
-        return {"pattern": args.pattern, "count": count_copies(f, g)}
+        return {"pattern": args.pattern, "count": count_copies(f, g)}, args.out
     if cmd == "free-check":
         f = _pattern(args.pattern)
         g = _load_graph(args.input)
-        return {"pattern": args.pattern, "free": is_free(f, g)}
+        return {"pattern": args.pattern, "free": is_free(f, g)}, args.out
     if cmd == "extract":
         g = _load_graph(args.input)
         params = ExtractionParams(args.r, args.alpha, args.C)
@@ -267,24 +268,21 @@ def _dispatch(args) -> dict | None:
                             f"constant out of float range ({exc})")
         if args.out:
             save_edge_list(out_graph, args.out)
-        _emit(report.to_json(), args.report)
-        return None
+        return report.to_json(), args.report
     if cmd == "bounds":
-        return _run_bounds(args)
+        return _run_bounds(args), args.out
     if cmd == "construct":
         if args.construct_kind == "norm-graph":
             g = norm_graph(args.q, args.s)
             save_edge_list(g, args.out)
-            _emit({"family": "norm_graph", "q": args.q, "s": args.s,
-                   "n": g.n, "m": g.m, "out": args.out}, None)
-            return None
+            return {"family": "norm_graph", "q": args.q, "s": args.s,
+                    "n": g.n, "m": g.m, "out": args.out}, None
         if args.construct_kind == "deletion":
             f = _pattern(args.pattern)
             g, run = deletion_method(f, args.u, args.r, args.n, args.seed, args.c)
             if args.out:
                 save_edge_list(g, args.out)
-            _emit(run.to_json(), args.report)
-            return None
+            return run.to_json(), args.report
         raise _CliError("usage", "construct needs a subcommand: norm-graph | deletion")
     if cmd == "oracle":
         if args.oracle_mode == "mex":
@@ -295,24 +293,22 @@ def _dispatch(args) -> dict | None:
                            _pattern(args.forbidden))
         else:
             raise _CliError("usage", "oracle needs a subcommand: mex | ex")
-        _emit(res.to_json(), args.report)
-        return None
-    if cmd == "experiment":
-        with open(args.spec, "r", encoding="ascii") as fh:
-            try:
-                obj = json.load(fh)
-            except RecursionError:
-                raise _CliError("invalid-input", f"{args.spec}: JSON nested too deeply")
-        spec = ExperimentSpec.from_json(obj)
-        result = run_experiment(spec)
-        with open(args.csv, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            writer.writerows(result.csv_rows())
-        return {"family": spec.family, "rows": len(result.rows),
-                "predictedExponent": result.predicted_exponent,
-                "fittedSlope": result.fitted_slope, "csv": args.csv}
-    raise _CliError("usage", "missing subcommand")
+        return res.to_json(), args.report
+    # experiment, the last subcommand
+    with open(args.spec, "r", encoding="ascii") as fh:
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise _CliError("invalid-input", f"{args.spec}: JSON nested too deeply")
+    spec = ExperimentSpec.from_json(obj)
+    result = run_experiment(spec)
+    with open(args.csv, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows(result.csv_rows())
+    return {"family": spec.family, "rows": len(result.rows),
+            "predictedExponent": result.predicted_exponent,
+            "fittedSlope": result.fitted_slope, "csv": args.csv}, None
 
 
 def main(argv=None) -> int:
@@ -326,15 +322,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _CliError("usage", "a subcommand is required")
-        report = _dispatch(args)
-        if report is not None:
-            _emit(report, getattr(args, "out", None))
+        _emit(*_dispatch(args))
         return EXIT_OK
     except _CliError as exc:
-        err = {"code": exc.code, "message": str(exc)}
-        if exc.failed_condition:
-            err["failedCondition"] = exc.failed_condition
-        _emit(err, None)
+        _emit({"code": exc.code, "message": str(exc)}, None)
         return EXIT_VALIDATION
     except ConditionError as exc:
         _emit({"code": "condition-failed", "message": str(exc),

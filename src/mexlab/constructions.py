@@ -40,6 +40,11 @@ class NormGraphParams:
         n = self.q ** (self.s - 1) * (self.q - 1)
         if n > NORM_GRAPH_MAX_VERTICES:
             raise ValueError(f"vertex count {n} exceeds cap {NORM_GRAPH_MAX_VERTICES}")
+        # every vertex has degree at most q^(s-1) - 1
+        edges = n * (self.q ** (self.s - 1) - 1) // 2
+        if edges > LITERAL_MAX_EDGES:
+            raise ValueError(f"(q, s) = ({self.q}, {self.s}) has up to {edges} "
+                             f"edges, above cap {LITERAL_MAX_EDGES}")
 
 
 def norm_graph(q: int, s: int) -> Graph:

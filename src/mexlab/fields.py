@@ -43,21 +43,10 @@ def _poly_divmod(num, den, p):
 
 
 def _is_irreducible(poly, p: int) -> bool:
-    """Exhaustive check for degree <= 4: no roots, and for degree 4 no
-    monic quadratic divisor."""
-    deg = len(poly) - 1
-    for x in range(p):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return False
-    if deg == 4:
-        for c0, c1 in product(range(p), repeat=2):
-            _, rem = _poly_divmod(poly, [c0, c1, 1], p)
-            if rem == [0]:
-                return False
-    return True
+    """No monic divisor of degree 1..deg/2, checked exhaustively."""
+    return all(_poly_divmod(poly, list(low) + [1], p)[1] != [0]
+               for d in range(1, (len(poly) - 1) // 2 + 1)
+               for low in product(range(p), repeat=d))
 
 
 def _smallest_irreducible(p: int, k: int):

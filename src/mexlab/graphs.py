@@ -9,7 +9,7 @@ Clique counts, whole-graph (``count_cliques``) and per edge
 a succinct clique tree that pivots where the candidate set is dense and
 deep, so a k-clique inside a pivot set is counted by a binomial rather than
 listed, and that enumerates cliques one by one, with bulk popcounts for the
-last two sizes, where the set is sparse, small or shallow.  The whole-graph
+last two sizes, where the set is small or shallow.  The whole-graph
 count runs over the vertices sorted by degree, the order with which Chiba
 and Nishizeki (SIAM J. Comput. 1985) list K_r in O(a(G)^(r-2) m) time.
 
@@ -288,13 +288,12 @@ class CliqueVector:
         return {f"k{r}": self.counts[r] for r in range(1, self.R + 1)}
 
 
-# A clique-tree node tries to pivot only with more than _PIVOT_DEPTH clique
-# sizes left to count, and only if its cand has _PIVOT_ALWAYS vertices or
-# more, or _PIVOT_PROBE or more of which its top vertex sees half.  A pivot
-# is taken only if it sees at least half of cand.
+# A clique-tree node goes on the stack, where it may pivot, only with more
+# than _PIVOT_DEPTH clique sizes left to count and _PIVOT_PROBE or more
+# vertices in its cand.  A pivot is taken only if it sees at least half of
+# cand.
 _PIVOT_DEPTH = 3
 _PIVOT_PROBE = 12
-_PIVOT_ALWAYS = 32
 
 
 def _clique_counts(adj, cand: int, R: int) -> list:
@@ -307,18 +306,22 @@ def _clique_counts(adj, cand: int, R: int) -> list:
     the most neighbours in cand: a clique either lies in p's closed
     neighbourhood (then p becomes a pivot and cand shrinks to cand & N(p),
     in a loop) or holds a first non-neighbour v of p (a held branch on the
-    explicit stack, with the earlier non-neighbours removed).
+    explicit stack, with the earlier non-neighbours removed).  Where no
+    vertex sees half of cand, every vertex of cand is held once in the same
+    way, and the pivot chain ends.
 
-    Where a pivot does not pay, on a shallow remainder or a sparse or small
-    cand, the node is enumerated instead: each clique grows from its lowest
-    vertex upward, the last two sizes are counted by bulk popcounts, and
-    the counts land in the node's (held, piv) row.  The clique of a node's
-    held vertices alone is counted by its parent, with its siblings', except
-    at the end of a pivot chain.  counts[k] sums row[a] * C(piv, k - a).
+    A small cand, or one with a shallow remainder, is enumerated instead:
+    each clique grows from its lowest vertex upward, the last two sizes are
+    counted by bulk popcounts, and the counts land in the node's (held, piv)
+    row.  The clique of a node's held vertices alone is counted by its
+    parent, with its siblings', except at the end of a pivot chain.
+    counts[k] sums row[a] * C(piv, k - a).
 
     adj[v] may hold neighbours on both sides of v.  The enumeration is the
-    only recursion, and it never starts on a cand of _PIVOT_ALWAYS vertices
-    or more, so no clique size reaches Python's recursion limit.
+    only recursion, and it starts only on a cand of fewer than _PIVOT_PROBE
+    vertices or with at most _PIVOT_DEPTH sizes left, so its depth does not
+    grow with the clique size.  A node on the stack has more than
+    _PIVOT_DEPTH sizes left, so its held branches fit in the rows.
     """
     top = max(cand.bit_count(), 1)
     if R > top:  # no clique of cand has more than top vertices
@@ -352,10 +355,7 @@ def _clique_counts(adj, cand: int, R: int) -> list:
                 enum(sub, size, row)
 
     def branch(cand: int, held: int, piv: int) -> None:
-        s = cand.bit_count()
-        if R - held > _PIVOT_DEPTH and (
-                s >= _PIVOT_ALWAYS or s >= _PIVOT_PROBE
-                and 2 * (adj[cand.bit_length() - 1] & cand).bit_count() >= s):
+        if R - held > _PIVOT_DEPTH and cand.bit_count() >= _PIVOT_PROBE:
             stack.append((cand, held, piv))
         else:
             enum(cand, held, row(piv))
@@ -382,10 +382,9 @@ def _clique_counts(adj, cand: int, R: int) -> list:
                 piv += univ.bit_count()
                 cand ^= univ
                 continue
-            if 2 * best < s:
-                break
+            pivot = 2 * best >= s
             rest = cand
-            nonnbr = cand & ~adj[p] ^ (1 << p)
+            nonnbr = cand & ~adj[p] ^ (1 << p) if pivot else cand
             row(piv)[held + 1] += nonnbr.bit_count()
             while nonnbr:
                 low = nonnbr & -nonnbr
@@ -394,22 +393,13 @@ def _clique_counts(adj, cand: int, R: int) -> list:
                 sub = rest & adj[low.bit_length() - 1]
                 if sub:
                     branch(sub, held + 1, piv)
+            if not pivot:
+                break
             cand &= adj[p]
             piv += 1
         if piv != first:  # the chain's own cliques, with first..piv pivots
             row(piv)[held] += 1
             row(first)[held] -= 1
-        if cand.bit_count() < _PIVOT_PROBE:
-            if cand:
-                enum(cand, held, row(piv))
-            continue
-        row(piv)[held + 1] += cand.bit_count()
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            sub = cand & adj[low.bit_length() - 1]
-            if sub:
-                branch(sub, held + 1, piv)
     if len(rows) == 1:
         return rows[0]
     counts = [0] * (R + 1)

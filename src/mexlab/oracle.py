@@ -305,12 +305,9 @@ class _Enumerator:
                 yield g.add_edge(u, v), (u, v)
         if n + 1 <= self.max_vertices:
             fresh = g.padded(n + 1)
-            seen_attach = set()
             for u in range(n):
-                if cls[u] in seen_attach:
-                    continue
-                seen_attach.add(cls[u])
-                yield fresh.add_edge(u, n), (u, n)
+                if cls[u] == u:  # the lowest member of its twin class
+                    yield fresh.add_edge(u, n), (u, n)
         if n + 2 <= self.max_vertices:
             yield g.padded(n + 2).add_edge(n, n + 1), (n, n + 1)
 

@@ -30,9 +30,9 @@ from mexlab.bounds import (cor12_exponent, cor14_kst, cor17_classifier,
 from mexlab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from mexlab.constructions import (EXPERIMENT_MAX_INSTANCES,
                                   NORM_GRAPH_MAX_VERTICES, norm_graph)
-from mexlab.graphs import (complete, format_edge_list, gnp, load_edge_list,
-                           parse_pattern_literal, pattern, read_edge_list,
-                           save_edge_list)
+from mexlab.graphs import (LITERAL_MAX_EDGES, complete, format_edge_list, gnp,
+                           load_edge_list, parse_pattern_literal, pattern,
+                           read_edge_list, save_edge_list)
 from mexlab.oracle import ORACLE_MAX_EDGES, ORACLE_MAX_N
 from test_embeddings import LITERALS
 
@@ -717,6 +717,26 @@ def test_extract_argv_fuzz(argv, schema):
     run_fuzz_case(argv, schema)
 
 
+@pytest.mark.parametrize("q, s", [(37, 3), (11, 4), (7, 5)])
+def test_construct_norm_graph_refuses_over_the_edge_cap_at_once(q, s, tmp_path,
+                                                                schema):
+    # Each pair has under NORM_GRAPH_MAX_VERTICES vertices but from 8.8 to
+    # 33.7 million edges; it is refused before the field is built.
+    out = tmp_path / "norm.el"
+    src = Path(mexlab.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "mexlab.cli", "construct", "norm-graph",
+         "--q", str(q), "--s", str(s), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=5, preexec_fn=_limit_address_space)
+    assert proc.returncode == EXIT_VALIDATION and not proc.stderr
+    obj = json.loads(proc.stdout)
+    jsonschema.validate(obj, schema)
+    assert obj["code"] == "invalid-params"
+    assert "above cap" in obj["message"]
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     """A directory for the construct and oracle fuzzes, holding a 2K2 edge
@@ -787,8 +807,11 @@ def norm_graph_qs(draw):
         [16, 17, 100, 10 ** 9]))
     if (isinstance(q, int) and isinstance(s, int)
             and 2 <= q <= NORM_GRAPH_MAX_VERTICES + 1 and 2 <= s <= 16):
-        # a valid instance near the vertex cap has millions of edges
-        assume(not 1500 < q ** (s - 1) * (q - 1) <= NORM_GRAPH_MAX_VERTICES)
+        # a valid instance under both caps but past 1500 vertices takes
+        # seconds to build; one over either cap is refused at once
+        n = q ** (s - 1) * (q - 1)
+        assume(not (1500 < n <= NORM_GRAPH_MAX_VERTICES
+                    and n * (q ** (s - 1) - 1) // 2 <= LITERAL_MAX_EDGES))
     return str(q), str(s)
 
 

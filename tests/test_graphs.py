@@ -145,6 +145,19 @@ def test_deep_counts_stay_under_the_recursion_limit():
     assert cv.counts == (1, 500) + tuple(math.comb(200, k) for k in range(2, 201))
 
 
+def test_participation_recursion_does_not_deepen_with_the_clique_size():
+    # u = 0 and v = 1 see 2..32: a K20 on 2..21 and 22..32, which have no
+    # other edges.  The common neighbourhood has 31 vertices and its top
+    # vertex sees none of them; enumerating it clique by clique would recurse
+    # once per clique size.  The one 22-clique on the edge is 0, 1 and the
+    # K20.
+    edges = [(0, 1)] + [(u, w) for u in (0, 1) for w in range(2, 33)]
+    edges += [(a, b) for a in range(2, 22) for b in range(a + 1, 22)]
+    g = Graph(33, edges)
+    with recursion_headroom(20):
+        assert edge_clique_participation(g, 22)[(0, 1)] == 1
+
+
 def test_participation_requires_edges():
     with pytest.raises(ValueError):
         edge_clique_participation(Graph(4), 3)
