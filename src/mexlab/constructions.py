@@ -64,7 +64,8 @@ def norm_graph(q: int, s: int) -> Graph:
         if a != F.zero:
             norm_of[i] = F.norm_to_base(a)
     inv_mod_q = [0] + [pow(a, q - 2, q) for a in range(1, q)]
-    edges = set()
+    g = Graph(n)
+    adj = g.adj
     for ai in range(ext):
         A = F.from_index(ai)
         for bi in range(ext):
@@ -76,11 +77,9 @@ def norm_graph(q: int, s: int) -> Graph:
                 b = c * inv_mod_q[a] % q
                 i = ai * (q - 1) + (a - 1)
                 j = bi * (q - 1) + (b - 1)
-                if i < j:
-                    edges.add((i, j))
-                elif j < i:
-                    edges.add((j, i))
-    return Graph(n, sorted(edges))
+                if i != j:  # the edge is found again from j
+                    adj[i] |= 1 << j
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +186,18 @@ TRIPARTITE_TRIANGLE_EXPONENT = Fraction(11, 9)
 
 def integral(v) -> int:
     """An integral finite value: 3, 3.0 or 6/2 (a Fraction); anything else,
-    3.9 or "3" included, is a ValueError rather than a truncation."""
-    if (isinstance(v, int) or isinstance(v, Fraction) and v.denominator == 1
+    3.9, "3" or True included, is a ValueError rather than a truncation."""
+    if (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, Fraction) and v.denominator == 1
             or isinstance(v, float) and v.is_integer()):
         return int(v)
     raise ValueError(f"must be an integer, got {v}")
 
 
 def finite_number(v) -> bool:
-    """Whether v is a finite int, Fraction or float."""
-    return isinstance(v, (int, Fraction)) or isinstance(v, float) and math.isfinite(v)
+    """Whether v is a finite int, Fraction or float; a bool is not a number."""
+    return (isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+            or isinstance(v, float) and math.isfinite(v))
 
 
 @dataclass
@@ -223,6 +224,9 @@ class ExperimentSpec:
         for key in ("q", "n", "seeds"):
             if not isinstance(obj.get(key, []), list):
                 raise ValueError(f"experiment spec field {key!r} must be a list")
+        c = obj.get("c", 1.0)
+        if not finite_number(c):
+            raise ValueError(f"experiment spec: c must be a finite number, got {c!r}")
         try:
             return ExperimentSpec(
                 family=fam,
@@ -233,7 +237,7 @@ class ExperimentSpec:
                 n_list=[integral(x) for x in obj.get("n", [])],
                 pattern=str(obj.get("pattern", "")),
                 seeds=[integral(x) for x in obj.get("seeds", [])],
-                c=float(obj.get("c", 1.0)),
+                c=float(c),
             )
         except (TypeError, ValueError, OverflowError) as exc:  # e.g. 32.9 or null
             # for an int, or 10 ** 400 for c

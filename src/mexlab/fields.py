@@ -52,7 +52,8 @@ def _is_irreducible(poly, p: int) -> bool:
 def _smallest_irreducible(p: int, k: int):
     if k == 1:
         return (0, 1)
-    for coeffs in product(range(p), repeat=k):
+    # x divides every poly with constant term 0, so the constant starts at 1.
+    for coeffs in product(range(1, p), *[range(p)] * (k - 1)):
         poly = list(coeffs) + [1]
         if _is_irreducible(poly, p):
             return tuple(poly)

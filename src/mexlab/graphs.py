@@ -145,8 +145,7 @@ def read_edge_list(text: str) -> Graph:
         raise ValueError(f"vertex count {n} exceeds cap {EDGE_LIST_MAX_VERTICES}")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
-    seen = set()
-    edges = []
+    adj = [0] * n
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -156,11 +155,13 @@ def read_edge_list(text: str) -> Graph:
             raise ValueError(f"loop at vertex {u}")
         if not (0 <= u < v < n):
             raise ValueError(f"edge ({u},{v}) violates 0 <= u < v < n")
-        if (u, v) in seen:
+        if adj[u] >> v & 1:
             raise ValueError(f"duplicate edge ({u},{v})")
-        seen.add((u, v))
-        edges.append((u, v))
-    return Graph(n, edges)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    g = Graph(n)
+    g.adj = adj
+    return g
 
 
 def load_edge_list(path) -> Graph:

@@ -1,17 +1,18 @@
 """Exhaustive ground truth for tiny extremal values.
 
 Graphs are enumerated one isomorphism class at a time by canonical edge
-augmentation (McKay 1998): children of a class add one edge (between
-existing vertices, to one fresh vertex, or as a fresh disjoint edge), and
-each child has one canonical deletion edge, so that each class has exactly
-one accepted parent.  The deletion edge is chosen first by an edge
-invariant that relabeling preserves, as nauty's geng does: a child whose
-added edge falls short of the greatest invariant is rejected before it is
-labeled.  Among the edges of greatest invariant, the one last in canonical
-order is the deletion edge, and a child is kept only when its added edge
-lies in that edge's automorphism orbit; isomorphic siblings are merged by
-canonical form.  Containment by the forbidden pattern is monotone under
-edge addition, so pruning non-free children keeps the search exact.
+augmentation (McKay 1998), one level per edge count (`_levels`): children
+of a class add one edge (between existing vertices, to one fresh vertex,
+or as a fresh disjoint edge), and each child has one canonical deletion
+edge, so that each class has exactly one accepted parent.  The deletion
+edge is chosen first by an edge invariant that relabeling preserves, as
+nauty's geng does: a child whose added edge falls short of the greatest
+invariant is rejected before it is labeled.  Among the edges of greatest
+invariant, the one last in canonical order is the deletion edge, and a
+child is kept only when its added edge lies in that edge's automorphism
+orbit; isomorphic siblings are merged by canonical form.  Containment by
+the forbidden pattern is monotone under edge addition, so pruning
+non-free children keeps the search exact.
 """
 
 from __future__ import annotations
@@ -246,70 +247,60 @@ def _in_edge_orbit(edge: tuple[int, int], start: tuple[int, int],
 # Isomorph-free enumeration by edge augmentation
 # ---------------------------------------------------------------------------
 
-class _Enumerator:
-    """Edge-augmentation levels of graphs without isolated vertices.
-
-    admissible(graph) must be monotone under edge deletion (true for
-    pattern-freeness); non-admissible children are counted but not expanded.
-    """
-
-    def __init__(self, max_vertices: int, admissible=None):
-        self.max_vertices = max_vertices
-        self.admissible = admissible or (lambda g: True)
-        self.graphs_examined = 0
-        self.classes_examined = 0
-
-    def levels(self, max_edges: int):
-        empty = Graph(0)
-        level = [(empty, canonical_form(empty))]
-        self.classes_examined += 1
-        yield 0, level
-        for _ in range(max_edges):
-            nxt = []
-            for parent, _ in level:
-                siblings = set()
-                for child, edge in self._children(parent):
-                    self.graphs_examined += 1
-                    top = _top_edges(child, edge)
-                    if top is None or not self.admissible(child):
-                        continue
-                    perm, gens, key = _canonical_order(child)
-                    deletion = _last_in_order(top, perm)  # canonical
-                    if not _in_edge_orbit(edge, deletion, gens):
-                        continue
-                    if key in siblings:
-                        continue
-                    siblings.add(key)
-                    self.classes_examined += 1
-                    nxt.append((child, key))
-            level = nxt
-            if not level:
-                return
-            yield level[0][0].m, level
-
-    def _children(self, g: Graph):
-        """(child, added edge) pairs, one edge added: between existing
-        vertices, to a fresh vertex, or as a fresh disjoint edge.  Twin
-        vertices (equal neighborhoods apart from each other) attach
-        isomorphically, so only one edge per twin-class pair is generated."""
-        n = g.n
-        cls = _twin_classes(g)
-        seen_pairs = set()
-        for u in range(n):
-            row = ~g.adj[u] & (((1 << n) - 1) ^ ((1 << (u + 1)) - 1))
-            for v in bits(row):
-                key = (cls[u], cls[v]) if cls[u] <= cls[v] else (cls[v], cls[u])
-                if key in seen_pairs:
+def _levels(max_vertices: int, max_edges: int, admissible) -> tuple[list, int]:
+    """(levels, examined): levels[m] lists the (graph, canonical form) pairs
+    of the admissible classes with m edges and no isolated vertex, on at most
+    max_vertices vertices, stopping at max_edges or at the first empty level;
+    examined counts the children generated.  admissible(graph) must be
+    monotone under edge deletion (true for pattern-freeness): a child that
+    fails it is counted but not expanded."""
+    empty = Graph(0)
+    levels = [[(empty, canonical_form(empty))]]
+    examined = 0
+    while len(levels) <= max_edges:
+        nxt = []
+        for parent, _ in levels[-1]:
+            siblings = set()
+            for child, edge in _children(parent, max_vertices):
+                examined += 1
+                top = _top_edges(child, edge)
+                if top is None or not admissible(child):
                     continue
-                seen_pairs.add(key)
-                yield g.add_edge(u, v), (u, v)
-        if n + 1 <= self.max_vertices:
-            fresh = g.padded(n + 1)
-            for u in range(n):
-                if cls[u] == u:  # the lowest member of its twin class
-                    yield fresh.add_edge(u, n), (u, n)
-        if n + 2 <= self.max_vertices:
-            yield g.padded(n + 2).add_edge(n, n + 1), (n, n + 1)
+                perm, gens, key = _canonical_order(child)
+                deletion = _last_in_order(top, perm)  # canonical
+                if not _in_edge_orbit(edge, deletion, gens) or key in siblings:
+                    continue
+                siblings.add(key)
+                nxt.append((child, key))
+        if not nxt:
+            break
+        levels.append(nxt)
+    return levels, examined
+
+
+def _children(g: Graph, max_vertices: int):
+    """(child, added edge) pairs, one edge added: between existing
+    vertices, to a fresh vertex, or as a fresh disjoint edge.  Twin
+    vertices (equal neighborhoods apart from each other) attach
+    isomorphically, so only one edge per twin-class pair is generated."""
+    n = g.n
+    cls = _twin_classes(g)
+    seen_pairs = set()
+    for u in range(n):
+        row = ~g.adj[u] & (((1 << n) - 1) ^ ((1 << (u + 1)) - 1))
+        for v in bits(row):
+            key = (cls[u], cls[v]) if cls[u] <= cls[v] else (cls[v], cls[u])
+            if key in seen_pairs:
+                continue
+            seen_pairs.add(key)
+            yield g.add_edge(u, v), (u, v)
+    if n + 1 <= max_vertices:
+        fresh = g.padded(n + 1)
+        for u in range(n):
+            if cls[u] == u:  # the lowest member of its twin class
+                yield fresh.add_edge(u, n), (u, n)
+    if n + 2 <= max_vertices:
+        yield g.padded(n + 2).add_edge(n, n + 1), (n, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +324,15 @@ class OracleResult:
         }
 
 
-def _best(enum: _Enumerator, target: Pattern, candidates, none_msg: str) -> OracleResult:
+def _best(target: Pattern, candidates, levels: list, examined: int,
+          none_msg: str) -> OracleResult:
     """The (graph, canonical key) candidate with the most target copies; a
-    tie goes to the smaller key.  Reads enum's counters once candidates,
-    which may be drawn from it lazily, are exhausted."""
+    tie goes to the smaller key.  Every class examined lies in one level."""
     best = min(((count_copies(target, g), key, g) for g, key in candidates),
                key=lambda c: (-c[0], c[1]), default=None)
     if best is None:
         raise ValueError(none_msg)
-    return OracleResult(best[0], best[2], enum.graphs_examined, enum.classes_examined)
+    return OracleResult(best[0], best[2], examined, sum(map(len, levels)))
 
 
 def _check_forbidden(forbidden: Pattern) -> None:
@@ -361,12 +352,8 @@ def mex_exact(m: int, target: Pattern, forbidden: Pattern) -> OracleResult:
         # each added isolated vertex would add target copies
         raise ValueError("target pattern must have no isolated vertex: "
                          "mex is unbounded for it")
-    enum = _Enumerator(2 * m, lambda g: is_free(forbidden, g))
-    final = []
-    for edges, level in enum.levels(m):
-        if edges == m:
-            final = level
-    return _best(enum, target, final,
+    levels, examined = _levels(2 * m, m, lambda g: is_free(forbidden, g))
+    return _best(target, levels[m] if m < len(levels) else [], levels, examined,
                  "no admissible graph with the requested edge count")
 
 
@@ -376,8 +363,7 @@ def ex_exact(n: int, target: Pattern, forbidden: Pattern) -> OracleResult:
     if not 0 <= n <= ORACLE_MAX_N:
         raise ValueError(f"vertex count must lie in 0..{ORACLE_MAX_N}")
     _check_forbidden(forbidden)
-    enum = _Enumerator(n, lambda g: is_free(forbidden, g.padded(n)))
-    candidates = ((g.padded(n), key) for _, level in enum.levels(n * (n - 1) // 2)
-                  for g, key in level)
-    return _best(enum, target, candidates,
-                 "no admissible graph on the requested vertex count")
+    levels, examined = _levels(n, n * (n - 1) // 2,
+                               lambda g: is_free(forbidden, g.padded(n)))
+    return _best(target, ((g.padded(n), key) for level in levels for g, key in level),
+                 levels, examined, "no admissible graph on the requested vertex count")

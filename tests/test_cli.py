@@ -367,6 +367,11 @@ def test_experiment_cli(tmp_path, capsys, schema):
     {"family": "norm_graph", "q": [5, 5, 5]},
     {"family": "tripartite", "n": [16, 32.9, 64]},  # was run as n = 32
     {"family": "norm_graph", "q": [5, 7, 11], "s": 2.5},
+    # were run as seeds 1, 0, 1 and as c = 1.5
+    {"family": "deletion", "n": [30, 60], "pattern": "K3_4",
+     "seeds": [True, False, True]},
+    {"family": "deletion", "n": [30, 60], "pattern": "K3_4", "seeds": [1, 2],
+     "c": "1.5"},
 ])
 def test_experiment_rejects_malformed_spec(spec, tmp_path, capsys, schema):
     path = tmp_path / "spec.json"
@@ -374,6 +379,7 @@ def test_experiment_rejects_malformed_spec(spec, tmp_path, capsys, schema):
     code, obj = run_json(capsys, schema, "experiment", str(path),
                          "--csv", str(tmp_path / "rows.csv"))
     assert code == EXIT_VALIDATION and obj["code"] == "invalid-params"
+    assert not (tmp_path / "rows.csv").exists()
 
 
 def test_exit_codes(capsys, schema):

@@ -91,7 +91,7 @@ def test_deletion_rejects_bad_patterns():
     assert err.value.condition == COND_MADC
     with pytest.raises(ValueError):
         deletion_method(pattern("K3_4"), 2, 3, 1000, seed=1)
-    for c in (float("nan"), float("inf"), 0.0, -1.0):
+    for c in (float("nan"), float("inf"), 0.0, -1.0, True):
         with pytest.raises(ValueError):
             deletion_method(pattern("K3_4"), 2, 3, 10, seed=1, c=c)
 

@@ -1,9 +1,14 @@
 """GF(p^k) arithmetic: moduli, axioms, norm behavior."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mexlab
 from mexlab.fields import FiniteField, is_prime
 
 
@@ -24,6 +29,18 @@ def test_gf9_norm():
     F = FiniteField(3, 2)
     assert F.modulus == (1, 0, 1)
     assert F.norm_to_base((1, 1)) == 2
+
+
+def test_largest_field_modulus_is_found_quickly():
+    # Every poly with constant term 0 is a multiple of x; trying them first
+    # took seconds for GF(97^4), whose modulus has constant term 1.
+    src = Path(mexlab.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from mexlab.fields import FiniteField; print(FiniteField(97, 4).modulus)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=5)
+    assert proc.returncode == 0 and proc.stdout == "(1, 0, 0, 4, 1)\n"
 
 
 def test_make_rejects():

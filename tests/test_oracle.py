@@ -16,7 +16,7 @@ from mexlab.bounds import lemma_constant
 from mexlab.graphs import (Graph, Pattern, complete, complete_multipartite,
                            count_copies, cycle, gnp, is_free, pattern, star)
 from mexlab.oracle import (CANON_MAX_ORDER, ORACLE_MAX_EDGES, _canonical_order,
-                           _edge_invariant, _Enumerator, _last_in_order,
+                           _edge_invariant, _last_in_order, _levels,
                            _top_edges, canonical_form, ex_exact, mex_exact)
 
 TWO_K2 = Pattern(Graph(4, [(0, 1), (2, 3)]), "2K2")
@@ -129,8 +129,8 @@ def test_canonical_form_on_graphs_with_many_automorphisms():
 
 
 def test_enumerator_level_sizes_match_oeis():
-    sizes = [len(level) for _, level in
-             _Enumerator(2 * ORACLE_MAX_EDGES).levels(ORACLE_MAX_EDGES)]
+    levels, _ = _levels(2 * ORACLE_MAX_EDGES, ORACLE_MAX_EDGES, lambda g: True)
+    sizes = [len(level) for level in levels]
     assert sizes == A000664
 
 
@@ -335,6 +335,17 @@ def test_ex_mantel():
         assert res.value == n * n // 4
         assert res.witness.n == n
         assert is_free(pattern("K3"), res.witness)
+
+
+@pytest.mark.parametrize("n,target,forb,value,graphs,classes", [
+    (6, pattern("K3"), pattern("C4"), 2, 240, 44),
+    (7, pattern("K3"), pattern("C4"), 3, 1030, 117),
+    (7, pattern("K3"), pattern("K4"), 12, 5874, 685),
+    (7, TWO_K2, pattern("C5"), 36, 1904, 251)])
+def test_ex_counters_are_pinned(n, target, forb, value, graphs, classes):
+    res = ex_exact(n, target, forb)
+    assert (res.value, res.graphs_examined, res.iso_classes_examined) == (
+        value, graphs, classes)
 
 
 def test_ex_rejects():
