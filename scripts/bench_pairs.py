@@ -3,7 +3,7 @@
 Usage, from the root of the repository, with the change staged:
 
     python3 scripts/bench_pairs.py --parent HEAD --run oracle-enum:401-405 \
-        --run norm-witness:401-410 --out BENCH_14.json
+        --run norm-witness:401-410 --claim norm-witness:wall_s --out BENCH_14.json
 
 The parent side is a `git archive` of --parent and the change side is a
 `git checkout-index` of the staged tree, each in its own directory.  For
@@ -13,8 +13,11 @@ every `__pycache__` and `.perfbench_work` of that side is removed, and the
 run gets PYTHONDONTWRITEBYTECODE=1, so no side reuses a bytecode cache.  Per
 end-to-end metric the file holds both sides' values, medians, inclusive
 quartiles, the change/parent median ratio and the pairs the change won, and
-whether every median stays within the bounds that BENCHMARK.json gives.  The
-file is rewritten after each workload.
+whether every median stays within the bounds that BENCHMARK.json gives.  A
+--claim names the workload and metric a gain is claimed on; the claim is met
+when the change wins at least nine tenths of the pairs, and its median lies
+past the parent's quartile range on the better side, away from the parent's
+median by more than that range.  The file is rewritten after each workload.
 """
 
 from __future__ import annotations
@@ -75,6 +78,15 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
             "change_wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change))}
 
 
+def claim_met(entry: dict, spec: dict) -> bool:
+    m = entry["metrics"][spec["name"]]
+    q1, q3 = m["parent_quartiles"]
+    sign = 1 if spec["better"] == "lower" else -1
+    gain = sign * (m["parent_median"] - m["change_median"])
+    past = sign * ((q1 if sign > 0 else q3) - m["change_median"]) > 0
+    return past and gain > q3 - q1 and m["change_wins"] >= 0.9 * entry["pairs"]
+
+
 def within_bounds(entry: dict, metrics: list[dict]) -> bool:
     if not entry["all_correct"] or entry["failed"]:
         return False
@@ -123,9 +135,18 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git ref of the parent side")
     ap.add_argument("--run", action="append", required=True, type=parse_run,
                     metavar="WORKLOAD:FIRST-LAST", help="a workload and its seeds")
+    ap.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                    help="the workload and end-to-end metric a gain is claimed on")
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    claim = spec = None
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        spec = next((m for m in bench["end_to_end"] if m["name"] == metric), None)
+        if spec is None or workload not in [w for w, _ in args.run]:
+            ap.error(f"--claim {args.claim}: name a --run workload and an end-to-end metric")
+        claim = {"workload": workload, "metric": metric}
     with tempfile.TemporaryDirectory() as tmp:
         sides = prepare(args.parent, Path(tmp))
         out = {"parent_commit": _git("rev-parse", args.parent).decode().strip(),
@@ -134,11 +155,13 @@ def main(argv=None) -> int:
                "command": " ".join(bench["command"]) + " --workload W --seed S "
                           f"--seconds {bench['run_seconds']} --trace 0",
                "method": __doc__.split("\n\n")[-1].replace("\n", " ").strip(),
-               "claim": None, "workloads": {}}
+               "claim": claim, "claim_met": None, "workloads": {}}
         for workload, seeds in args.run:
             out["workloads"][workload] = record(workload, seeds, sides, bench)
             out["no_regression_beyond_bounds"] = all(
                 within_bounds(e, bench["end_to_end"]) for e in out["workloads"].values())
+            if claim and claim["workload"] == workload:
+                out["claim_met"] = claim_met(out["workloads"][workload], spec)
             args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

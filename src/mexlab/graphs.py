@@ -15,7 +15,7 @@ and Nishizeki (SIAM J. Comput. 1985) list K_r in O(a(G)^(r-2) m) time.
 
 Pattern copies (``count_copies``, ``is_free``, ``iter_copies``) come from one
 map search, ``_backtrack`` over a pattern's plan, which visits one map per
-copy.
+copy prefix and counts the tail, an independent twin class, by a binomial.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
+from math import comb
 
 PATTERN_MAX_ORDER = 16
 COUNTING_MAX_ORDER = 12
@@ -464,7 +466,7 @@ def _twin_classes(g: Graph) -> list[int]:
 
 def _embedding_plan(f: Graph):
     """Static vertex order for backtracking (most already-placed neighbors
-    first) with symmetry-breaking bounds, as (prev, low) over its positions.
+    first) with symmetry-breaking bounds, as (prev, low, size, feeds).
 
     prev[i] lists the earlier positions adjacent to position i in f, so the
     pairs (j, i) with j in prev[i] are the edges of f.  low[i] is the earlier
@@ -477,6 +479,11 @@ def _embedding_plan(f: Graph):
     orbits of C and then of a later C', C' lies in C's orbit, so D's bound
     from C' implies its bound from C; each position keeps only its latest
     bound.
+
+    The last size positions are the tail: the largest independent twin class
+    but its first member, which keeps its greedy place, or else the last
+    vertex.  Its members share their neighbours, all placed before them, so
+    their images are any size-subset of one set; feeds marks the neighbours.
     """
     n = f.n
     degs = f.degrees()
@@ -488,59 +495,87 @@ def _embedding_plan(f: Graph):
                 key=lambda u: (len(nbrs[u] & chosen), degs[u], -u))
         order.append(v)
         chosen.add(v)
+    cls = _twin_classes(f)
+    classes = [[v for v in order if cls[v] == c] for c in sorted(set(cls))]
+    free = [c for c in classes if len(c) > 1 and c[1] not in nbrs[c[0]]]
+    tail = max(free, key=len)[1:] if free else order[n - 1:]
+    order = [v for v in order if v not in tail] + tail
+    size = len(tail)
     posof = {v: i for i, v in enumerate(order)}
     prev = [tuple(sorted(posof[w] for w in nbrs[v] if posof[w] < i))
             for i, v in enumerate(order)]
-    cls = _twin_classes(f)
+    feeds = [i in prev[-1] for i in range(n)]
     low = [max((j for j in range(i) if cls[order[j]] == cls[v]), default=-1)
            for i, v in enumerate(order)]
     heads = [i for i, t in enumerate(low) if t < 0]  # each class's first position
     head_of = {cls[order[h]]: k for k, h in enumerate(heads)}
     group = []  # each self-map as the permutation of class indices it induces
-    _backtrack(prev, low, f, lambda images: group.append(
-        [head_of[cls[images[h]]] for h in heads]) or True)
+
+    def each(images, cand):
+        for images[n - size:] in combinations(bits(cand), size):
+            group.append([head_of[cls[images[h]]] for h in heads])
+        return True
+
+    _backtrack(prev, low, size, feeds, f, each)
     for k, h in enumerate(heads):
         for d in {perm[k] for perm in group} - {k}:
             low[heads[d]] = h
         group = [perm for perm in group if perm[k] == k]
-    return prev, low
+    return prev, low, size, feeds
 
 
-def _backtrack(prev, low, g: Graph, visit) -> bool:
-    """The map search: enumerate the copies of a pattern in g, one injective
-    edge-preserving map per copy, over the pattern's plan (prev, low).
+def _backtrack(prev, low, size, feeds, g: Graph, visit) -> bool:
+    """The map search: enumerate the copies of a pattern in g over the
+    pattern's plan (prev, low, size, feeds), one visit per copy *prefix*.
 
     Two maps give the same copy iff they differ by an automorphism of the
     pattern.  The plan's lower bounds admit exactly one map of each
-    automorphism orbit, so the visits number the copies.
+    automorphism orbit.  The search places positions 0..k-size-1 and carries
+    the tail's mask: the AND of its placed neighbours' neighbourhoods, above
+    the tail's bound once that is placed.  A candidate that leaves the mask
+    fewer than size vertices is dropped.  Each size-subset of a full prefix's
+    tail candidates cand completes it to one admitted map, so the copies
+    number sum C(|cand|, size).
 
-    visit(images) is called on each visited map (images[i] hosts plan
-    position i); it returns True to continue or False to stop the search.
-    Returns False iff a visit stopped the search.
+    visit(images, cand) is called on each full prefix (images[i] hosts plan
+    position i < k - size); it returns True to continue or False to stop
+    the search.  Returns False iff a visit stopped the search.
     """
     k = len(prev)
+    stop = k - size
     gadj = g.adj
     full = (1 << g.n) - 1
     images = [0] * k
+    top = low[stop] if size else -1  # the tail's bound
+    after = top + 1 if top >= 0 else -1
 
-    def rec(i: int, used: int) -> bool:
-        if i == k:
-            return visit(images)
+    def rec(i: int, used: int, mask: int) -> bool:
+        if i == after:  # the tail's images lie above position top's
+            mask &= -2 << images[top]
+        if i == stop:
+            return visit(images, mask & ~used)
         cand = full & ~used
         for j in prev[i]:
             cand &= gadj[images[j]]
         t = low[i]
         if t >= 0:
             cand &= -2 << images[t]  # strictly above that position's image
+        feed = feeds[i]
+        sub = mask
         while cand:
             low_bit = cand & -cand
             cand ^= low_bit
-            images[i] = low_bit.bit_length() - 1
-            if not rec(i + 1, used | low_bit):
+            v = low_bit.bit_length() - 1
+            if feed:
+                sub = mask & gadj[v]
+                if sub.bit_count() < size:
+                    continue
+            images[i] = v
+            if not rec(i + 1, used | low_bit, sub):
                 return False
         return True
 
-    return rec(0, 0)
+    return rec(0, 0, full)
 
 
 class Pattern:
@@ -590,15 +625,17 @@ def pattern(spec, name: str | None = None) -> Pattern:
 def count_copies(f: Pattern, g: Graph) -> int:
     """Number of subgraphs of g isomorphic to f (copies, not induced).
 
-    The search visits one map per copy, so this is its map count.
+    The search visits one map per copy prefix, and a prefix whose tail has
+    c candidates completes to C(c, size) copies.
     """
     if f.order == 0:
         raise ValueError("pattern must have at least one vertex")
+    size = f.plan[2]
     total = 0
 
-    def visit(_):
+    def visit(_, cand):
         nonlocal total
-        total += 1
+        total += comb(cand.bit_count(), size)
         return True
 
     _backtrack(*f.plan, g, visit)
@@ -606,8 +643,9 @@ def count_copies(f: Pattern, g: Graph) -> int:
 
 
 def is_free(f: Pattern, g: Graph) -> bool:
-    """True iff g contains no copy of f; exits on the first embedding found."""
-    return _backtrack(*f.plan, g, lambda _: False)
+    """True iff g contains no copy of f; exits on the first copy found."""
+    size = f.plan[2]
+    return _backtrack(*f.plan, g, lambda _, cand: cand.bit_count() < size)
 
 
 def iter_copies(f: Pattern, g: Graph, limit: int) -> list:
@@ -615,17 +653,19 @@ def iter_copies(f: Pattern, g: Graph, limit: int) -> list:
     edges (u, v), u < v, listed by plan position.
 
     The search visits each copy once.  More than limit copies is a
-    ValueError, raised as soon as the search finds one too many.
+    ValueError, raised before a tail that would pass the limit is listed.
     """
-    prev = f.plan[0]
-    key_edges = [(j, i) for i in range(len(prev)) for j in prev[i]]
+    prev, _, size, _ = f.plan
+    k = len(prev)
+    key_edges = [(j, i) for i in range(k) for j in prev[i]]
     found = []
 
-    def visit(images):
-        found.append(tuple((min(images[j], images[i]), max(images[j], images[i]))
-                           for j, i in key_edges))
-        if len(found) > limit:
+    def visit(images, cand):
+        if len(found) + comb(cand.bit_count(), size) > limit:
             raise ValueError(f"more than {limit} copies of {f.name}")
+        for images[k - size:] in combinations(bits(cand), size):
+            found.append(tuple((min(images[j], images[i]), max(images[j], images[i]))
+                               for j, i in key_edges))
         return True
 
     _backtrack(*f.plan, g, visit)

@@ -62,6 +62,16 @@ def test_norm_graph_freeness_by_common_neighborhoods():
                     assert (common & g.adj[w]).bit_count() <= 2
 
 
+def test_bipartite_counts_on_a_norm_graph_match_codegree_sums():
+    # a copy of K2_t is a vertex pair and t of its common neighbours; a C4
+    # is counted once from each of its two diagonals
+    g = norm_graph(5, 3)
+    codegs = [(g.adj[u] & g.adj[v]).bit_count()
+              for u in range(g.n) for v in range(u + 1, g.n)]
+    assert count_copies(pattern("K2_3"), g) == sum(math.comb(c, 3) for c in codegs) == 79248
+    assert count_copies(pattern("C4"), g) == sum(math.comb(c, 2) for c in codegs) // 2 == 31716
+
+
 def test_norm_graph_triangle_count_closed_form():
     # H(q,2) built here from its definition, (A,a) ~ (B,b) iff A+B = ab mod q,
     # with (A, a) at index A*(q-1) + (a-1) as norm_graph documents.

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import embedding_reference as ref
-from mexlab.graphs import (Pattern, complete, count_copies, gnp, is_free,
-                           iter_copies, parse_pattern_literal)
+from mexlab.graphs import (Graph, Pattern, bits, complete, count_copies, gnp,
+                           is_free, iter_copies, parse_pattern_literal)
 
 LITERALS = [f"K{n}" for n in range(1, 9)] + [
     "K1_2", "K1_3", "K2_2", "K2_3", "K3_3", "K2_4", "K3_4", "K4_4",
@@ -25,14 +25,25 @@ def patterns(draw):
 
 
 @st.composite
+def twin_patterns(draw):
+    """A G(n, p) pattern of up to 6 vertices with one vertex blown up into
+    2 to 4 copies that share its neighbourhood: an independent twin class
+    that the search counts by a binomial."""
+    f = gnp(draw(st.integers(1, 6)), draw(st.sampled_from([0.3, 0.5, 0.7, 0.9])),
+            draw(st.integers(0, 2 ** 32)))
+    v = draw(st.integers(0, f.n - 1))
+    extra = draw(st.integers(1, 3))
+    return Graph(f.n + extra, f.edges() + [(f.n + i, w) for i in range(extra)
+                                           for w in bits(f.adj[v])])
+
+
+@st.composite
 def hosts(draw):
     return gnp(draw(st.integers(0, 14)), draw(st.sampled_from([0.2, 0.35, 0.5, 0.7])),
                draw(st.integers(0, 2 ** 32)))
 
 
-@given(patterns(), hosts())
-@settings(max_examples=300, deadline=None)
-def test_search_matches_unpruned_reference(f, g):
+def check_against_reference(f, g):
     # the reference visits every injective map; keep its expected count small
     host_p = 2 * g.m / (g.n * (g.n - 1)) if g.n > 1 else 0.0
     assume(math.perm(g.n, f.n) * host_p ** f.m <= 20000)
@@ -43,7 +54,19 @@ def test_search_matches_unpruned_reference(f, g):
             == sorted(sorted(edges) for _, edges in ref.copies(f, g)))
 
 
-@given(patterns())
+@given(patterns(), hosts())
+@settings(max_examples=300, deadline=None)
+def test_search_matches_unpruned_reference(f, g):
+    check_against_reference(f, g)
+
+
+@given(twin_patterns(), hosts())
+@settings(max_examples=300, deadline=None)
+def test_collapsed_twin_class_matches_unpruned_reference(f, g):
+    check_against_reference(f, g)
+
+
+@given(st.one_of(patterns(), twin_patterns()))
 @settings(max_examples=200, deadline=None)
 def test_search_visits_one_map_of_a_pattern_in_itself(f):
     assert count_copies(Pattern(f), f) == 1

@@ -1,6 +1,7 @@
 """Graph core: generators, exact counting, invariants."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -175,16 +176,27 @@ def test_iter_copies_stops_above_limit():
         iter_copies(pattern("K3"), complete(5), 9)
 
 
+def test_iter_copies_refuses_a_large_tail_before_listing_it():
+    # K8_40 holds C(8,2) C(40,10) copies of K2_10; the first full prefix
+    # already leaves 39 candidates for the 9 collapsed leaves
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="more than 1000000 copies"):
+        iter_copies(pattern("K2_10"), parse_pattern_literal("K8_40"), 10 ** 6)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_count_copies_rejects_empty_pattern():
     with pytest.raises(ValueError):
         count_copies(Pattern(Graph(0)), complete(3))
 
 
 def test_star_identity():
-    for g in seeded_graphs(30, max_n=10):
-        for r in (2, 3, 4):
+    # the leaves of S_t are one independent twin class, counted in bulk
+    hosts = [*seeded_graphs(30, max_n=10), gnp(40, 0.3, 1), gnp(60, 0.2, 2)]
+    for g in hosts:
+        for r in (2, 3, 4, 7, 11):
             expect = sum(math.comb(d, r) for d in g.degrees())
-            assert count_copies(pattern(f"K1_{r}"), g) == expect
+            assert count_copies(pattern(f"S{r}"), g) == expect
 
 
 def test_clique_consistency():
