@@ -10,9 +10,11 @@ nauty's geng does: a child whose added edge falls short of the greatest
 invariant is rejected before it is labeled.  Among the edges of greatest
 invariant, the one last in canonical order is the deletion edge, and a
 child is kept only when its added edge lies in that edge's automorphism
-orbit; isomorphic siblings are merged by canonical form.  Containment by
-the forbidden pattern is monotone under edge addition, so pruning
-non-free children keeps the search exact.
+orbit.  Two kept children of one parent are then isomorphic iff their added
+edges lie in one orbit of Aut(parent) (McKay 1998; McKay & Piperno 2014),
+so only the first child of each such orbit is built, tested and labeled.
+Containment by the forbidden pattern is monotone under edge addition, so
+pruning non-free children keeps the search exact.
 """
 
 from __future__ import annotations
@@ -227,20 +229,21 @@ def _last_in_order(edges: list[tuple[int, int]], perm: list[int]) -> tuple[int, 
                                      min(pos[e[0]], pos[e[1]])))
 
 
-def _in_edge_orbit(edge: tuple[int, int], start: tuple[int, int],
-                   gens: list[list[int]]) -> bool:
-    """Whether edge lies in the orbit of start under the group gens generate."""
+def _edge_orbit(start: tuple[int, int], gens: list[list[int]]) -> set[tuple[int, int]]:
+    """The orbit of the edge start under the group gens generate.  A vertex
+    at or above len(gamma), such as a fresh vertex of a child, is fixed."""
     orbit = {start}
     frontier = [start]
     while frontier:
         u, v = frontier.pop()
         for gamma in gens:
-            a, b = gamma[u], gamma[v]
+            a = gamma[u] if u < len(gamma) else u
+            b = gamma[v] if v < len(gamma) else v
             image = (a, b) if a < b else (b, a)
             if image not in orbit:
                 orbit.add(image)
                 frontier.append(image)
-    return edge in orbit
+    return orbit
 
 
 # ---------------------------------------------------------------------------
@@ -253,36 +256,45 @@ def _levels(max_vertices: int, max_edges: int, admissible) -> tuple[list, int]:
     max_vertices vertices, stopping at max_edges or at the first empty level;
     examined counts the children generated.  admissible(graph) must be
     monotone under edge deletion (true for pattern-freeness): a child that
-    fails it is counted but not expanded."""
+    fails it is counted but not expanded.  Children whose added edges lie in
+    one orbit of Aut(parent) pass or fail every test alike, and two kept
+    children in different orbits are not isomorphic (McKay 1998): so only
+    the first child of each orbit is built and tested, under the generators
+    kept from the parent's labeling."""
     empty = Graph(0)
     levels = [[(empty, canonical_form(empty))]]
+    level_gens = [[]]  # Aut generators of each class of levels[-1]
     examined = 0
     while len(levels) <= max_edges:
-        nxt = []
-        for parent, _ in levels[-1]:
-            siblings = set()
-            for child, edge in _children(parent, max_vertices):
+        nxt, nxt_gens = [], []
+        for (parent, _), parent_gens in zip(levels[-1], level_gens):
+            done = set()
+            for edge in _children(parent, max_vertices):
                 examined += 1
+                if edge in done:
+                    continue
+                done |= _edge_orbit(edge, parent_gens)
+                child = parent.padded(max(parent.n, edge[1] + 1)).add_edge(*edge)
                 top = _top_edges(child, edge)
                 if top is None or not admissible(child):
                     continue
                 perm, gens, key = _canonical_order(child)
-                deletion = _last_in_order(top, perm)  # canonical
-                if not _in_edge_orbit(edge, deletion, gens) or key in siblings:
-                    continue
-                siblings.add(key)
-                nxt.append((child, key))
+                if edge in _edge_orbit(_last_in_order(top, perm), gens):  # canonical
+                    nxt.append((child, key))
+                    nxt_gens.append(gens)
         if not nxt:
             break
         levels.append(nxt)
+        level_gens = nxt_gens
     return levels, examined
 
 
 def _children(g: Graph, max_vertices: int):
-    """(child, added edge) pairs, one edge added: between existing
-    vertices, to a fresh vertex, or as a fresh disjoint edge.  Twin
-    vertices (equal neighborhoods apart from each other) attach
-    isomorphically, so only one edge per twin-class pair is generated."""
+    """The edges that make g's children, each child adding one: between
+    existing vertices, to the fresh vertex n, or as the fresh disjoint edge
+    (n, n + 1).  Twin vertices (equal neighborhoods apart from each other)
+    attach isomorphically, so only one edge per twin-class pair is
+    generated."""
     n = g.n
     cls = _twin_classes(g)
     seen_pairs = set()
@@ -293,14 +305,13 @@ def _children(g: Graph, max_vertices: int):
             if key in seen_pairs:
                 continue
             seen_pairs.add(key)
-            yield g.add_edge(u, v), (u, v)
+            yield u, v
     if n + 1 <= max_vertices:
-        fresh = g.padded(n + 1)
         for u in range(n):
             if cls[u] == u:  # the lowest member of its twin class
-                yield fresh.add_edge(u, n), (u, n)
+                yield u, n
     if n + 2 <= max_vertices:
-        yield g.padded(n + 2).add_edge(n, n + 1), (n, n + 1)
+        yield n, n + 1
 
 
 # ---------------------------------------------------------------------------

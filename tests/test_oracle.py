@@ -15,9 +15,11 @@ from conftest import (bowtie, disjoint_union, k4_minus_edge,
 from mexlab.bounds import lemma_constant
 from mexlab.graphs import (Graph, Pattern, complete, complete_multipartite,
                            count_copies, cycle, gnp, is_free, pattern, star)
+from mexlab import oracle
 from mexlab.oracle import (CANON_MAX_ORDER, ORACLE_MAX_EDGES, _canonical_order,
-                           _edge_invariant, _last_in_order, _levels,
-                           _top_edges, canonical_form, ex_exact, mex_exact)
+                           _edge_invariant, _edge_orbit, _last_in_order,
+                           _levels, _top_edges, canonical_form, ex_exact,
+                           mex_exact)
 
 TWO_K2 = Pattern(Graph(4, [(0, 1), (2, 3)]), "2K2")
 
@@ -128,10 +130,78 @@ def test_canonical_form_on_graphs_with_many_automorphisms():
         assert canonical_form(_relabeled(g.n, g.edges(), perm)) == canonical_form(g)
 
 
+def _automorphisms(nx, atlas_graph):
+    """Every automorphism of an atlas graph, as a list, by networkx's VF2."""
+    n = atlas_graph.number_of_nodes()
+    matcher = nx.algorithms.isomorphism.GraphMatcher(atlas_graph, atlas_graph)
+    return [[phi[v] for v in range(n)] for phi in matcher.isomorphisms_iter()]
+
+
+def test_generators_generate_the_automorphism_group_on_the_graph_atlas():
+    # The oracle skips a child whose added edge lies in the orbit of an
+    # earlier sibling's, which is exact only if the generators from the
+    # parent's labeling generate all of Aut(parent).
+    nx = pytest.importorskip("networkx")
+    for atlas_graph in nx.graph_atlas_g():
+        n = atlas_graph.number_of_nodes()
+        gens = _canonical_order(Graph(n, list(atlas_graph.edges())))[1]
+        group = {tuple(range(n))}
+        frontier = list(group)
+        while frontier:
+            p = frontier.pop()
+            for gamma in gens:
+                q = tuple(gamma[x] for x in p)
+                if q not in group:
+                    group.add(q)
+                    frontier.append(q)
+        assert len(group) == len(_automorphisms(nx, atlas_graph))
+
+
+def test_edge_orbits_match_networkx_automorphisms():
+    nx = pytest.importorskip("networkx")
+    for atlas_graph in nx.graph_atlas_g():
+        n = atlas_graph.number_of_nodes()
+        if n > 6:
+            break
+        g = Graph(n, list(atlas_graph.edges()))
+        gens = _canonical_order(g)[1]
+        auts = _automorphisms(nx, atlas_graph)
+        for u, v in combinations(range(n), 2):
+            if not g.adj[u] >> v & 1:
+                images = {tuple(sorted((phi[u], phi[v]))) for phi in auts}
+                assert _edge_orbit((u, v), gens) == images
+        for u in range(n):  # attachments to the fresh vertex n
+            assert _edge_orbit((u, n), gens) == {(phi[u], n) for phi in auts}
+        assert _edge_orbit((n, n + 1), gens) == {(n, n + 1)}
+
+
 def test_enumerator_level_sizes_match_oeis():
     levels, _ = _levels(2 * ORACLE_MAX_EDGES, ORACLE_MAX_EDGES, lambda g: True)
     sizes = [len(level) for level in levels]
     assert sizes == A000664
+
+
+@pytest.mark.parametrize("max_edges,admissible", [
+    (8, lambda g: True), (9, lambda g: is_free(pattern("K4"), g))])
+def test_levels_hold_pairwise_distinct_classes(max_edges, admissible):
+    levels, _ = _levels(2 * max_edges, max_edges, admissible)
+    for level in levels:
+        assert len({key for _, key in level}) == len(level)
+
+
+def test_mex_k3_k4_labeling_count_is_pinned(monkeypatch):
+    # One child per orbit of Aut(parent) is labeled: 2,280 labelings, down
+    # from the 3,790 of labeling every child that passes the invariant.
+    calls = []
+    labeled = _canonical_order
+
+    def counted(g):
+        calls.append(g.n)
+        return labeled(g)
+
+    monkeypatch.setattr(oracle, "_canonical_order", counted)
+    res = mex_exact(9, pattern("K3"), pattern("K4"))
+    assert (res.value, res.iso_classes_examined, len(calls)) == (4, 2230, 2280)
 
 
 def test_ex_unfiltered_class_counts_match_oeis():
