@@ -38,9 +38,6 @@ class Condition:
     text: str
     passed: bool | None  # None: recorded hypothesis, not checkable here
 
-    def to_json(self) -> dict:
-        return {"text": self.text, "passed": self.passed}
-
 
 @dataclass
 class ExponentReport:
@@ -54,22 +51,6 @@ class ExponentReport:
 
     def failed_conditions(self) -> list:
         return [c for c in self.conditions if c.passed is False]
-
-    def to_json(self) -> dict:
-        def enc(x):
-            if isinstance(x, Fraction):
-                return str(x)
-            return x
-
-        return {
-            "formulaId": self.formula_id,
-            "params": {k: enc(v) for k, v in self.params.items()},
-            "value": self.value,
-            "valueRational": str(self.value_rational) if self.value_rational is not None else None,
-            "conditions": [c.to_json() for c in self.conditions],
-            "tight": self.tight,
-            "aux": {k: enc(v) for k, v in self.aux.items()},
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +108,14 @@ def cor14_kst(r: int, s: int) -> ExponentReport:
                           conditions, tight)
 
 
+def _thm15_exponent(u: int, r: int, v: int, e: int) -> Fraction | None:
+    """Thm 1.5's exponent for a forbidden graph with v vertices and e edges;
+    None where its denominator vanishes."""
+    br, bu = _binom2(r), _binom2(u)
+    den = u * e - bu * v - u * br + 2 * bu
+    return Fraction(r * e - br * v - r * br + 2 * br, den) if den != 0 else None
+
+
 def thm15_general(u: int, r: int, f: Pattern) -> ExponentReport:
     """Lower-bound exponent of k_r in terms of k_u for graphs avoiding f.
 
@@ -137,11 +126,8 @@ def thm15_general(u: int, r: int, f: Pattern) -> ExponentReport:
     v, e = f.order, f.size
     if v <= 2:
         raise ValueError("pattern must have more than 2 vertices")
-    br, bu = _binom2(r), _binom2(u)
-    num = r * e - br * v - r * br + 2 * br
-    den = u * e - bu * v - u * br + 2 * bu
-    frac = Fraction(num, den) if den != 0 else None
-    c1 = 2 * e > (r - 1) * v + 2 * br - 2 * (r - 1)
+    frac = _thm15_exponent(u, r, v, e)
+    c1 = 2 * e > (r - 1) * v + 2 * _binom2(r) - 2 * (r - 1)
     if e == 0:
         c2 = False
     else:
@@ -159,9 +145,7 @@ def thm41_kst_lower(u: int, r: int, s: int, t: int) -> ExponentReport:
         raise ValueError("need r > u >= 2")
     if not 1 <= s <= t:
         raise ValueError("need t >= s >= 1")
-    num = 2 * r * s * t - r * (r - 1) * (s + t) - r * (r - 1) * (r - 2)
-    den = 2 * u * s * t - u * (u - 1) * (s + t) - u * r * (r - 1) + 2 * u * (u - 1)
-    frac = Fraction(num, den) if den != 0 else None
+    frac = _thm15_exponent(u, r, s + t, s * t)
     s_min = max(_binom2(r), 2 * r - 2)
     conditions = [Condition(f"s >= max(r(r-1)/2, 2r-2) = {s_min}", s >= s_min)]
     return ExponentReport("thm41_kst_lower", {"u": u, "r": r, "s": s, "t": t},
@@ -189,20 +173,17 @@ def thm43_multipartite(r: int, sizes) -> ExponentReport:
     exponent (see remark42_one_part).
     """
     sizes = _validate_parts(r, sizes)
-    prod = math.prod(sizes[: r - 1])
-    s_eff = r - Fraction(1, prod)
-    frac = (r - 1) * s_eff / (r + s_eff - 2)
+    s_eff = r - Fraction(1, math.prod(sizes[: r - 1]))
+    frac = cor12_exponent(r, s_eff)
     aux = {"s_effective": s_eff}
     if sizes[0] == 1:
         aux["improved"] = _one_part_exponent(r, sizes)
-    report = ExponentReport("thm43_multipartite", {"r": r, "sizes": sizes},
-                            float(frac), frac, [], tight=False, aux=aux)
-    return report
+    return ExponentReport("thm43_multipartite", {"r": r, "sizes": sizes},
+                          float(frac), frac, [], tight=False, aux=aux)
 
 
 def _one_part_exponent(r: int, sizes) -> Fraction:
-    prod = math.prod(sizes[1: r - 1]) if r > 2 else 1
-    return (r - Fraction(1, prod)) / 2
+    return (r - Fraction(1, math.prod(sizes[1: r - 1]))) / 2
 
 
 def remark42_one_part(r: int, sizes) -> ExponentReport:
@@ -222,7 +203,7 @@ def cor44_tripartite_lower(s1: int, s2: int, s3: int) -> ExponentReport:
     value is the lower-bound exponent (when valid), aux['upper'] the o() one."""
     if not 1 <= s1 <= s2 <= s3:
         raise ValueError("need 1 <= s1 <= s2 <= s3")
-    upper = Fraction(3, 2) - Fraction(1, 8 * s1 * s2 - 2)
+    upper = cor12_exponent(3, 3 - Fraction(1, s1 * s2))  # thm43 at r = 3
     sig = s1 + s2 + s3
     prd = s1 * s2 + s2 * s3 + s3 * s1
     applicable = Fraction(prd, sig) > Fraction(3, 2)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -19,9 +21,9 @@ from .constructions import (CSV_HEADER, ExperimentSpec, deletion_method,
                             finite_number, norm_graph, run_experiment)
 from .constructions import integral as _int
 from .extraction import ExtractionParams, extract_dense
-from .graphs import (Graph, Pattern, count_cliques, count_copies,
-                     edge_clique_participation, is_free, load_edge_list,
-                     parse_pattern_literal, save_edge_list)
+from .graphs import (CliqueVector, Graph, Pattern, count_cliques,
+                     count_copies, edge_clique_participation, is_free,
+                     load_edge_list, parse_pattern_literal, save_edge_list)
 from .oracle import ORACLE_MAX_EDGES, ORACLE_MAX_N, ex_exact, mex_exact
 
 EXIT_OK = 0
@@ -51,8 +53,25 @@ def _load_graph(spec: str) -> Graph:
         raise _CliError("invalid-input", f"{spec}: {exc}")
 
 
-def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+def _encode(obj):
+    """The JSON form of a report object that json cannot write itself: a
+    CliqueVector as k1..kR, a Graph as its order and edge list, a Fraction
+    as exact text, and any other dataclass as its fields in declaration
+    order under camelCase names."""
+    if isinstance(obj, CliqueVector):
+        return {f"k{r}": obj[r] for r in range(1, obj.R + 1)}
+    if isinstance(obj, Graph):
+        return {"n": obj.n, "edges": obj.edges()}
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if dataclasses.is_dataclass(obj):
+        return {re.sub(r"_(.)", lambda m: m[1].upper(), f.name): getattr(obj, f.name)
+                for f in dataclasses.fields(obj)}
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
+def _emit(obj, out: str | None) -> None:
+    text = json.dumps(obj, indent=2, allow_nan=False, default=_encode) + "\n"
     if out:
         with open(out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
@@ -136,7 +155,7 @@ _FORMULAS = {
 }
 
 
-def _run_bounds(args) -> dict:
+def _run_bounds(args) -> bounds_mod.ExponentReport:
     fid = args.formula
     if fid not in _FORMULAS:
         raise _CliError("invalid-params", f"unknown formula id {fid!r}")
@@ -159,7 +178,7 @@ def _run_bounds(args) -> dict:
                 result if isinstance(result, Fraction) else None)
     except OverflowError as exc:
         raise _CliError("invalid-params", f"{fid}: {exc}")
-    return result.to_json()
+    return result
 
 
 def _build_parser() -> tuple[_Parser, dict]:
@@ -237,13 +256,13 @@ def _build_parser() -> tuple[_Parser, dict]:
     return top, sub.choices
 
 
-def _dispatch(args) -> tuple[dict, str | None]:
+def _dispatch(args) -> tuple[object, str | None]:
     """The subcommand's report and the path to write it to (None for
     stdout)."""
     cmd = args.command
     if cmd == "count":
         g = _load_graph(args.input)
-        return count_cliques(g, args.max_clique).to_json(), args.out
+        return count_cliques(g, args.max_clique), args.out
     if cmd == "participation":
         g = _load_graph(args.input)
         part = edge_clique_participation(g, args.r)
@@ -268,7 +287,7 @@ def _dispatch(args) -> tuple[dict, str | None]:
                             f"constant out of float range ({exc})")
         if args.out:
             save_edge_list(out_graph, args.out)
-        return report.to_json(), args.report
+        return report, args.report
     if cmd == "bounds":
         return _run_bounds(args), args.out
     if cmd == "construct":
@@ -282,7 +301,7 @@ def _dispatch(args) -> tuple[dict, str | None]:
             g, run = deletion_method(f, args.u, args.r, args.n, args.seed, args.c)
             if args.out:
                 save_edge_list(g, args.out)
-            return run.to_json(), args.report
+            return run, args.report
         raise _CliError("usage", "construct needs a subcommand: norm-graph | deletion")
     if cmd == "oracle":
         if args.oracle_mode == "mex":
@@ -293,7 +312,7 @@ def _dispatch(args) -> tuple[dict, str | None]:
                            _pattern(args.forbidden))
         else:
             raise _CliError("usage", "oracle needs a subcommand: mex | ex")
-        return res.to_json(), args.report
+        return res, args.report
     # experiment, the last subcommand
     with open(args.spec, "r", encoding="ascii") as fh:
         try:

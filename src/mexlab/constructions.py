@@ -88,7 +88,7 @@ def norm_graph(q: int, s: int) -> Graph:
 
 @dataclass
 class DeletionRun:
-    pattern_name: str
+    pattern: str
     u: int
     r: int
     n: int
@@ -103,17 +103,6 @@ class DeletionRun:
     copies_found: int
     edges_deleted: int
     f_free: bool
-
-    def to_json(self) -> dict:
-        return {
-            "pattern": self.pattern_name, "u": self.u, "r": self.r,
-            "n": self.n, "seed": self.seed, "c": self.c, "p": self.p,
-            "clamped": self.clamped,
-            "kuBefore": self.ku_before, "krBefore": self.kr_before,
-            "kuAfter": self.ku_after, "krAfter": self.kr_after,
-            "copiesFound": self.copies_found, "edgesDeleted": self.edges_deleted,
-            "fFree": self.f_free,
-        }
 
 
 def deletion_method(f: Pattern, u: int, r: int, n: int, seed: int,

@@ -41,15 +41,14 @@ class GuaranteeCheck:
     lhs: float | None = None
     rhs: float | None = None
     constant: float | None = None
-    cases: list | None = None
 
-    def to_json(self) -> dict:
-        out = {"applicable": self.applicable, "passed": self.passed,
-               "lhs": self.lhs, "rhs": self.rhs, "constant": self.constant}
-        if self.cases is not None:
-            out["cases"] = [c.to_json() if isinstance(c, GuaranteeCheck) else c
-                            for c in self.cases]
-        return out
+
+@dataclass
+class GuaranteeCases(GuaranteeCheck):
+    """Guarantee (d): one check per clique size 2..r, and it passes when
+    every case does."""
+
+    cases: list = field(default_factory=list)
 
 
 @dataclass
@@ -64,17 +63,6 @@ class ExtractionReport:
 
     def all_guarantees_pass(self) -> bool:
         return all(g.passed for g in self.guarantees.values() if g.applicable)
-
-    def to_json(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "e1Count": self.e1_count,
-            "e2Count": self.e2_count,
-            "n0": self.n0,
-            "cliques": self.cliques.to_json(),
-            "hypothesisMet": self.hypothesis_met,
-            "guarantees": {k: v.to_json() for k, v in self.guarantees.items()},
-        }
 
 
 def _ge(lhs: float, rhs: float) -> bool:
@@ -142,7 +130,7 @@ def extract_dense(g: Graph, params: ExtractionParams):
             ok = _ge(cliques[i], rhs_i)
             all_pass = all_pass and ok
             cases.append(GuaranteeCheck(True, ok, float(cliques[i]), rhs_i, ci))
-        guarantees["d"] = GuaranteeCheck(True, all_pass, cases=cases)
+        guarantees["d"] = GuaranteeCases(True, all_pass, cases=cases)
         if alpha == 1.0:
             dense_const = edge_const / (c0 * c0)
             rhs_e = dense_const * n0 * n0

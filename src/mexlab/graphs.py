@@ -287,9 +287,6 @@ class CliqueVector:
     def __getitem__(self, r: int) -> int:
         return self.counts[r]
 
-    def to_json(self) -> dict:
-        return {f"k{r}": self.counts[r] for r in range(1, self.R + 1)}
-
 
 # A clique-tree node goes on the stack, where it may pivot, only with more
 # than _PIVOT_DEPTH clique sizes left to count and _PIVOT_PROBE or more

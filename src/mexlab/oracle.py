@@ -320,19 +320,13 @@ def _children(g: Graph, max_vertices: int):
 
 @dataclass
 class OracleResult:
+    """graphs_examined counts every child generated, including those skipped
+    unbuilt as duplicates within an Aut(parent) orbit."""
+
     value: int
     witness: Graph
     graphs_examined: int
     iso_classes_examined: int
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "witness": {"n": self.witness.n,
-                        "edges": [[u, v] for u, v in self.witness.edges()]},
-            "graphsExamined": self.graphs_examined,
-            "isoClassesExamined": self.iso_classes_examined,
-        }
 
 
 def _best(target: Pattern, candidates, levels: list, examined: int,

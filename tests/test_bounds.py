@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -96,6 +96,44 @@ def test_specialization_identity():
                 a = thm15_general(u, r, pattern(f"K{s}_{t}")).value
                 b = thm41_kst_lower(u, r, s, t).value
                 assert abs(a - b) < 1e-12
+
+
+def _thm41_closed_form(u, r, s, t):
+    """Thm 4.1's exponent as the paper states it; None at a zero denominator."""
+    num = 2 * r * s * t - r * (r - 1) * (s + t) - r * (r - 1) * (r - 2)
+    den = 2 * u * s * t - u * (u - 1) * (s + t) - u * r * (r - 1) + 2 * u * (u - 1)
+    return Fraction(num, den) if den != 0 else None
+
+
+def test_thm41_is_its_closed_form_exactly():
+    zero_denominators = 0
+    for r in range(3, 7):
+        for u in range(2, r):
+            for s in range(1, 9):
+                for t in range(s, 9):
+                    want = _thm41_closed_form(u, r, s, t)
+                    rep = thm41_kst_lower(u, r, s, t)
+                    assert rep.value_rational == want
+                    assert rep.value == (None if want is None else float(want))
+                    zero_denominators += want is None
+    assert zero_denominators
+    # s = t = 1 is thm41's own case: thm15 refuses a pattern on two vertices
+    assert thm41_kst_lower(2, 3, 1, 1).value_rational == Fraction(3, 2)
+    with pytest.raises(ValueError):
+        thm15_general(2, 3, pattern("K1_1"))
+    assert thm41_kst_lower(2, 3, 1, 5).value is None  # 4st - 2(s+t) - 8 = 0
+
+
+def test_multipartite_exponents_are_their_closed_forms_exactly():
+    for r, top in [(3, 6), (4, 4), (5, 3)]:
+        for sizes in combinations_with_replacement(range(1, top + 1), r):
+            s = r - Fraction(1, math.prod(sizes[:-1]))
+            rep = thm43_multipartite(r, sizes)
+            assert rep.aux["s_effective"] == s
+            assert rep.value_rational == (r - 1) * s / (r + s - 2)
+            if r == 3:
+                upper = cor44_tripartite_lower(*sizes).aux["upper"]
+                assert upper == Fraction(3, 2) - Fraction(1, 8 * sizes[0] * sizes[1] - 2)
 
 
 def test_composition_identity():

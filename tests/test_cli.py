@@ -1,10 +1,12 @@
 """CLI contract: subcommands, exit codes, JSON schema, round trips."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -22,18 +24,21 @@ from hypothesis import strategies as st
 import mexlab
 from conftest import recursion_headroom
 from mexlab import bounds as bounds_mod
-from mexlab.bounds import (cor12_exponent, cor14_kst, cor17_classifier,
-                           cor44_tripartite_lower, lemma_constant,
-                           remark42_one_part, thm13_f, thm15_general,
-                           thm41_kst_lower, thm43_multipartite,
+from mexlab.bounds import (Condition, ExponentReport, cor12_exponent,
+                           cor14_kst, cor17_classifier, cor44_tripartite_lower,
+                           lemma_constant, remark42_one_part, thm13_f,
+                           thm15_general, thm41_kst_lower, thm43_multipartite,
                            thm46_join_cycle)
-from mexlab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from mexlab.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, _encode,
+                        main)
 from mexlab.constructions import (EXPERIMENT_MAX_INSTANCES,
-                                  NORM_GRAPH_MAX_VERTICES, norm_graph)
+                                  NORM_GRAPH_MAX_VERTICES, DeletionRun,
+                                  norm_graph)
+from mexlab.extraction import ExtractionReport, GuaranteeCases, GuaranteeCheck
 from mexlab.graphs import (LITERAL_MAX_EDGES, complete, format_edge_list, gnp,
                            load_edge_list, parse_pattern_literal, pattern,
                            read_edge_list, save_edge_list)
-from mexlab.oracle import ORACLE_MAX_EDGES, ORACLE_MAX_N
+from mexlab.oracle import ORACLE_MAX_EDGES, ORACLE_MAX_N, OracleResult
 from test_embeddings import LITERALS
 
 
@@ -141,6 +146,11 @@ def test_bounds_unknown_formula(capsys, schema):
     assert code == EXIT_VALIDATION and obj["code"] == "invalid-params"
 
 
+def encoded(report):
+    """The JSON object the CLI writes for a report object."""
+    return json.loads(json.dumps(report, default=_encode))
+
+
 def scalar_report(fid, params, value, rational=None):
     """The report of a formula whose bounds function returns a bare value."""
     return {"formulaId": fid, "params": params, "value": value,
@@ -156,15 +166,15 @@ BOUNDS_CASES = [
      lambda: scalar_report("lemma21_constant", {"u": 2, "r": 3}, lemma_constant(2, 3))),
     ("lemma21_constant", "u=2.0,r=6/2", lambda: scalar_report(
         "lemma21_constant", {"u": 2.0, "r": "3"}, lemma_constant(2, 3))),
-    ("cor14_kst", "r=3,s=2", lambda: cor14_kst(3, 2).to_json()),
-    ("cor14_kst", "r=3,s=3", lambda: cor14_kst(3, 3).to_json()),
-    ("cor14_kst", "r=4,s=6.0", lambda: cor14_kst(4, 6).to_json()),
+    ("cor14_kst", "r=3,s=2", lambda: encoded(cor14_kst(3, 2))),
+    ("cor14_kst", "r=3,s=3", lambda: encoded(cor14_kst(3, 3))),
+    ("cor14_kst", "r=4,s=6.0", lambda: encoded(cor14_kst(4, 6))),
     ("thm15_general", "u=2,r=3,f=K3_4",
-     lambda: thm15_general(2, 3, pattern("K3_4")).to_json()),
+     lambda: encoded(thm15_general(2, 3, pattern("K3_4")))),
     ("thm15_general", "u=2,r=3,f=K3_5",
-     lambda: thm15_general(2, 3, pattern("K3_5")).to_json()),
+     lambda: encoded(thm15_general(2, 3, pattern("K3_5")))),
     ("thm15_general", "u=2,r=3,f=K4_4",
-     lambda: thm15_general(2, 3, pattern("K4_4")).to_json()),
+     lambda: encoded(thm15_general(2, 3, pattern("K4_4")))),
     ("cor12", "r=4,s=1.5",
      lambda: scalar_report("cor12", {"r": 4, "s": 1.5}, cor12_exponent(4, 1.5))),
     ("cor12", "r=4,s=3/2", lambda: scalar_report(
@@ -183,23 +193,23 @@ BOUNDS_CASES = [
         float(thm13_f(Fraction(3, 2), Fraction(5, 4))),
         str(thm13_f(Fraction(3, 2), Fraction(5, 4))))),
     ("thm41_kst_lower", "u=2,r=3,s=3,t=4",
-     lambda: thm41_kst_lower(2, 3, 3, 4).to_json()),
+     lambda: encoded(thm41_kst_lower(2, 3, 3, 4))),
     ("thm43_multipartite", "r=3,s=2+2+2",
-     lambda: thm43_multipartite(3, [2, 2, 2]).to_json()),
+     lambda: encoded(thm43_multipartite(3, [2, 2, 2]))),
     ("thm43_multipartite", "r=3,s=1+2+2",
-     lambda: thm43_multipartite(3, [1, 2, 2]).to_json()),
+     lambda: encoded(thm43_multipartite(3, [1, 2, 2]))),
     ("thm43_multipartite", "r=3,s=1+1+2",
-     lambda: thm43_multipartite(3, [1, 1, 2]).to_json()),
+     lambda: encoded(thm43_multipartite(3, [1, 1, 2]))),
     ("remark42_one_part", "r=3,s=1+2+2",
-     lambda: remark42_one_part(3, [1, 2, 2]).to_json()),
+     lambda: encoded(remark42_one_part(3, [1, 2, 2]))),
     ("remark42_one_part", "r=4,s=2+2+2+2",
-     lambda: remark42_one_part(4, [2, 2, 2, 2]).to_json()),
+     lambda: encoded(remark42_one_part(4, [2, 2, 2, 2]))),
     ("cor44_tripartite_lower", "s1=1,s2=2,s3=3",
-     lambda: cor44_tripartite_lower(1, 2, 3).to_json()),
+     lambda: encoded(cor44_tripartite_lower(1, 2, 3))),
     ("cor44_tripartite_lower", "s1=2,s2=3,s3=4",
-     lambda: cor44_tripartite_lower(2, 3, 4).to_json()),
-    ("thm46_join_cycle", "r=4,s=1,l=4", lambda: thm46_join_cycle(4, 1, 4).to_json()),
-    ("thm46_join_cycle", "r=3,s=1,l=5", lambda: thm46_join_cycle(3, 1, 5).to_json()),
+     lambda: encoded(cor44_tripartite_lower(2, 3, 4))),
+    ("thm46_join_cycle", "r=4,s=1,l=4", lambda: encoded(thm46_join_cycle(4, 1, 4))),
+    ("thm46_join_cycle", "r=3,s=1,l=5", lambda: encoded(thm46_join_cycle(3, 1, 5))),
     ("cor17_classifier", "f=K4,t=3", lambda: scalar_report(
         "cor17_classifier", {"f": "K4", "t": 3}, cor17_classifier(pattern("K4"), 3))),
     ("cor17_classifier", "f=C5,t=3", lambda: scalar_report(
@@ -228,6 +238,76 @@ def test_bounds_table_matches_library(fid, params, expected, capsys, schema,
     assert out == json.dumps(expected(), indent=2) + "\n"
     jsonschema.validate(json.loads(out), schema)
     assert calls, "a tracer rebinding bounds functions would miss this call"
+
+
+# One report of each kind as its JSON text, written out here so that the
+# format is checked without the CLI's encoder: key names and order, exact
+# rationals as text, graphs as edge lists, and (d)'s case list next to a
+# non-applicable (e).
+PINNED_REPORTS = [
+    (["bounds", "--formula", "thm43_multipartite", "--params", "r=3,s=1+2+2"],
+     '{"formulaId": "thm43_multipartite", "params": {"r": 3, "sizes": [1, 2, 2]}, '
+     '"value": 1.4285714285714286, "valueRational": "10/7", "conditions": [], '
+     '"tight": false, "aux": {"s_effective": "5/2", "improved": "5/4"}}'),
+    (["extract", "--input", "K12", "--r", "4", "--alpha", "0.8", "--C", "0.5"],
+     '{"threshold": 3.0879223437469046, "e1Count": 0, "e2Count": 66, "n0": 12, '
+     '"cliques": {"k1": 12, "k2": 66, "k3": 220, "k4": 495}, "hypothesisMet": true, '
+     '"guarantees": {'
+     '"a": {"applicable": true, "passed": true, "lhs": 66.0, '
+     '"rhs": 34.96880392755483, "constant": 1.224744871391589}, '
+     '"b": {"applicable": true, "passed": true, "lhs": 495.0, '
+     '"rhs": 203.8028746872957, "constant": 0.25}, '
+     '"c": {"applicable": true, "passed": true, "lhs": 12.0, '
+     '"rhs": 53.116047227067845, "constant": 2.8284271247461903}, '
+     '"d": {"applicable": true, "passed": true, "lhs": null, "rhs": null, '
+     '"constant": null, "cases": ['
+     '{"applicable": true, "passed": true, "lhs": 66.0, '
+     '"rhs": 6.387695479885833, "constant": 0.37324518028581277}, '
+     '{"applicable": true, "passed": true, "lhs": 220.0, '
+     '"rhs": 7.61044495134862, "constant": 0.1074942058857717}, '
+     '{"applicable": true, "passed": true, "lhs": 495.0, '
+     '"rhs": 6.800442257292316, "constant": 0.02321866076776481}]}, '
+     '"e": {"applicable": false, "passed": null, "lhs": null, "rhs": null, '
+     '"constant": null}}}'),
+    (["construct", "deletion", "--pattern", "K3_4", "--u", "2", "--r", "3",
+      "--n", "40", "--seed", "4", "--c", "2.0"],
+     '{"pattern": "K3_4", "u": 2, "r": 3, "n": 40, "seed": 4, "c": 2.0, '
+     '"p": 0.2576301385940816, "clamped": false, "kuBefore": 196, "krBefore": 155, '
+     '"kuAfter": 192, "krAfter": 138, "copiesFound": 18, "edgesDeleted": 4, '
+     '"fFree": true}'),
+    (["oracle", "mex", "--m", "4", "--target", "K3", "--forbidden", "K4"],
+     '{"value": 1, "witness": {"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [2, 3]]}, '
+     '"graphsExamined": 39, "isoClassesExamined": 20}'),
+    (["count", "--input", "K2_2_2", "--max-clique", "3"],
+     '{"k1": 6, "k2": 12, "k3": 8}'),
+]
+
+
+@pytest.mark.parametrize("argv,text", PINNED_REPORTS,
+                         ids=[argv[0] for argv, _ in PINNED_REPORTS])
+def test_report_text_is_pinned(argv, text, capsys):
+    # json.loads keeps key order, so the re-indented text is the CLI's byte
+    # for byte
+    code, out = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("cls,name", [
+    (Condition, "condition"), (ExponentReport, "exponent"),
+    (GuaranteeCases, "guarantee"), (ExtractionReport, "extraction"),
+    (DeletionRun, "deletionRun"), (OracleResult, "oracleResult")])
+def test_report_fields_are_the_schema_properties(cls, name, schema):
+    # the CLI writes a report's fields in order under camelCase names, so a
+    # renamed field would change the output; here it fails instead
+    fields = [re.sub(r"_(\w)", lambda m: m[1].upper(), f.name)
+              for f in dataclasses.fields(cls)]
+    assert fields == list(schema["$defs"][name]["properties"])
+
+
+def test_only_guarantee_d_has_cases():
+    names = [f.name for f in dataclasses.fields(GuaranteeCheck)]
+    assert names + ["cases"] == [f.name for f in dataclasses.fields(GuaranteeCases)]
 
 
 @pytest.mark.parametrize("fid,params,key", [

@@ -114,7 +114,7 @@ def test_deletion_run_small():
     assert run.ku_after <= run.ku_before and run.kr_after <= run.kr_before
     assert run.edges_deleted <= run.copies_found or run.copies_found == 0
     g2, run2 = deletion_method(f, 2, 3, 60, seed=1)
-    assert g == g2 and run.to_json() == run2.to_json()
+    assert g == g2 and run == run2
 
 
 def test_deletion_actually_deletes_when_copies_exist():

@@ -112,7 +112,7 @@ def test_determinism():
     a = extract_dense(g, ExtractionParams(3, 0.9, 0.3))
     b = extract_dense(g, ExtractionParams(3, 0.9, 0.3))
     assert a[0] == b[0]
-    assert a[1].to_json() == b[1].to_json()
+    assert a[1] == b[1]
 
 
 def test_fractional_alpha():
