@@ -43,11 +43,15 @@ class Condition:
 class ExponentReport:
     formula_id: str
     params: dict
-    value: float | bool | None
+    value: float | bool | None = None  # float(value_rational) when unset
     value_rational: Fraction | None = None
     conditions: list = field(default_factory=list)
     tight: bool = False
     aux: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.value is None and self.value_rational is not None:
+            self.value = float(self.value_rational)
 
     def failed_conditions(self) -> list:
         return [c for c in self.conditions if c.passed is False]
@@ -104,8 +108,8 @@ def cor14_kst(r: int, s: int) -> ExponentReport:
         Condition(f"upper bound requires s >= {s_min} (and t >= s)", s >= s_min),
         Condition(f"tightness requires t >= (s-1)!+1 = {t_min}", None),
     ]
-    return ExponentReport("cor14_kst", {"r": r, "s": s}, float(frac), frac,
-                          conditions, tight)
+    return ExponentReport("cor14_kst", {"r": r, "s": s}, value_rational=frac,
+                          conditions=conditions, tight=tight)
 
 
 def _thm15_exponent(u: int, r: int, v: int, e: int) -> Fraction | None:
@@ -135,8 +139,7 @@ def thm15_general(u: int, r: int, f: Pattern) -> ExponentReport:
     conditions = [Condition(COND_EDGE_COUNT, c1), Condition(COND_MADC, c2)]
     return ExponentReport("thm15_general",
                           {"u": u, "r": r, "pattern": f.name, "v": v, "e": e},
-                          float(frac) if frac is not None else None,
-                          frac, conditions, tight=False)
+                          value_rational=frac, conditions=conditions)
 
 
 def thm41_kst_lower(u: int, r: int, s: int, t: int) -> ExponentReport:
@@ -149,8 +152,7 @@ def thm41_kst_lower(u: int, r: int, s: int, t: int) -> ExponentReport:
     s_min = max(_binom2(r), 2 * r - 2)
     conditions = [Condition(f"s >= max(r(r-1)/2, 2r-2) = {s_min}", s >= s_min)]
     return ExponentReport("thm41_kst_lower", {"u": u, "r": r, "s": s, "t": t},
-                          float(frac) if frac is not None else None,
-                          frac, conditions, tight=False)
+                          value_rational=frac, conditions=conditions)
 
 
 def _validate_parts(r: int, sizes) -> list[int]:
@@ -179,7 +181,7 @@ def thm43_multipartite(r: int, sizes) -> ExponentReport:
     if sizes[0] == 1:
         aux["improved"] = _one_part_exponent(r, sizes)
     return ExponentReport("thm43_multipartite", {"r": r, "sizes": sizes},
-                          float(frac), frac, [], tight=False, aux=aux)
+                          value_rational=frac, aux=aux)
 
 
 def _one_part_exponent(r: int, sizes) -> Fraction:
@@ -194,8 +196,7 @@ def remark42_one_part(r: int, sizes) -> ExponentReport:
     conditions = [Condition("smallest part size is 1", cond)]
     frac = _one_part_exponent(r, sizes) if cond else None
     return ExponentReport("remark42_one_part", {"r": r, "sizes": sizes},
-                          float(frac) if frac is not None else None,
-                          frac, conditions, tight=False)
+                          value_rational=frac, conditions=conditions)
 
 
 def cor44_tripartite_lower(s1: int, s2: int, s3: int) -> ExponentReport:
@@ -212,8 +213,7 @@ def cor44_tripartite_lower(s1: int, s2: int, s3: int) -> ExponentReport:
     if applicable:
         lower = Fraction(3, 2) - Fraction(3 * sig - 6, 4 * prd - 2 * sig - 8)
     return ExponentReport("cor44_tripartite_lower", {"s1": s1, "s2": s2, "s3": s3},
-                          float(lower) if lower is not None else None,
-                          lower, conditions, tight=False,
+                          value_rational=lower, conditions=conditions,
                           aux={"upper": upper})
 
 
@@ -235,7 +235,7 @@ def thm46_join_cycle(r: int, s: int, l: int) -> ExponentReport:
         frac = Fraction(r, 2)
         tight = True
     return ExponentReport("thm46_join_cycle", {"r": r, "s": s, "l": l},
-                          float(frac), frac, conditions, tight)
+                          value_rational=frac, conditions=conditions, tight=tight)
 
 
 def cor17_classifier(f: Pattern, t: int) -> bool:

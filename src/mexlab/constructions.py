@@ -21,32 +21,6 @@ DELETION_MAX_COPIES = 10000
 EXPERIMENT_MAX_INSTANCES = 32
 
 
-@dataclass(frozen=True)
-class NormGraphParams:
-    q: int
-    s: int
-
-    def __post_init__(self):
-        # q^(s-1) (q-1) is at least q - 1 and 2^(s-1): bound q and s before
-        # the trial-division primality test and the power
-        if (self.q - 1 > NORM_GRAPH_MAX_VERTICES
-                or self.s > NORM_GRAPH_MAX_VERTICES.bit_length()):
-            raise ValueError(f"(q, s) = ({self.q}, {self.s}) has over "
-                             f"{NORM_GRAPH_MAX_VERTICES} vertices")
-        if not is_prime(self.q):
-            raise ValueError(f"q = {self.q} is not prime")
-        if self.s < 2:
-            raise ValueError("s must be >= 2")
-        n = self.q ** (self.s - 1) * (self.q - 1)
-        if n > NORM_GRAPH_MAX_VERTICES:
-            raise ValueError(f"vertex count {n} exceeds cap {NORM_GRAPH_MAX_VERTICES}")
-        # every vertex has degree at most q^(s-1) - 1
-        edges = n * (self.q ** (self.s - 1) - 1) // 2
-        if edges > LITERAL_MAX_EDGES:
-            raise ValueError(f"(q, s) = ({self.q}, {self.s}) has up to {edges} "
-                             f"edges, above cap {LITERAL_MAX_EDGES}")
-
-
 def norm_graph(q: int, s: int) -> Graph:
     """Graph on GF(q^(s-1)) x GF(q)* with (A,a) ~ (B,b) iff N(A+B) = a*b.
 
@@ -54,10 +28,25 @@ def norm_graph(q: int, s: int) -> Graph:
     gets index A_idx*(q-1) + (a-1) where A_idx enumerates GF(q^(s-1)) in
     base-q counting order of coefficient vectors.
     """
-    NormGraphParams(q, s)
+    # q^(s-1) (q-1) is at least q - 1 and 2^(s-1): bound q and s before the
+    # trial-division primality test and the power
+    if q - 1 > NORM_GRAPH_MAX_VERTICES or s > NORM_GRAPH_MAX_VERTICES.bit_length():
+        raise ValueError(f"(q, s) = ({q}, {s}) has over "
+                         f"{NORM_GRAPH_MAX_VERTICES} vertices")
+    if not is_prime(q):
+        raise ValueError(f"q = {q} is not prime")
+    if s < 2:
+        raise ValueError("s must be >= 2")
+    n = q ** (s - 1) * (q - 1)
+    if n > NORM_GRAPH_MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds cap {NORM_GRAPH_MAX_VERTICES}")
+    # every vertex has degree at most q^(s-1) - 1
+    edges = n * (q ** (s - 1) - 1) // 2
+    if edges > LITERAL_MAX_EDGES:
+        raise ValueError(f"(q, s) = ({q}, {s}) has up to {edges} "
+                         f"edges, above cap {LITERAL_MAX_EDGES}")
     F = FiniteField(q, s - 1)
     ext = F.order
-    n = ext * (q - 1)
     norm_of = [None] * ext
     for i in range(ext):
         a = F.from_index(i)

@@ -65,12 +65,12 @@ class ExtractionReport:
         return all(g.passed for g in self.guarantees.values() if g.applicable)
 
 
-def _ge(lhs: float, rhs: float) -> bool:
-    return lhs >= rhs * (1 - REL_SLACK)
-
-
-def _le(lhs: float, rhs: float) -> bool:
-    return lhs <= rhs * (1 + REL_SLACK)
+def _check(lhs: int, rhs: float, constant: float,
+           at_most: bool = False) -> GuaranteeCheck:
+    """The guarantee lhs >= rhs, or lhs <= rhs if at_most, up to REL_SLACK."""
+    passed = (lhs <= rhs * (1 + REL_SLACK) if at_most
+              else lhs >= rhs * (1 - REL_SLACK))
+    return GuaranteeCheck(True, passed, float(lhs), rhs, constant)
 
 
 def extract_dense(g: Graph, params: ExtractionParams):
@@ -108,34 +108,24 @@ def extract_dense(g: Graph, params: ExtractionParams):
     n0_exp = r * (r - 2) * alpha / ((2 - alpha) * r - 2)
     cr = (C / 2.0) * c0 ** (-n0_exp)
 
-    guarantees: dict[str, GuaranteeCheck] = {}
     if not hypothesis_met:
-        for key in ("a", "b", "c", "d", "e"):
-            guarantees[key] = GuaranteeCheck(applicable=False)
+        guarantees = {key: GuaranteeCheck(applicable=False) for key in "abcde"}
     else:
-        rhs_a = edge_const * m ** alpha
-        guarantees["a"] = GuaranteeCheck(True, _ge(e2_count, rhs_a),
-                                         float(e2_count), rhs_a, edge_const)
-        rhs_b = (C / 2) * m ** (alpha * r / 2)
-        guarantees["b"] = GuaranteeCheck(True, _ge(cliques[r], rhs_b),
-                                         float(cliques[r]), rhs_b, C / 2)
-        rhs_c = c0 * m ** (((2 - alpha) * r - 2) / (2 * (r - 2)))
-        guarantees["c"] = GuaranteeCheck(True, _le(n0, rhs_c),
-                                         float(n0), rhs_c, c0)
+        guarantees = {
+            "a": _check(e2_count, edge_const * m ** alpha, edge_const),
+            "b": _check(cliques[r], (C / 2) * m ** (alpha * r / 2), C / 2),
+            "c": _check(n0, c0 * m ** (((2 - alpha) * r - 2) / (2 * (r - 2))),
+                        c0, at_most=True),
+        }
         cases = []
-        all_pass = True
         for i in range(2, r + 1):
             ci = cr if i == r else (cr / lemma_constant(i, r)) ** (i / r)
-            rhs_i = ci * n0 ** (i * (r - 2) * alpha / ((2 - alpha) * r - 2))
-            ok = _ge(cliques[i], rhs_i)
-            all_pass = all_pass and ok
-            cases.append(GuaranteeCheck(True, ok, float(cliques[i]), rhs_i, ci))
-        guarantees["d"] = GuaranteeCases(True, all_pass, cases=cases)
+            cases.append(_check(
+                cliques[i], ci * n0 ** (i * (r - 2) * alpha / ((2 - alpha) * r - 2)), ci))
+        guarantees["d"] = GuaranteeCases(True, all(c.passed for c in cases), cases=cases)
         if alpha == 1.0:
             dense_const = edge_const / (c0 * c0)
-            rhs_e = dense_const * n0 * n0
-            guarantees["e"] = GuaranteeCheck(True, _ge(cliques[2], rhs_e),
-                                             float(cliques[2]), rhs_e, dense_const)
+            guarantees["e"] = _check(cliques[2], dense_const * n0 * n0, dense_const)
         else:
             guarantees["e"] = GuaranteeCheck(applicable=False)
 

@@ -451,14 +451,15 @@ def edge_clique_participation(g: Graph, r: int) -> dict:
 def _twin_classes(g: Graph) -> list[int]:
     """Each vertex's twin class, named by its lowest member.  u and w are
     twins iff N(u) - {w} = N(w) - {u}; twinhood is an equivalence, and every
-    permutation within one class is an automorphism."""
-    adj = g.adj
+    permutation within one class is an automorphism.
 
-    def twins(u: int, w: int) -> bool:
-        pair = 1 << u | 1 << w
-        return adj[u] & ~pair == adj[w] & ~pair
-
-    return [next(u for u in range(v + 1) if twins(u, v)) for v in range(g.n)]
+    False twins share their open row adj[v], true twins their closed row
+    adj[v] | 1 << v.  An open row never equals another vertex's closed row,
+    and no vertex has both a false and a true twin, so one dict maps each
+    row to the first vertex that had it."""
+    first: dict[int, int] = {}
+    return [first.setdefault(row, first.setdefault(row | 1 << v, v))
+            for v, row in enumerate(g.adj)]
 
 
 def _embedding_plan(f: Graph):

@@ -240,6 +240,18 @@ def test_bounds_table_matches_library(fid, params, expected, capsys, schema,
     assert calls, "a tracer rebinding bounds functions would miss this call"
 
 
+def test_bounds_value_is_its_exact_value_as_a_float(capsys, schema):
+    exact = 0
+    for fid, params, _ in BOUNDS_CASES:
+        code, obj = run_json(capsys, schema, "bounds", "--formula", fid,
+                             "--params", params)
+        assert code == EXIT_OK
+        if obj["valueRational"] is not None:
+            assert obj["value"] == float(Fraction(obj["valueRational"])), fid
+            exact += 1
+    assert exact, "no case has an exact value"
+
+
 # One report of each kind as its JSON text, written out here so that the
 # format is checked without the CLI's encoder: key names and order, exact
 # rationals as text, graphs as edge lists, and (d)'s case list next to a
@@ -280,11 +292,84 @@ PINNED_REPORTS = [
      '"graphsExamined": 39, "isoClassesExamined": 20}'),
     (["count", "--input", "K2_2_2", "--max-clique", "3"],
      '{"k1": 6, "k2": 12, "k3": 8}'),
+    # exponent reports with no exact value: a zero denominator, and a
+    # condition that fails
+    (["bounds", "--formula", "thm15_general", "--params", "u=2,r=3,f=S5"],
+     '{"formulaId": "thm15_general", '
+     '"params": {"u": 2, "r": 3, "pattern": "S5", "v": 6, "e": 5}, '
+     '"value": null, "valueRational": null, "conditions": ['
+     '{"text": "e > (r-1)/2*v + r(r-1)/2 - (r-1)", "passed": false}, '
+     '{"text": "madc < (2e-r(r-1))/(v-2)", "passed": false}], '
+     '"tight": false, "aux": {}}'),
+    (["bounds", "--formula", "remark42_one_part", "--params", "r=3,s=2+2+2"],
+     '{"formulaId": "remark42_one_part", "params": {"r": 3, "sizes": [2, 2, 2]}, '
+     '"value": null, "valueRational": null, '
+     '"conditions": [{"text": "smallest part size is 1", "passed": false}], '
+     '"tight": false, "aux": {}}'),
+    (["bounds", "--formula", "cor44_tripartite_lower", "--params", "s1=1,s2=1,s3=1"],
+     '{"formulaId": "cor44_tripartite_lower", "params": {"s1": 1, "s2": 1, "s3": 1}, '
+     '"value": null, "valueRational": null, "conditions": ['
+     '{"text": "(s1*s2+s2*s3+s3*s1)/(s1+s2+s3) > 3/2", "passed": false}], '
+     '"tight": false, "aux": {"upper": "4/3"}}'),
+    (["bounds", "--formula", "cor14_kst", "--params", "r=3,s=4"],
+     '{"formulaId": "cor14_kst", "params": {"r": 3, "s": 4}, '
+     '"value": 1.2857142857142858, "valueRational": "9/7", "conditions": ['
+     '{"text": "upper bound requires s >= 2 (and t >= s)", "passed": true}, '
+     '{"text": "tightness requires t >= (s-1)!+1 = 7", "passed": null}], '
+     '"tight": true, "aux": {}}'),
+    (["bounds", "--formula", "thm46_join_cycle", "--params", "r=4,s=1,l=4"],
+     '{"formulaId": "thm46_join_cycle", "params": {"r": 4, "s": 1, "l": 4}, '
+     '"value": 1.25, "valueRational": "5/4", "conditions": ['
+     '{"text": "l even and r >= s+2, or l odd and r >= s+3", "passed": true}], '
+     '"tight": false, "aux": {}}'),
+    # an extraction where (e) applies (alpha = 1), and one whose input
+    # misses the hypothesis, so that no guarantee applies
+    (["extract", "--input", "K8", "--r", "3", "--alpha", "1.0", "--C", "0.2"],
+     '{"threshold": 0.5291502622129182, "e1Count": 0, "e2Count": 28, "n0": 8, '
+     '"cliques": {"k1": 8, "k2": 28, "k3": 56}, "hypothesisMet": true, '
+     '"guarantees": {'
+     '"a": {"applicable": true, "passed": true, "lhs": 28.0, '
+     '"rhs": 9.959301252572176, "constant": 0.3556893304490063}, '
+     '"b": {"applicable": true, "passed": true, "lhs": 56.0, '
+     '"rhs": 14.816207341961709, "constant": 0.1}, '
+     '"c": {"applicable": true, "passed": true, "lhs": 8.0, '
+     '"rhs": 105.83005244258362, "constant": 20.0}, '
+     '"d": {"applicable": true, "passed": true, "lhs": null, "rhs": null, '
+     '"constant": null, "cases": ['
+     '{"applicable": true, "passed": true, "lhs": 28.0, '
+     '"rhs": 0.056910292871841024, "constant": 0.000889223326122516}, '
+     '{"applicable": true, "passed": true, "lhs": 56.0, '
+     '"rhs": 0.0064, "constant": 1.25e-05}]}, '
+     '"e": {"applicable": true, "passed": true, "lhs": 28.0, '
+     '"rhs": 0.05691029287184101, "constant": 0.0008892233261225158}}}'),
+    (["extract", "--input", "S10", "--r", "3", "--alpha", "1.0", "--C", "1.0"],
+     '{"threshold": 1.5811388300841898, "e1Count": 10, "e2Count": 0, "n0": 0, '
+     '"cliques": {"k1": 0, "k2": 0, "k3": 0}, "hypothesisMet": false, '
+     '"guarantees": {'
+     '"a": {"applicable": false, "passed": null, "lhs": null, "rhs": null, '
+     '"constant": null}, '
+     '"b": {"applicable": false, "passed": null, "lhs": null, "rhs": null, '
+     '"constant": null}, '
+     '"c": {"applicable": false, "passed": null, "lhs": null, "rhs": null, '
+     '"constant": null}, '
+     '"d": {"applicable": false, "passed": null, "lhs": null, "rhs": null, '
+     '"constant": null}, '
+     '"e": {"applicable": false, "passed": null, "lhs": null, "rhs": null, '
+     '"constant": null}}}'),
 ]
 
 
-@pytest.mark.parametrize("argv,text", PINNED_REPORTS,
-                         ids=[argv[0] for argv, _ in PINNED_REPORTS])
+def pin_ids(pins):
+    """The first pin of each subcommand is named by the subcommand; a later
+    one also by its arguments."""
+    ids = []
+    for argv, _ in pins:
+        ids.append(argv[0] if argv[0] not in ids
+                   else "-".join(a for a in argv if not a.startswith("--")))
+    return ids
+
+
+@pytest.mark.parametrize("argv,text", PINNED_REPORTS, ids=pin_ids(PINNED_REPORTS))
 def test_report_text_is_pinned(argv, text, capsys):
     # json.loads keeps key order, so the re-indented text is the CLI's byte
     # for byte

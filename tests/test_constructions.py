@@ -7,9 +7,8 @@ import pytest
 
 from mexlab.bounds import COND_MADC, ConditionError
 from mexlab.constructions import (EXPERIMENT_MAX_INSTANCES, ExperimentSpec,
-                                  NormGraphParams, deletion_method,
-                                  fit_loglog_slope, norm_graph, run_experiment,
-                                  tripartite_parts)
+                                  deletion_method, fit_loglog_slope,
+                                  norm_graph, run_experiment, tripartite_parts)
 from mexlab.graphs import (Pattern, bits, count_cliques, count_copies, gnp,
                            is_free, iter_copies, pattern)
 
@@ -21,9 +20,9 @@ def test_norm_graph_small():
 
 def test_norm_graph_params_validation():
     with pytest.raises(ValueError):
-        NormGraphParams(4, 2)
+        norm_graph(4, 2)
     with pytest.raises(ValueError):
-        NormGraphParams(3, 1)
+        norm_graph(3, 1)
     with pytest.raises(ValueError):
         norm_graph(97, 4)          # vertex cap
 

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from conftest import (bowtie, disjoint_union, hom_brute_force, path,
                       petersen, recursion_headroom)
 from mexlab.bounds import lemma_constant
-from mexlab.graphs import (Graph, Pattern, chromatic_number, complete,
-                           complete_multipartite, count_cliques, count_copies,
-                           cycle, edge_clique_participation, format_edge_list,
-                           gnp, is_free, iter_copies, max_avg_degree,
-                           parse_pattern_literal, pattern, read_edge_list,
-                           splitmix64, star)
+from mexlab.graphs import (Graph, Pattern, _twin_classes, chromatic_number,
+                           complete, complete_multipartite, count_cliques,
+                           count_copies, cycle, edge_clique_participation,
+                           format_edge_list, gnp, is_free, iter_copies,
+                           max_avg_degree, parse_pattern_literal, pattern,
+                           read_edge_list, splitmix64, star)
 
 
 def seeded_graphs(count, max_n=12, ps=(0.3, 0.5, 0.8)):
@@ -197,6 +197,20 @@ def test_star_identity():
         for r in (2, 3, 4, 7, 11):
             expect = sum(math.comb(d, r) for d in g.degrees())
             assert count_copies(pattern(f"S{r}"), g) == expect
+
+
+def test_twin_classes_on_the_graph_atlas():
+    # u and w are twins iff N(u) - {w} = N(w) - {u}; each class is named by
+    # its lowest member
+    nx = pytest.importorskip("networkx")
+    atlas = nx.graph_atlas_g()
+    for atlas_graph in atlas:
+        n = atlas_graph.number_of_nodes()
+        nbrs = [set(atlas_graph[v]) for v in range(n)]
+        expected = [min(u for u in range(n) if nbrs[u] - {w} == nbrs[w] - {u})
+                    for w in range(n)]
+        assert _twin_classes(Graph(n, list(atlas_graph.edges()))) == expected
+    assert len(atlas) == 1253
 
 
 def test_clique_consistency():
