@@ -9,7 +9,7 @@ from .bounds import (ConditionError, ExponentReport, cor12_exponent,
                      thm46_join_cycle)
 from .constructions import (DeletionRun, ExperimentSpec, deletion_method,
                             norm_graph, run_experiment)
-from .extraction import ExtractionParams, ExtractionReport, extract_dense
+from .extraction import ExtractionReport, extract_dense
 from .fields import FiniteField, is_prime
 from .graphs import (CliqueVector, Graph, Pattern, chromatic_number,
                      complete, complete_multipartite, count_cliques,

@@ -3,6 +3,11 @@
 Exit codes: 0 success, 2 validation or precondition failure (a machine
 readable error object is printed), 64 unknown subcommand, 74 file I/O
 failure.  Every randomized run records its seed in its report.
+
+The parser is built once, at import, and holds no per-call state (each
+parse returns a fresh namespace), so `main` may be called many times in one
+process, as perfbench's worker does.  Library names are looked up at call
+time, so a rebound module attribute (a tracing wrapper, say) is what runs.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .bounds import ConditionError
 from .constructions import (CSV_HEADER, ExperimentSpec, deletion_method,
                             finite_number, norm_graph, run_experiment)
 from .constructions import integral as _int
-from .extraction import ExtractionParams, extract_dense
+from .extraction import extract_dense
 from .graphs import (CliqueVector, Graph, Pattern, count_cliques,
                      count_copies, edge_clique_participation, is_free,
                      load_edge_list, parse_pattern_literal, save_edge_list)
@@ -137,9 +142,8 @@ def _pattern(v: str) -> Pattern:
     return Pattern(_load_graph(v), v)
 
 
-# Formula id -> (name of its `bounds` function, its parameters in call order
-# with their kinds).  The name is looked up at call time, so a rebound module
-# attribute (a tracing wrapper, say) is the one that runs.
+# Formula id -> (name of its `bounds` function, looked up at call time, and
+# its parameters in call order with their kinds).
 _FORMULAS = {
     "lemma21_constant": ("lemma_constant", {"u": _int, "r": _int}),
     "cor12": ("cor12_exponent", {"r": _int, "s": _number}),
@@ -182,8 +186,9 @@ def _run_bounds(args) -> bounds_mod.ExponentReport:
 
 
 def _build_parser() -> tuple[_Parser, dict]:
-    """The parser and its subcommand parsers by name."""
-    top = _Parser(prog="mexlab", description=__doc__)
+    """The parser and its subcommand parsers by name.  Its help is the module
+    docstring less the last paragraph, which is about the code."""
+    top = _Parser(prog="mexlab", description=__doc__.rsplit("\n\n", 1)[0])
     sub = top.add_subparsers(dest="command")
 
     p = sub.add_parser("count", help="exact clique counts")
@@ -256,13 +261,15 @@ def _build_parser() -> tuple[_Parser, dict]:
     return top, sub.choices
 
 
+_PARSER, _COMMANDS = _build_parser()
+
+
 def _dispatch(args) -> tuple[object, str | None]:
     """The subcommand's report and the path to write it to (None for
     stdout)."""
     cmd = args.command
     if cmd == "count":
-        g = _load_graph(args.input)
-        return count_cliques(g, args.max_clique), args.out
+        return count_cliques(_load_graph(args.input), args.max_clique), args.out
     if cmd == "participation":
         g = _load_graph(args.input)
         part = edge_clique_participation(g, args.r)
@@ -278,9 +285,8 @@ def _dispatch(args) -> tuple[object, str | None]:
         return {"pattern": args.pattern, "free": is_free(f, g)}, args.out
     if cmd == "extract":
         g = _load_graph(args.input)
-        params = ExtractionParams(args.r, args.alpha, args.C)
         try:
-            out_graph, report = extract_dense(g, params)
+            out_graph, report = extract_dense(g, args.r, args.alpha, args.C)
         except (OverflowError, ZeroDivisionError) as exc:
             raise _CliError("invalid-params",
                             f"extract: r, alpha and C put a threshold or guarantee "
@@ -332,13 +338,12 @@ def _dispatch(args) -> tuple[object, str | None]:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = _build_parser()
-    if argv and not argv[0].startswith("-") and argv[0] not in commands:
+    if argv and not argv[0].startswith("-") and argv[0] not in _COMMANDS:
         _emit({"code": "unknown-command",
                "message": f"unknown subcommand {argv[0]!r}"}, None)
         return EXIT_USAGE
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.command is None:
             raise _CliError("usage", "a subcommand is required")
         _emit(*_dispatch(args))

@@ -301,6 +301,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     if not 3 <= instances <= EXPERIMENT_MAX_INSTANCES:  # before any graph is built
         raise ValueError(f"need 3..{EXPERIMENT_MAX_INSTANCES} instances to fit "
                          f"a slope, got {instances}")
+    if spec.family == "norm_graph" and spec.u != 2:
+        raise ValueError(f"norm_graph predicts k_r against k2 only: u = {spec.u}")
+    if spec.family == "tripartite" and (spec.u, spec.r) != (2, 3):
+        raise ValueError(f"tripartite predicts k3 against k2 only: u = {spec.u}, r = {spec.r}")
     rows: list[ExperimentRow] = []
     if spec.family == "norm_graph":
         for q in spec.q_list:

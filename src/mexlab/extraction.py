@@ -19,21 +19,6 @@ from .graphs import CliqueVector, Graph, count_cliques, edge_clique_participatio
 REL_SLACK = 1e-9  # absorbs float rounding of m**alpha in the flag checks
 
 
-@dataclass(frozen=True)
-class ExtractionParams:
-    r: int
-    alpha: float
-    C: float
-
-    def __post_init__(self):
-        if not 3 <= self.r <= LEMMA_CONSTANT_MAX_R:  # the guarantees need C(i, r)
-            raise ValueError(f"r must lie in 3..{LEMMA_CONSTANT_MAX_R}")
-        if not 2.0 / self.r < self.alpha <= 1.0:
-            raise ValueError("alpha must lie in (2/r, 1]")
-        if not (math.isfinite(self.C) and self.C > 0):
-            raise ValueError(f"C must be a finite positive number, got {self.C}")
-
-
 @dataclass
 class GuaranteeCheck:
     applicable: bool
@@ -73,16 +58,25 @@ def _check(lhs: int, rhs: float, constant: float,
     return GuaranteeCheck(True, passed, float(lhs), rhs, constant)
 
 
-def extract_dense(g: Graph, params: ExtractionParams):
+def extract_dense(g: Graph, r: int, alpha: float, C: float):
     """Filter low-participation edges once and verify the output guarantees.
+
+    The clique size r lies in 3..LEMMA_CONSTANT_MAX_R (the guarantees need
+    C(i, r)), the density exponent alpha in (2/r, 1] and the constant C in
+    (0, inf); any other value is a ValueError, raised before g is read.
 
     Returns (subgraph, report).  The subgraph is induced by the surviving
     edge set and relabeled over its non-isolated vertices in sorted order.
     """
+    if not 3 <= r <= LEMMA_CONSTANT_MAX_R:
+        raise ValueError(f"r must lie in 3..{LEMMA_CONSTANT_MAX_R}")
+    if not 2.0 / r < alpha <= 1.0:
+        raise ValueError("alpha must lie in (2/r, 1]")
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError(f"C must be a finite positive number, got {C}")
     m = g.m
     if m == 0:
         raise ValueError("input graph has no edges")
-    r, alpha, C = params.r, params.alpha, params.C
 
     participation = edge_clique_participation(g, r)
     tau = 0.5 * C * m ** ((alpha * r - 2) / 2)

@@ -608,16 +608,12 @@ class Pattern:
         return f"Pattern({self.name})"
 
 
-def pattern(spec, name: str | None = None) -> Pattern:
-    """Build a Pattern from a Graph or a shorthand literal like 'K3_4'."""
-    if isinstance(spec, Pattern):
-        return spec
-    if isinstance(spec, Graph):
-        return Pattern(spec, name)
-    g = parse_pattern_literal(spec)
+def pattern(text: str) -> Pattern:
+    """The Pattern of a shorthand literal like 'K3_4', named by it."""
+    g = parse_pattern_literal(text)
     if g is None:
-        raise ValueError(f"not a pattern literal: {spec!r}")
-    return Pattern(g, name or spec)
+        raise ValueError(f"not a pattern literal: {text!r}")
+    return Pattern(g, text)
 
 
 def count_copies(f: Pattern, g: Graph) -> int:

@@ -26,7 +26,7 @@ from mexlab.bounds import (COND_EDGE_COUNT, COND_MADC, cor14_kst,
                            thm15_general, thm41_kst_lower)
 from mexlab.constructions import (ExperimentSpec, deletion_method, norm_graph,
                                   run_experiment)
-from mexlab.extraction import ExtractionParams, extract_dense
+from mexlab.extraction import extract_dense
 from mexlab.graphs import Pattern, complete, count_cliques, gnp, is_free, pattern
 from mexlab.oracle import mex_exact
 
@@ -74,11 +74,10 @@ def _complete_plus_matching(n, extra):
 
 def test_criterion_3_extraction_guarantees():
     t0 = time.time()
-    params = ExtractionParams(3, 1.0, 0.2)
     met = []
     for n in range(6, 17):
         for extra in range(0, 15, 2):
-            out, rep = extract_dense(_complete_plus_matching(n, extra), params)
+            out, rep = extract_dense(_complete_plus_matching(n, extra), 3, 1.0, 0.2)
             if rep.hypothesis_met:
                 met.append(rep)
             if len(met) == 50:
@@ -86,7 +85,7 @@ def test_criterion_3_extraction_guarantees():
         if len(met) == 50:
             break
     flags_ok = all(rep.all_guarantees_pass() for rep in met)
-    out, rep = extract_dense(_complete_plus_matching(10, 20), params)
+    out, rep = extract_dense(_complete_plus_matching(10, 20), 3, 1.0, 0.2)
     exact_ok = out == complete(10)
     elapsed = time.time() - t0
     criterion("3", len(met) == 50 and flags_ok and exact_ok and elapsed < 5,

@@ -29,8 +29,8 @@ from mexlab.bounds import (Condition, ExponentReport, cor12_exponent,
                            lemma_constant, remark42_one_part, thm13_f,
                            thm15_general, thm41_kst_lower, thm43_multipartite,
                            thm46_join_cycle)
-from mexlab.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, _encode,
-                        main)
+from mexlab.cli import (_COMMANDS, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
+                        _build_parser, _encode, _Parser, main)
 from mexlab.constructions import (EXPERIMENT_MAX_INSTANCES,
                                   NORM_GRAPH_MAX_VERTICES, DeletionRun,
                                   norm_graph)
@@ -571,6 +571,28 @@ def test_experiment_rejects_malformed_spec(spec, tmp_path, capsys, schema):
     assert not (tmp_path / "rows.csv").exists()
 
 
+@pytest.mark.parametrize("spec", [
+    # cor14_kst is k_r against edges; the fit was k3 against k3
+    {"family": "norm_graph", "q": [3, 5, 7], "s": 3, "u": 3, "r": 3},
+    # 11/9 is k3 against k2; the fit was k2 against k3
+    {"family": "tripartite", "n": [64, 125, 216], "u": 3, "r": 2},
+])
+def test_experiment_refuses_clique_sizes_its_prediction_is_not_for(
+        spec, tmp_path, capsys, schema, monkeypatch):
+    def build(*args):
+        raise AssertionError("a graph was built")
+
+    for name in ("norm_graph", "complete_multipartite"):
+        monkeypatch.setattr(f"mexlab.constructions.{name}", build)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, obj = run_json(capsys, schema, "experiment", str(path),
+                         "--csv", str(tmp_path / "rows.csv"))
+    assert code == EXIT_VALIDATION and obj["code"] == "invalid-params"
+    assert obj["message"].startswith(f"{spec['family']} predicts ")
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_exit_codes(capsys, schema):
     code, obj = run_json(capsys, schema, "frobnicate")
     assert code == EXIT_USAGE and obj["code"] == "unknown-command"
@@ -586,6 +608,84 @@ def test_exit_codes(capsys, schema):
         code, obj = run_json(capsys, schema, "--threads", threads, "count",
                              "--input", "K5", "--max-clique", "3")
         assert code == EXIT_VALIDATION and obj["code"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [[], ["construct"], ["oracle"]])
+def test_a_missing_subcommand_is_a_usage_error(argv, capsys, schema):
+    code, obj = run_json(capsys, schema, *argv)
+    assert code == EXIT_VALIDATION and obj["code"] == "usage"
+
+
+def test_main_gives_the_same_results_run_again_in_one_process(tmp_path, capsys):
+    # One parser serves every call, so no call may depend on the ones before.
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    k8 = inputs / "k8.el"
+    save_edge_list(complete(8), k8)
+    spec = inputs / "spec.json"
+    spec.write_text(json.dumps({"family": "tripartite", "n": [16, 32, 64]}))
+    argvs = [
+        ["count", "--input", str(k8), "--max-clique", "3", "--out", str(out / "c.json")],
+        ["count", "--input", str(inputs / "missing.el"), "--max-clique", "3"],
+        ["count", "--input", "K5"],
+        ["participation", "--input", "K4", "--r", "3"],
+        ["pattern-count", "--pattern", "C4", "--input", "K2_3"],
+        ["free-check", "--pattern", "K3", "--input", "S5"],
+        ["extract", "--input", str(k8), "--r", "3", "--alpha", "1", "--C", "0.2",
+         "--report", str(out / "rep.json"), "--out", str(out / "x.el")],
+        ["extract", "--input", "K8", "--r", "21", "--alpha", "1", "--C", "1"],
+        ["bounds", "--formula", "cor14_kst", "--params", "r=3,s=3"],
+        ["bounds", "--formula", "nope"],
+        ["construct", "norm-graph", "--q", "5", "--s", "2", "--out", str(out / "h.el")],
+        ["construct", "deletion", "--pattern", "K3_4", "--u", "2", "--r", "3",
+         "--n", "40", "--seed", "1", "--out", str(out / "g.el"),
+         "--report", str(out / "del.json")],
+        ["construct"],
+        ["oracle", "mex", "--m", "4", "--target", "K1_2", "--forbidden", "K2_2"],
+        ["oracle", "ex", "--n", "5", "--target", "K3", "--forbidden", "K2_2"],
+        ["oracle"],
+        ["experiment", str(spec), "--csv", str(out / "rows.csv")],
+        ["frobnicate"],
+        ["--threads", "4", "count", "--input", "K5", "--max-clique", "3"],
+        [],
+    ]
+    assert {argv[0] for argv in argvs if argv} >= set(_COMMANDS)
+
+    def run(argv):
+        code = main(list(argv))
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        for path in out.iterdir():
+            path.unlink()
+        return code, capsys.readouterr().out, files
+
+    forward = [run(argv) for argv in argvs]
+    backward = [run(argv) for argv in reversed(argvs)][::-1]
+    for argv, first, again in zip(argvs, forward, backward):
+        assert first == again, argv
+    assert {code for code, _, _ in forward} == {EXIT_OK, EXIT_VALIDATION, EXIT_USAGE,
+                                                EXIT_IO}
+    assert sum(len(files) for _, _, files in forward) == 7  # every file asked for
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = _Parser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Parser, "__init__", counted_init)
+    _build_parser()
+    assert len(built) > 1  # the counter sees the top parser and its subparsers
+    built.clear()
+    for argv in (["bounds", "--formula", "cor14_kst", "--params", "r=3,s=2"],
+                 ["count", "--input", "K4", "--max-clique", "3"],
+                 ["construct"], ["count"], ["frobnicate"], []):
+        main(argv)
+    capsys.readouterr()
+    assert built == []
 
 
 def test_deep_clique_sizes_exit_zero(capsys, schema):
