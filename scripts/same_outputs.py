@@ -11,7 +11,9 @@ inputs are written into both sides, and each query's argv runs once through
 `python3 -m mexlab.cli` on each side.  After every query the exit code, the
 stdout and every file in the workload's directory must be the same on both
 sides.  The script prints the first argv that differs and exits 1, or
-prints how many queries it compared and exits 0.
+prints how many queries it compared and exits 0.  When the staged tree is
+--parent's own tree, so that an unstaged change would go unrun, it exits 2
+before it runs anything.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_pairs import ROOT, prepare
+from bench_pairs import ROOT, _git, prepare
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (perfbench/ is not a package)
@@ -50,6 +52,10 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, type=parse_seeds, metavar="A-B",
                     help="the workload seeds to compare")
     args = ap.parse_args(argv)
+    if _git("write-tree") == _git("rev-parse", f"{args.parent}^{{tree}}"):
+        print(f"the staged tree is the tree of {args.parent}: stage the change "
+              "to compare", file=sys.stderr)
+        return 2
     compared = 0
     with tempfile.TemporaryDirectory() as tmp:
         sides = prepare(args.parent, Path(tmp))

@@ -7,8 +7,8 @@ from .bounds import (ConditionError, ExponentReport, cor12_exponent,
                      lemma_constant, remark42_one_part, thm13_f,
                      thm15_general, thm41_kst_lower, thm43_multipartite,
                      thm46_join_cycle)
-from .constructions import (DeletionRun, ExperimentSpec, deletion_method,
-                            norm_graph, run_experiment)
+from .constructions import (DeletionRun, deletion_method, norm_graph,
+                            run_experiment)
 from .extraction import ExtractionReport, extract_dense
 from .fields import FiniteField, is_prime
 from .graphs import (CliqueVector, Graph, Pattern, chromatic_number,

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from .bounds import ConditionError
-from .constructions import (CSV_HEADER, ExperimentSpec, deletion_method,
-                            finite_number, norm_graph, run_experiment)
+from .constructions import (deletion_method, finite_number, norm_graph,
+                            run_experiment)
 from .constructions import integral as _int
 from .extraction import extract_dense
 from .graphs import (CliqueVector, Graph, Pattern, count_cliques,
@@ -256,7 +256,8 @@ def _build_parser() -> tuple[_Parser, dict]:
     pe.add_argument("--report")
 
     p = sub.add_parser("experiment", help="scaling experiment to CSV")
-    p.add_argument("spec")
+    p.add_argument("spec", help="JSON object with family (norm_graph, tripartite "
+                   "or deletion), u, r, q, s, n, pattern, seeds and c")
     p.add_argument("--csv", required=True)
     return top, sub.choices
 
@@ -325,15 +326,14 @@ def _dispatch(args) -> tuple[object, str | None]:
             obj = json.load(fh)
         except RecursionError:
             raise _CliError("invalid-input", f"{args.spec}: JSON nested too deeply")
-    spec = ExperimentSpec.from_json(obj)
-    result = run_experiment(spec)
+    rows, predicted, slope = run_experiment(obj)
     with open(args.csv, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(result.csv_rows())
-    return {"family": spec.family, "rows": len(result.rows),
-            "predictedExponent": result.predicted_exponent,
-            "fittedSlope": result.fitted_slope, "csv": args.csv}, None
+        writer.writerow([*rows[0], "predicted_exponent", "fitted_slope"])
+        writer.writerows([*row.values(), repr(predicted), repr(slope)] for row in rows)
+    return {"family": obj["family"], "rows": len(rows),
+            "predictedExponent": predicted, "fittedSlope": slope,
+            "csv": args.csv}, None
 
 
 def main(argv=None) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import ConditionError, cor14_kst, thm15_general
@@ -178,77 +178,6 @@ def finite_number(v) -> bool:
             or isinstance(v, float) and math.isfinite(v))
 
 
-@dataclass
-class ExperimentSpec:
-    """A named instance family with target clique counts for a log-log fit."""
-
-    family: str                      # norm_graph | tripartite | deletion
-    u: int = 2
-    r: int = 3
-    q_list: list = field(default_factory=list)   # norm_graph
-    s: int = 2                                   # norm_graph
-    n_list: list = field(default_factory=list)   # tripartite / deletion
-    pattern: str = ""                            # deletion
-    seeds: list = field(default_factory=list)    # deletion
-    c: float = 1.0                               # deletion
-
-    @staticmethod
-    def from_json(obj: dict) -> "ExperimentSpec":
-        if not isinstance(obj, dict):
-            raise ValueError("experiment spec must be a JSON object")
-        fam = obj.get("family")
-        if fam not in ("norm_graph", "tripartite", "deletion"):
-            raise ValueError(f"unknown experiment family {fam!r}")
-        for key in ("q", "n", "seeds"):
-            if not isinstance(obj.get(key, []), list):
-                raise ValueError(f"experiment spec field {key!r} must be a list")
-        c = obj.get("c", 1.0)
-        if not finite_number(c):
-            raise ValueError(f"experiment spec: c must be a finite number, got {c!r}")
-        try:
-            return ExperimentSpec(
-                family=fam,
-                u=integral(obj.get("u", 2)),
-                r=integral(obj.get("r", 3)),
-                q_list=[integral(x) for x in obj.get("q", [])],
-                s=integral(obj.get("s", 2)),
-                n_list=[integral(x) for x in obj.get("n", [])],
-                pattern=str(obj.get("pattern", "")),
-                seeds=[integral(x) for x in obj.get("seeds", [])],
-                c=float(c),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:  # e.g. 32.9 or null
-            # for an int, or 10 ** 400 for c
-            raise ValueError(f"experiment spec: {exc}") from None
-
-
-@dataclass
-class ExperimentRow:
-    family: str
-    param: str
-    n: int
-    m: int
-    k2: int
-    k3: int
-    k4: int
-
-
-@dataclass
-class ExperimentResult:
-    rows: list
-    predicted_exponent: float
-    fitted_slope: float
-
-    def csv_rows(self):
-        for row in self.rows:
-            yield [row.family, row.param, row.n, row.m, row.k2, row.k3, row.k4,
-                   repr(self.predicted_exponent), repr(self.fitted_slope)]
-
-
-CSV_HEADER = ["family", "param", "n", "m", "k2", "k3", "k4",
-              "predicted_exponent", "fitted_slope"]
-
-
 def fit_loglog_slope(xs, ys) -> float:
     """Least-squares slope of log(y) against log(x), summed over centred logs."""
     if len(xs) < 3:
@@ -263,11 +192,6 @@ def fit_loglog_slope(xs, ys) -> float:
     if sxx == 0:
         raise ValueError("log-log fit needs at least two distinct x values")
     return math.fsum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sxx
-
-
-def _emit_row(spec, param: str, g: Graph) -> ExperimentRow:
-    cv = count_cliques(g, 4)
-    return ExperimentRow(spec.family, param, g.n, g.m, cv[2], cv[3], cv[4])
 
 
 def tripartite_parts(n: int) -> list[int]:
@@ -290,40 +214,75 @@ def tripartite_parts(n: int) -> list[int]:
     return [n, b, c]
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    if not {spec.u, spec.r} <= {2, 3, 4}:  # the clique sizes a row holds
-        raise ValueError(f"u = {spec.u} and r = {spec.r} must lie in 2..4")
-    seeds = spec.seeds or [0]
-    instances = {"norm_graph": len(spec.q_list), "tripartite": len(spec.n_list),
-                 "deletion": len(spec.n_list) * len(seeds)}.get(spec.family)
-    if instances is None:
-        raise ValueError(f"unknown experiment family {spec.family!r}")
+def run_experiment(obj):
+    """Build the instances of a parsed JSON spec, count their cliques and
+    fit log k_r against log k_u.  Returns (rows, predicted, slope): a dict
+    per instance keyed by the CSV columns family, param, n, m, k2, k3, k4;
+    the predicted exponent, cor14_kst(r, s), 11/9 or thm15_general(u, r,
+    pattern), computed before any graph is built; and the fitted slope.
+
+    Spec fields, with defaults (and the families that read them):
+      family   norm_graph, tripartite or deletion; required
+      u, r     2, 3 (all): each in 2..4; norm_graph needs u = 2, tripartite
+               (u, r) = (2, 3)
+      q, s     [], 2 (norm_graph): the primes q of the graphs H(q, s)
+      n        [] (tripartite, deletion): part size, or host order
+      pattern  "" (deletion): the forbidden pattern, a literal or a path
+      seeds    [] (deletion): one run per n and seed; [] means [0]
+      c        1.0 (deletion): the factor of the edge probability
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("experiment spec must be a JSON object")
+    family = obj.get("family")
+    if family not in ("norm_graph", "tripartite", "deletion"):
+        raise ValueError(f"unknown experiment family {family!r}")
+    for key in ("q", "n", "seeds"):
+        if not isinstance(obj.get(key, []), list):
+            raise ValueError(f"experiment spec field {key!r} must be a list")
+    c = obj.get("c", 1.0)
+    if not finite_number(c):
+        raise ValueError(f"experiment spec: c must be a finite number, got {c!r}")
+    try:
+        u, r = integral(obj.get("u", 2)), integral(obj.get("r", 3))
+        qs = [integral(x) for x in obj.get("q", [])]
+        s = integral(obj.get("s", 2))
+        ns = [integral(x) for x in obj.get("n", [])]
+        text = str(obj.get("pattern", ""))
+        seeds = [integral(x) for x in obj.get("seeds", [])] or [0]
+        c = float(c)
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. 32.9 or null
+        # for an int, or 10 ** 400 for c
+        raise ValueError(f"experiment spec: {exc}") from None
+
+    if not {u, r} <= {2, 3, 4}:  # the clique sizes a row holds
+        raise ValueError(f"u = {u} and r = {r} must lie in 2..4")
+    instances = {"norm_graph": len(qs), "tripartite": len(ns),
+                 "deletion": len(ns) * len(seeds)}[family]
     if not 3 <= instances <= EXPERIMENT_MAX_INSTANCES:  # before any graph is built
         raise ValueError(f"need 3..{EXPERIMENT_MAX_INSTANCES} instances to fit "
                          f"a slope, got {instances}")
-    if spec.family == "norm_graph" and spec.u != 2:
-        raise ValueError(f"norm_graph predicts k_r against k2 only: u = {spec.u}")
-    if spec.family == "tripartite" and (spec.u, spec.r) != (2, 3):
-        raise ValueError(f"tripartite predicts k3 against k2 only: u = {spec.u}, r = {spec.r}")
-    rows: list[ExperimentRow] = []
-    if spec.family == "norm_graph":
-        for q in spec.q_list:
-            rows.append(_emit_row(spec, f"q={q}", norm_graph(q, spec.s)))
-        predicted = cor14_kst(spec.r, spec.s).value
-    elif spec.family == "tripartite":
-        parts = [tripartite_parts(n) for n in spec.n_list]  # caps first
-        for n, sizes in zip(spec.n_list, parts):
-            rows.append(_emit_row(spec, f"n={n}", complete_multipartite(sizes)))
+    if family == "norm_graph" and u != 2:
+        raise ValueError(f"norm_graph predicts k_r against k2 only: u = {u}")
+    if family == "tripartite" and (u, r) != (2, 3):
+        raise ValueError(f"tripartite predicts k3 against k2 only: u = {u}, r = {r}")
+    # Each graph is built only when the loop below reaches it.
+    if family == "norm_graph":
+        predicted = cor14_kst(r, s).value
+        graphs = ((f"q={q}", norm_graph(q, s)) for q in qs)
+    elif family == "tripartite":
         predicted = float(TRIPARTITE_TRIANGLE_EXPONENT)
+        parts = [tripartite_parts(n) for n in ns]  # caps first
+        graphs = ((f"n={n}", complete_multipartite(p)) for n, p in zip(ns, parts))
     else:
-        f = pattern(spec.pattern)
-        for n in spec.n_list:
-            for seed in seeds:
-                g, _ = deletion_method(f, spec.u, spec.r, n, seed, spec.c)
-                rows.append(_emit_row(spec, f"n={n};seed={seed}", g))
-        predicted = thm15_general(spec.u, spec.r, f).value
-
-    counts = {2: [r.k2 for r in rows], 3: [r.k3 for r in rows],
-              4: [r.k4 for r in rows]}
-    slope = fit_loglog_slope(counts[spec.u], counts[spec.r])
-    return ExperimentResult(rows, predicted, slope)
+        f = pattern(text)
+        predicted = thm15_general(u, r, f).value
+        graphs = ((f"n={n};seed={seed}", deletion_method(f, u, r, n, seed, c)[0])
+                  for n in ns for seed in seeds)
+    rows = []
+    for param, g in graphs:
+        cv = count_cliques(g, 4)
+        rows.append({"family": family, "param": param, "n": g.n, "m": g.m,
+                     "k2": cv[2], "k3": cv[3], "k4": cv[4]})
+    slope = fit_loglog_slope([row[f"k{u}"] for row in rows],
+                             [row[f"k{r}"] for row in rows])
+    return rows, predicted, slope

@@ -66,7 +66,7 @@ class FiniteField:
     def __init__(self, p: int, k: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if p > MAX_PRIME:
+        if p > MAX_PRIME and k > 1:  # bounds the irreducible-polynomial search
             raise ValueError(f"prime cap is {MAX_PRIME}")
         if not 1 <= k <= MAX_DEGREE:
             raise ValueError(f"extension degree must be in 1..{MAX_DEGREE}")

@@ -24,8 +24,7 @@ from conftest import (bowtie, diamond, disjoint_union, hom_brute_force,
 from mexlab.bounds import (COND_EDGE_COUNT, COND_MADC, cor14_kst,
                            cor17_classifier, lemma_constant, thm13_f,
                            thm15_general, thm41_kst_lower)
-from mexlab.constructions import (ExperimentSpec, deletion_method, norm_graph,
-                                  run_experiment)
+from mexlab.constructions import deletion_method, norm_graph, run_experiment
 from mexlab.extraction import extract_dense
 from mexlab.graphs import Pattern, complete, count_cliques, gnp, is_free, pattern
 from mexlab.oracle import mex_exact
@@ -122,17 +121,19 @@ def _least_squares_slope(xs, ys):
 def test_criterion_5b_norm_graph_slope():
     qs = [5, 7, 11, 13]
     r, s = 3, 2
-    res = run_experiment(ExperimentSpec(family="norm_graph", q_list=qs, s=s))
+    rows, predicted_exponent, slope = run_experiment(
+        {"family": "norm_graph", "q": qs, "s": s})
     edges = [(q - 1) * (q * q - q - 1) // 2 for q in qs]
     triangles = [comb(q - 1, 3) for q in qs]
-    rows_ok = [(row.n, row.m, row.k2, row.k3, row.k4) for row in res.rows] == [
+    rows_ok = [(row["n"], row["m"], row["k2"], row["k3"], row["k4"])
+               for row in rows] == [
         (q * (q - 1), m, m, k3, 0) for q, m, k3 in zip(qs, edges, triangles)]
     predicted = Fraction(r * s - comb(r, 2), 2 * s - 1)
-    exponent_ok = predicted == 1 and res.predicted_exponent == predicted
+    exponent_ok = predicted == 1 and predicted_exponent == predicted
     # One edge or one triangle more or fewer at any q moves this slope by
     # more than 3.1e-4, so 1e-9 leaves no room for a miscount.
     exact_slope = _least_squares_slope(edges, triangles)
-    slope_ok = abs(res.fitted_slope - exact_slope) <= 1e-9
+    slope_ok = abs(slope - exact_slope) <= 1e-9
     ratios = [Fraction(k3, m) for m, k3 in zip(edges, triangles)]
     ratios_ok = (all(a < b for a, b in zip(ratios, ratios[1:]))
                  and ratios[-1] < Fraction(1, 3))
@@ -140,7 +141,7 @@ def test_criterion_5b_norm_graph_slope():
               f"s=2 norm graphs, q in {{5,7,11,13}}: rows n=q(q-1), "
               f"m=k2=(q-1)(q^2-q-1)/2, k3=C(q-1,3), k4=0: {rows_ok}; "
               f"predicted exponent 1: {exponent_ok}; fitted slope "
-              f"{res.fitted_slope:.10f} = closed-form fit {exact_slope:.10f} "
+              f"{slope:.10f} = closed-form fit {exact_slope:.10f} "
               f"to 1e-9: {slope_ok}; k3/m rising below 1/3: {ratios_ok}")
 
 
@@ -148,16 +149,14 @@ def test_norm_graph_slope_converges_toward_prediction():
     """Supplementary (not an acceptance criterion): the same fit over larger q
     enters the stated window, so the deviation in 5b is a small-q effect,
     not a construction error."""
-    res = run_experiment(ExperimentSpec(family="norm_graph",
-                                        q_list=[11, 13, 17, 19, 23], s=2))
-    assert 0.85 <= res.fitted_slope <= 1.15
+    _, _, slope = run_experiment({"family": "norm_graph",
+                                  "q": [11, 13, 17, 19, 23], "s": 2})
+    assert 0.85 <= slope <= 1.15
 
 
 def test_criterion_6_tripartite_slope():
     t0 = time.time()
-    res = run_experiment(ExperimentSpec(family="tripartite",
-                                        n_list=[64, 256, 1024]))
-    slope = res.fitted_slope
+    _, _, slope = run_experiment({"family": "tripartite", "n": [64, 256, 1024]})
     elapsed = time.time() - t0
     ok = abs(slope - 11 / 9) <= 0.1 and elapsed < 30
     criterion("6", ok,
@@ -196,10 +195,9 @@ def test_criterion_8_deletion_soundness():
             assert is_free(f, g)
     free_ok = all(r.f_free for r in runs)
     k3_ok = all(r.kr_after > 0 for r in runs)
-    res = run_experiment(ExperimentSpec(family="deletion", pattern="K3_4",
-                                        u=2, r=3, n_list=[60, 120, 240],
-                                        seeds=[1, 2, 3, 4, 5]))
-    slope = res.fitted_slope
+    _, _, slope = run_experiment({"family": "deletion", "pattern": "K3_4",
+                                  "u": 2, "r": 3, "n": [60, 120, 240],
+                                  "seeds": [1, 2, 3, 4, 5]})
     elapsed = time.time() - t0
     ok = free_ok and k3_ok and slope >= 0.8 and elapsed < 600
     criterion("8", ok,

@@ -571,6 +571,22 @@ def test_experiment_rejects_malformed_spec(spec, tmp_path, capsys, schema):
     assert not (tmp_path / "rows.csv").exists()
 
 
+def refuse_experiment(spec, tmp_path, capsys, schema, monkeypatch):
+    """The message of a spec refused before any graph is built."""
+    def build(*args):
+        raise AssertionError("a graph was built")
+
+    for name in ("norm_graph", "complete_multipartite", "deletion_method"):
+        monkeypatch.setattr(f"mexlab.constructions.{name}", build)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, obj = run_json(capsys, schema, "experiment", str(path),
+                         "--csv", str(tmp_path / "rows.csv"))
+    assert code == EXIT_VALIDATION and obj["code"] == "invalid-params"
+    assert not (tmp_path / "rows.csv").exists()
+    return obj["message"]
+
+
 @pytest.mark.parametrize("spec", [
     # cor14_kst is k_r against edges; the fit was k3 against k3
     {"family": "norm_graph", "q": [3, 5, 7], "s": 3, "u": 3, "r": 3},
@@ -579,18 +595,108 @@ def test_experiment_rejects_malformed_spec(spec, tmp_path, capsys, schema):
 ])
 def test_experiment_refuses_clique_sizes_its_prediction_is_not_for(
         spec, tmp_path, capsys, schema, monkeypatch):
-    def build(*args):
-        raise AssertionError("a graph was built")
+    message = refuse_experiment(spec, tmp_path, capsys, schema, monkeypatch)
+    assert message.startswith(f"{spec['family']} predicts ")
 
-    for name in ("norm_graph", "complete_multipartite"):
-        monkeypatch.setattr(f"mexlab.constructions.{name}", build)
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
-    code, obj = run_json(capsys, schema, "experiment", str(path),
-                         "--csv", str(tmp_path / "rows.csv"))
-    assert code == EXIT_VALIDATION and obj["code"] == "invalid-params"
-    assert obj["message"].startswith(f"{spec['family']} predicts ")
-    assert not (tmp_path / "rows.csv").exists()
+
+# Most specs also fail a later check, so the table pins the
+# order of the checks as well as their messages.
+@pytest.mark.parametrize("spec,message", [
+    ([1, 2], "experiment spec must be a JSON object"),
+    ({"family": "gnp", "q": 5}, "unknown experiment family 'gnp'"),
+    ({"family": "norm_graph", "q": 5, "n": 5},
+     "experiment spec field 'q' must be a list"),
+    ({"family": "deletion", "n": 16, "seeds": 1},
+     "experiment spec field 'n' must be a list"),
+    ({"family": "deletion", "n": [16], "seeds": 1, "c": "x"},
+     "experiment spec field 'seeds' must be a list"),
+    ({"family": "deletion", "n": [16], "c": 10 ** 400, "u": 9},
+     "experiment spec: int too large to convert to float"),
+    ({"family": "tripartite", "u": 2.5, "q": [None]},
+     "experiment spec: must be an integer, got 2.5"),
+    ({"family": "tripartite", "n": [16, 32], "u": 1},
+     "u = 1 and r = 3 must lie in 2..4"),
+    ({"family": "norm_graph", "q": [5, 7], "r": 5},
+     "u = 2 and r = 5 must lie in 2..4"),
+    ({"family": "tripartite", "n": [16, 32], "r": 4},
+     "need 3..32 instances to fit a slope, got 2"),
+    ({"family": "deletion", "n": list(range(30, 41)), "seeds": [1, 2, 3],
+      "pattern": "K2_2_2", "u": 3}, "need 3..32 instances to fit a slope, got 33"),
+    ({"family": "norm_graph", "q": [5, 7, 11], "u": 3, "r": 2},
+     "norm_graph predicts k_r against k2 only: u = 3"),
+    ({"family": "tripartite", "n": [16, 32, 10 ** 5], "r": 4},
+     "tripartite predicts k3 against k2 only: u = 2, r = 4"),
+    ({"family": "tripartite", "n": [16, 32, 10 ** 5]},
+     "tripartite n = 100000 exceeds cap 50000"),
+])
+def test_experiment_refusal_order(spec, message, tmp_path, capsys, schema,
+                                  monkeypatch):
+    assert refuse_experiment(spec, tmp_path, capsys, schema, monkeypatch) == message
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"family": "norm_graph", "q": [5, 7, 11], "s": 3, "r": 2}, "r must be >= 3"),
+    # q = 4 is not prime, and s = 1 is refused by norm_graph too
+    ({"family": "norm_graph", "q": [4, 5, 7], "r": 2}, "r must be >= 3"),
+    ({"family": "norm_graph", "q": [5, 7, 11], "s": 1}, "s must lie in 2..1000"),
+])
+def test_experiment_prediction_refuses_before_any_graph_is_built(
+        spec, message, tmp_path, capsys, schema, monkeypatch):
+    assert refuse_experiment(spec, tmp_path, capsys, schema, monkeypatch) == message
+
+
+# The report and CSV of one spec per family, byte for byte.
+PINNED_EXPERIMENTS = [
+    ({"family": "norm_graph", "q": [5, 7, 11], "s": 2},
+     '{\n'
+     '  "family": "norm_graph",\n'
+     '  "rows": 3,\n'
+     '  "predictedExponent": 1.0,\n'
+     '  "fittedSlope": 1.273896985128491,\n'
+     '  "csv": "rows.csv"\n'
+     '}\n',
+     "family,param,n,m,k2,k3,k4,predicted_exponent,fitted_slope\n"
+     "norm_graph,q=5,20,38,38,4,0,1.0,1.273896985128491\n"
+     "norm_graph,q=7,42,123,123,20,0,1.0,1.273896985128491\n"
+     "norm_graph,q=11,110,545,545,120,0,1.0,1.273896985128491\n"),
+    ({"family": "tripartite", "n": [16, 32, 64]},
+     '{\n'
+     '  "family": "tripartite",\n'
+     '  "rows": 3,\n'
+     '  "predictedExponent": 1.2222222222222223,\n'
+     '  "fittedSlope": 1.3585611298301683,\n'
+     '  "csv": "rows.csv"\n'
+     '}\n',
+     "family,param,n,m,k2,k3,k4,predicted_exponent,fitted_slope\n"
+     "tripartite,n=16,22,104,104,128,0,1.2222222222222223,1.3585611298301683\n"
+     "tripartite,n=32,40,271,271,480,0,1.2222222222222223,1.3585611298301683\n"
+     "tripartite,n=64,76,800,800,2048,0,1.2222222222222223,1.3585611298301683\n"),
+    ({"family": "deletion", "pattern": "K2_2_2", "u": 2, "r": 3, "n": [30, 40],
+      "seeds": [1, 2], "c": 1.3},
+     '{\n'
+     '  "family": "deletion",\n'
+     '  "rows": 4,\n'
+     '  "predictedExponent": 1.0714285714285714,\n'
+     '  "fittedSlope": 1.0421343541628578,\n'
+     '  "csv": "rows.csv"\n'
+     '}\n',
+     "family,param,n,m,k2,k3,k4,predicted_exponent,fitted_slope\n"
+     "deletion,n=30;seed=1,30,121,121,99,14,1.0714285714285714,1.0421343541628578\n"
+     "deletion,n=30;seed=2,30,121,121,91,19,1.0714285714285714,1.0421343541628578\n"
+     "deletion,n=40;seed=1,40,208,208,183,26,1.0714285714285714,1.0421343541628578\n"
+     "deletion,n=40;seed=2,40,181,181,122,16,1.0714285714285714,1.0421343541628578\n"),
+]
+
+
+@pytest.mark.parametrize("spec,report,rows", PINNED_EXPERIMENTS,
+                         ids=[spec["family"] for spec, _, _ in PINNED_EXPERIMENTS])
+def test_experiment_output_is_pinned(spec, report, rows, tmp_path, capsys,
+                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text(json.dumps(spec))
+    assert run_cli(capsys, "experiment", "spec.json", "--csv", "rows.csv") == (
+        EXIT_OK, report)
+    assert Path("rows.csv").read_bytes() == rows.encode()
 
 
 def test_exit_codes(capsys, schema):
@@ -1012,11 +1118,12 @@ def test_extract_argv_fuzz(argv, schema):
     run_fuzz_case(argv, schema)
 
 
-@pytest.mark.parametrize("q, s", [(37, 3), (11, 4), (7, 5)])
+@pytest.mark.parametrize("q, s", [(127, 2), (37, 3), (11, 4), (7, 5)])
 def test_construct_norm_graph_refuses_over_the_edge_cap_at_once(q, s, tmp_path,
                                                                 schema):
-    # Each pair has under NORM_GRAPH_MAX_VERTICES vertices but from 8.8 to
-    # 33.7 million edges; it is refused before the field is built.
+    # Each pair has under NORM_GRAPH_MAX_VERTICES vertices but from 1.0 to
+    # 33.7 million edges; it is refused before the field is built.  (127, 2)
+    # is the first prime past the field's prime cap that s = 2 refuses.
     out = tmp_path / "norm.el"
     src = Path(mexlab.__file__).resolve().parent.parent
     proc = subprocess.run(

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from mexlab.bounds import COND_MADC, ConditionError
-from mexlab.constructions import (EXPERIMENT_MAX_INSTANCES, ExperimentSpec,
-                                  deletion_method, fit_loglog_slope,
-                                  norm_graph, run_experiment, tripartite_parts)
+from mexlab.constructions import (EXPERIMENT_MAX_INSTANCES, deletion_method,
+                                  fit_loglog_slope, norm_graph, run_experiment,
+                                  tripartite_parts)
 from mexlab.graphs import (Pattern, bits, count_cliques, count_copies, gnp,
                            is_free, iter_copies, pattern)
 
@@ -25,6 +25,14 @@ def test_norm_graph_params_validation():
         norm_graph(3, 1)
     with pytest.raises(ValueError):
         norm_graph(97, 4)          # vertex cap
+
+
+def test_norm_graph_past_the_field_prime_cap():
+    # the prime cap bounds the irreducible-polynomial search, which s = 2
+    # does not make
+    q = 101
+    g = norm_graph(q, 2)
+    assert (g.n, g.m) == (10100, (q - 1) * (q * q - q - 1) // 2)
 
 
 def test_norm_graph_shape():
@@ -203,41 +211,41 @@ def test_fit_loglog_slope_matches_exact_least_squares(qs):
 ])
 def test_experiment_spec_rejects_malformed_json(obj):
     with pytest.raises(ValueError):
-        ExperimentSpec.from_json(obj)
+        run_experiment(obj)
 
 
 def test_experiment_instance_cap():
     ns = list(range(8, 8 + EXPERIMENT_MAX_INSTANCES))
-    res = run_experiment(ExperimentSpec(family="tripartite", n_list=ns))
-    assert len(res.rows) == EXPERIMENT_MAX_INSTANCES
+    rows, _, _ = run_experiment({"family": "tripartite", "n": ns})
+    assert len(rows) == EXPERIMENT_MAX_INSTANCES
     with pytest.raises(ValueError, match="instances"):
-        run_experiment(ExperimentSpec(family="tripartite", n_list=ns + [100]))
+        run_experiment({"family": "tripartite", "n": ns + [100]})
 
 
 def test_experiment_tripartite():
-    res = run_experiment(ExperimentSpec(family="tripartite", n_list=[16, 32, 64]))
-    assert len(res.rows) == 3
-    assert res.rows[0].k3 == 16 * 4 * 2
-    assert res.predicted_exponent == pytest.approx(11 / 9)
-    assert res.rows[0].k2 == res.rows[0].m
+    rows, predicted, _ = run_experiment({"family": "tripartite", "n": [16, 32, 64]})
+    assert len(rows) == 3
+    assert rows[0]["k3"] == 16 * 4 * 2
+    assert predicted == pytest.approx(11 / 9)
+    assert rows[0]["k2"] == rows[0]["m"]
 
 
 def test_experiment_norm_graph():
-    res = run_experiment(ExperimentSpec(family="norm_graph", q_list=[5, 7, 11], s=2))
-    assert [row.n for row in res.rows] == [20, 42, 110]
-    assert res.predicted_exponent == pytest.approx(1.0)
+    rows, predicted, _ = run_experiment({"family": "norm_graph", "q": [5, 7, 11], "s": 2})
+    assert [row["n"] for row in rows] == [20, 42, 110]
+    assert predicted == pytest.approx(1.0)
 
 
 def test_experiment_deletion_uses_seeds():
-    spec = ExperimentSpec(family="deletion", pattern="K3_4", u=2, r=3,
-                          n_list=[40, 60, 80], seeds=[1])
-    res = run_experiment(spec)
-    assert len(res.rows) == 3
-    assert all(row.param.endswith("seed=1") for row in res.rows)
+    spec = {"family": "deletion", "pattern": "K3_4", "u": 2, "r": 3,
+            "n": [40, 60, 80], "seeds": [1]}
+    rows, _, _ = run_experiment(spec)
+    assert len(rows) == 3
+    assert all(row["param"].endswith("seed=1") for row in rows)
 
 
 def test_experiment_requires_enough_instances():
     with pytest.raises(ValueError):
-        run_experiment(ExperimentSpec(family="tripartite", n_list=[16, 32]))
+        run_experiment({"family": "tripartite", "n": [16, 32]})
     with pytest.raises(ValueError):
-        run_experiment(ExperimentSpec(family="nonsense"))
+        run_experiment({"family": "nonsense"})
