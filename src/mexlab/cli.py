@@ -26,9 +26,9 @@ from .constructions import (deletion_method, finite_number, norm_graph,
                             run_experiment)
 from .constructions import integral as _int
 from .extraction import extract_dense
-from .graphs import (CliqueVector, Graph, Pattern, count_cliques,
-                     count_copies, edge_clique_participation, is_free,
-                     load_edge_list, parse_pattern_literal, save_edge_list)
+from .graphs import (CliqueVector, EdgeListError, Graph, Pattern,
+                     count_cliques, count_copies, edge_clique_participation,
+                     is_free, load_graph, pattern, save_edge_list)
 from .oracle import ORACLE_MAX_EDGES, ORACLE_MAX_N, ex_exact, mex_exact
 
 EXIT_OK = 0
@@ -46,16 +46,6 @@ class _CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _CliError("usage", message)
-
-
-def _load_graph(spec: str) -> Graph:
-    lit = parse_pattern_literal(spec)
-    if lit is not None:
-        return lit
-    try:
-        return load_edge_list(spec)
-    except ValueError as exc:
-        raise _CliError("invalid-input", f"{spec}: {exc}")
 
 
 def _encode(obj):
@@ -87,7 +77,7 @@ def _emit(obj, out: str | None) -> None:
 def _parse_params(text: str, kinds: dict) -> dict:
     """k=v pairs, comma separated; '+'-joined integers make a list, 'a/b'
     makes an exact rational.  A pattern parameter keeps its raw text, which
-    may be a path holding '/'."""
+    may be a path holding '/'.  A key given twice is refused."""
     out: dict = {}
     if not text:
         return out
@@ -96,7 +86,9 @@ def _parse_params(text: str, kinds: dict) -> dict:
             raise _CliError("invalid-params", f"expected k=v, got {chunk!r}")
         key, val = chunk.split("=", 1)
         key, val = key.strip(), val.strip()
-        if kinds.get(key) is _pattern:
+        if key in out:
+            raise _CliError("invalid-params", f"parameter {key!r} is given twice")
+        if kinds.get(key) is Pattern:
             out[key] = val
             continue
         try:
@@ -137,25 +129,21 @@ def _sizes(v) -> list[int]:
     return v if isinstance(v, list) else [_int(v)]
 
 
-def _pattern(v: str) -> Pattern:
-    """A pattern literal or an edge-list path."""
-    return Pattern(_load_graph(v), v)
-
-
 # Formula id -> (name of its `bounds` function, looked up at call time, and
-# its parameters in call order with their kinds).
+# its parameters in call order with their kinds).  A Pattern parameter is
+# read from its raw text by `pattern`, also looked up at call time.
 _FORMULAS = {
     "lemma21_constant": ("lemma_constant", {"u": _int, "r": _int}),
     "cor12": ("cor12_exponent", {"r": _int, "s": _number}),
     "thm13_f": ("thm13_f", {"alpha": _number, "beta": _number}),
     "cor14_kst": ("cor14_kst", {"r": _int, "s": _int}),
-    "thm15_general": ("thm15_general", {"u": _int, "r": _int, "f": _pattern}),
+    "thm15_general": ("thm15_general", {"u": _int, "r": _int, "f": Pattern}),
     "thm41_kst_lower": ("thm41_kst_lower", {"u": _int, "r": _int, "s": _int, "t": _int}),
     "thm43_multipartite": ("thm43_multipartite", {"r": _int, "s": _sizes}),
     "remark42_one_part": ("remark42_one_part", {"r": _int, "s": _sizes}),
     "cor44_tripartite_lower": ("cor44_tripartite_lower", {"s1": _int, "s2": _int, "s3": _int}),
     "thm46_join_cycle": ("thm46_join_cycle", {"r": _int, "s": _int, "l": _int}),
-    "cor17_classifier": ("cor17_classifier", {"f": _pattern, "t": _int}),
+    "cor17_classifier": ("cor17_classifier", {"f": Pattern, "t": _int}),
 }
 
 
@@ -170,7 +158,9 @@ def _run_bounds(args) -> bounds_mod.ExponentReport:
         if key not in params:
             raise _CliError("invalid-params", f"missing parameter {key!r} for {fid}")
         try:
-            values.append(kind(params[key]))
+            values.append(pattern(params[key]) if kind is Pattern else kind(params[key]))
+        except EdgeListError:
+            raise  # reported as the file's fault, not the parameter's
         except ValueError as exc:
             raise _CliError("invalid-params", f"parameter {key!r} of {fid}: {exc}")
     try:
@@ -257,7 +247,8 @@ def _build_parser() -> tuple[_Parser, dict]:
 
     p = sub.add_parser("experiment", help="scaling experiment to CSV")
     p.add_argument("spec", help="JSON object with family (norm_graph, tripartite "
-                   "or deletion), u, r, q, s, n, pattern, seeds and c")
+                   "or deletion), u, r, q, s, n, pattern (a literal or an "
+                   "edge-list path), seeds and c")
     p.add_argument("--csv", required=True)
     return top, sub.choices
 
@@ -270,22 +261,21 @@ def _dispatch(args) -> tuple[object, str | None]:
     stdout)."""
     cmd = args.command
     if cmd == "count":
-        return count_cliques(_load_graph(args.input), args.max_clique), args.out
+        return count_cliques(load_graph(args.input), args.max_clique), args.out
     if cmd == "participation":
-        g = _load_graph(args.input)
-        part = edge_clique_participation(g, args.r)
+        part = edge_clique_participation(load_graph(args.input), args.r)
         return {"r": args.r, "participation": [
             [u, v, part[(u, v)]] for u, v in sorted(part)]}, args.out
     if cmd == "pattern-count":
-        f = _pattern(args.pattern)
-        g = _load_graph(args.input)
+        f = pattern(args.pattern)
+        g = load_graph(args.input)
         return {"pattern": args.pattern, "count": count_copies(f, g)}, args.out
     if cmd == "free-check":
-        f = _pattern(args.pattern)
-        g = _load_graph(args.input)
+        f = pattern(args.pattern)
+        g = load_graph(args.input)
         return {"pattern": args.pattern, "free": is_free(f, g)}, args.out
     if cmd == "extract":
-        g = _load_graph(args.input)
+        g = load_graph(args.input)
         try:
             out_graph, report = extract_dense(g, args.r, args.alpha, args.C)
         except (OverflowError, ZeroDivisionError) as exc:
@@ -304,7 +294,7 @@ def _dispatch(args) -> tuple[object, str | None]:
             return {"family": "norm_graph", "q": args.q, "s": args.s,
                     "n": g.n, "m": g.m, "out": args.out}, None
         if args.construct_kind == "deletion":
-            f = _pattern(args.pattern)
+            f = pattern(args.pattern)
             g, run = deletion_method(f, args.u, args.r, args.n, args.seed, args.c)
             if args.out:
                 save_edge_list(g, args.out)
@@ -312,11 +302,9 @@ def _dispatch(args) -> tuple[object, str | None]:
         raise _CliError("usage", "construct needs a subcommand: norm-graph | deletion")
     if cmd == "oracle":
         if args.oracle_mode == "mex":
-            res = mex_exact(args.m, _pattern(args.target),
-                            _pattern(args.forbidden))
+            res = mex_exact(args.m, pattern(args.target), pattern(args.forbidden))
         elif args.oracle_mode == "ex":
-            res = ex_exact(args.n, _pattern(args.target),
-                           _pattern(args.forbidden))
+            res = ex_exact(args.n, pattern(args.target), pattern(args.forbidden))
         else:
             raise _CliError("usage", "oracle needs a subcommand: mex | ex")
         return res, args.report
@@ -355,8 +343,9 @@ def main(argv=None) -> int:
         _emit({"code": "condition-failed", "message": str(exc),
                "failedCondition": exc.condition}, None)
         return EXIT_VALIDATION
-    except ValueError as exc:
-        _emit({"code": "invalid-params", "message": str(exc)}, None)
+    except ValueError as exc:  # a malformed edge-list file is the input's fault
+        code = "invalid-input" if isinstance(exc, EdgeListError) else "invalid-params"
+        _emit({"code": code, "message": str(exc)}, None)
         return EXIT_VALIDATION
     except OSError as exc:
         _emit({"code": "io-error", "message": str(exc)}, None)

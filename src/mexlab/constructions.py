@@ -227,7 +227,8 @@ def run_experiment(obj):
                (u, r) = (2, 3)
       q, s     [], 2 (norm_graph): the primes q of the graphs H(q, s)
       n        [] (tripartite, deletion): part size, or host order
-      pattern  "" (deletion): the forbidden pattern, a literal or a path
+      pattern  required (deletion): the forbidden pattern, a literal or an
+               edge-list path
       seeds    [] (deletion): one run per n and seed; [] means [0]
       c        1.0 (deletion): the factor of the edge probability
     """
@@ -247,7 +248,6 @@ def run_experiment(obj):
         qs = [integral(x) for x in obj.get("q", [])]
         s = integral(obj.get("s", 2))
         ns = [integral(x) for x in obj.get("n", [])]
-        text = str(obj.get("pattern", ""))
         seeds = [integral(x) for x in obj.get("seeds", [])] or [0]
         c = float(c)
     except (TypeError, ValueError, OverflowError) as exc:  # e.g. 32.9 or null
@@ -274,6 +274,10 @@ def run_experiment(obj):
         parts = [tripartite_parts(n) for n in ns]  # caps first
         graphs = ((f"n={n}", complete_multipartite(p)) for n, p in zip(ns, parts))
     else:
+        text = obj.get("pattern")
+        if not isinstance(text, str) or not text:
+            raise ValueError("experiment spec: pattern must be a literal or an "
+                             f"edge-list path, got {text!r}")
         f = pattern(text)
         predicted = thm15_general(u, r, f).value
         graphs = ((f"n={n};seed={seed}", deletion_method(f, u, r, n, seed, c)[0])

@@ -81,9 +81,6 @@ class Graph:
     def m(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj]
 
@@ -95,15 +92,6 @@ class Graph:
             for v in bits(row):
                 out.append((u, v))
         return out
-
-    def add_edge(self, u: int, v: int) -> "Graph":
-        g = Graph(self.n)
-        g.adj = list(self.adj)
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"bad edge ({u},{v})")
-        g.adj[u] |= 1 << v
-        g.adj[v] |= 1 << u
-        return g
 
     def remove_edges(self, edges) -> "Graph":
         g = Graph(self.n)
@@ -166,9 +154,18 @@ def read_edge_list(text: str) -> Graph:
     return g
 
 
+class EdgeListError(ValueError):
+    """An edge-list file whose content is malformed, named by its path."""
+
+
 def load_edge_list(path) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return read_edge_list(fh.read())
+    """The graph of the edge-list file at path.  An OSError passes through;
+    malformed content, non-ASCII bytes included, is an EdgeListError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return read_edge_list(fh.read())
+    except ValueError as exc:
+        raise EdgeListError(f"{path}: {exc}") from exc
 
 
 def format_edge_list(g: Graph) -> str:
@@ -248,7 +245,7 @@ _LITERAL_RE = re.compile(r"^(K|C|S)(\d+(?:_\d+)*)$")
 def parse_pattern_literal(text: str) -> Graph | None:
     """Expand shorthand literals: K5, K3_4, K2_2_2, C5, S4 (star with 4 leaves).
 
-    Returns None when the text is not a literal (callers fall back to a path).
+    Returns None when the text is not a literal (load_graph reads it as a path).
     A literal with more than LITERAL_MAX_EDGES edges is a ValueError, raised
     before any edge is generated.
     """
@@ -271,6 +268,13 @@ def parse_pattern_literal(text: str) -> Graph | None:
     if kind == "S":
         return star(nums[0])
     return complete(nums[0]) if len(nums) == 1 else complete_multipartite(nums)
+
+
+def load_graph(spec: str) -> Graph:
+    """The graph that a CLI or spec argument names: the pattern literal spec
+    if it parses as one, and otherwise the edge-list file at the path spec."""
+    g = parse_pattern_literal(spec)
+    return load_edge_list(spec) if g is None else g
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +613,9 @@ class Pattern:
 
 
 def pattern(text: str) -> Pattern:
-    """The Pattern of a shorthand literal like 'K3_4', named by it."""
-    g = parse_pattern_literal(text)
-    if g is None:
-        raise ValueError(f"not a pattern literal: {text!r}")
-    return Pattern(g, text)
+    """The Pattern, named by text, of the literal text if it parses as one,
+    and otherwise of the edge-list file at the path text (load_graph's rule)."""
+    return Pattern(load_graph(text), text)
 
 
 def count_copies(f: Pattern, g: Graph) -> int:
@@ -679,7 +681,8 @@ def chromatic_number(g: Graph) -> int:
     if g.m == 0:
         return 1
     n = g.n
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    degs = g.degrees()
+    order = sorted(range(n), key=lambda v: (-degs[v], v))
     color = [-1] * n
 
     def colorable(i: int, used: int, k: int) -> bool:

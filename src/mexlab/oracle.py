@@ -274,7 +274,10 @@ def _levels(max_vertices: int, max_edges: int, admissible) -> tuple[list, int]:
                 if edge in done:
                     continue
                 done |= _edge_orbit(edge, parent_gens)
-                child = parent.padded(max(parent.n, edge[1] + 1)).add_edge(*edge)
+                u, v = edge
+                child = parent.padded(max(parent.n, v + 1))
+                child.adj[u] |= 1 << v
+                child.adj[v] |= 1 << u
                 top = _top_edges(child, edge)
                 if top is None or not admissible(child):
                     continue

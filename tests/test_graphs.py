@@ -1,6 +1,7 @@
 """Graph core: generators, exact counting, invariants."""
 
 import math
+import re
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -12,12 +13,13 @@ from hypothesis import strategies as st
 from conftest import (bowtie, disjoint_union, hom_brute_force, path,
                       petersen, recursion_headroom)
 from mexlab.bounds import lemma_constant
-from mexlab.graphs import (Graph, Pattern, _twin_classes, chromatic_number,
-                           complete, complete_multipartite, count_cliques,
-                           count_copies, cycle, edge_clique_participation,
-                           format_edge_list, gnp, is_free, iter_copies,
-                           max_avg_degree, parse_pattern_literal, pattern,
-                           read_edge_list, splitmix64, star)
+from mexlab.graphs import (EdgeListError, Graph, Pattern, _twin_classes,
+                           chromatic_number, complete, complete_multipartite,
+                           count_cliques, count_copies, cycle,
+                           edge_clique_participation, format_edge_list, gnp,
+                           is_free, iter_copies, load_graph, max_avg_degree,
+                           parse_pattern_literal, pattern, read_edge_list,
+                           save_edge_list, splitmix64, star)
 
 
 def seeded_graphs(count, max_n=12, ps=(0.3, 0.5, 0.8)):
@@ -404,3 +406,18 @@ def test_pattern_literals():
     for big in ("K100000", "K1000_2000", "C10000000", "S10000000"):
         with pytest.raises(ValueError):
             parse_pattern_literal(big)
+
+
+def test_load_graph_reads_a_literal_or_else_a_path(tmp_path):
+    path = str(tmp_path / "k3_4.el")
+    save_edge_list(complete_multipartite([3, 4]), path)
+    assert load_graph("K3_4") == load_graph(path) == complete_multipartite([3, 4])
+    assert pattern(path).graph == pattern("K3_4").graph
+    assert pattern(path).name == path
+    bad = tmp_path / "bad.el"
+    for content in (b"3 x\n", b"2 1\n0 \xff\n"):  # a bad header, a non-ASCII byte
+        bad.write_bytes(content)
+        with pytest.raises(EdgeListError, match=f"^{re.escape(str(bad))}: "):
+            load_graph(str(bad))
+    with pytest.raises(FileNotFoundError):
+        load_graph(str(tmp_path / "missing.el"))
