@@ -16,6 +16,10 @@ and Nishizeki (SIAM J. Comput. 1985) list K_r in O(a(G)^(r-2) m) time.
 Pattern copies (``count_copies``, ``is_free``, ``iter_copies``) come from one
 map search, ``_backtrack`` over a pattern's plan, which visits one map per
 copy prefix and counts the tail, an independent twin class, by a binomial.
+For K_{s,t}, plus any isolated vertices, the tail is a whole side, and the
+placed side's later vertices are filtered in bulk: one bit-sliced pass
+(``_at_least``) keeps the vertices with at least t neighbours in the
+common neighbourhood of the earlier ones.
 """
 
 from __future__ import annotations
@@ -482,10 +486,12 @@ def _embedding_plan(f: Graph):
     from C' implies its bound from C; each position keeps only its latest
     bound.
 
-    The last size positions are the tail: the largest independent twin class
-    but its first member, which keeps its greedy place, or else the last
-    vertex.  Its members share their neighbours, all placed before them, so
-    their images are any size-subset of one set; feeds marks the neighbours.
+    The last size positions are the tail: the largest independent twin class,
+    or else the last vertex.  The whole class is the tail when every edge of
+    f touches it, so that f is K_{s,t} with any isolated vertices; otherwise
+    its first member keeps its greedy place.  The tail's members share their
+    neighbours, all placed before them, so their images are any size-subset
+    of one set; feeds marks the neighbours.
     """
     n = f.n
     degs = f.degrees()
@@ -500,7 +506,9 @@ def _embedding_plan(f: Graph):
     cls = _twin_classes(f)
     classes = [[v for v in order if cls[v] == c] for c in sorted(set(cls))]
     free = [c for c in classes if len(c) > 1 and c[1] not in nbrs[c[0]]]
-    tail = max(free, key=len)[1:] if free else order[n - 1:]
+    tail = max(free, key=len) if free else order[n - 1:]
+    if free and sum(degs[v] for v in tail) < f.m:  # an edge misses the class
+        tail = tail[1:]
     order = [v for v in order if v not in tail] + tail
     size = len(tail)
     posof = {v: i for i, v in enumerate(order)}
@@ -526,6 +534,27 @@ def _embedding_plan(f: Graph):
     return prev, low, size, feeds
 
 
+def _at_least(adj, mask: int, k: int, full: int) -> int:
+    """The vertices of full with at least k >= 1 neighbours in mask, found
+    in one pass over mask by bit-sliced counters: slices[j] holds bit j of
+    every vertex's counter.  Each counter starts at 2^w - k, w the bit length
+    of k, and adding adj[b] for each b of mask ripples a carry up the w
+    slices; a counter carries out of its top slice, into over, iff it has
+    counted k.  Every int stays non-negative."""
+    w = k.bit_length()
+    slices = [full if ((1 << w) - k) >> j & 1 else 0 for j in range(w)]
+    over = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        carry = adj[low.bit_length() - 1]
+        for j, s in enumerate(slices):
+            slices[j] = s ^ carry
+            carry &= s
+        over |= carry
+    return over
+
+
 def _backtrack(prev, low, size, feeds, g: Graph, visit) -> bool:
     """The map search: enumerate the copies of a pattern in g over the
     pattern's plan (prev, low, size, feeds), one visit per copy *prefix*.
@@ -535,9 +564,12 @@ def _backtrack(prev, low, size, feeds, g: Graph, visit) -> bool:
     automorphism orbit.  The search places positions 0..k-size-1 and carries
     the tail's mask: the AND of its placed neighbours' neighbourhoods, above
     the tail's bound once that is placed.  A candidate that leaves the mask
-    fewer than size vertices is dropped.  Each size-subset of a full prefix's
-    tail candidates cand completes it to one admitted map, so the copies
-    number sum C(|cand|, size).
+    fewer than size vertices is dropped.  At a feed after the first with no
+    placed neighbour, where cand is all unused vertices above its bound, the
+    mask is a common neighbourhood and _at_least drops those candidates in
+    one pass; either way the same candidates are tried in the same order.
+    Each size-subset of a full prefix's tail candidates cand completes it to
+    one admitted map, so the copies number sum C(|cand|, size).
 
     visit(images, cand) is called on each full prefix (images[i] hosts plan
     position i < k - size); it returns True to continue or False to stop
@@ -550,6 +582,7 @@ def _backtrack(prev, low, size, feeds, g: Graph, visit) -> bool:
     images = [0] * k
     top = low[stop] if size else -1  # the tail's bound
     after = top + 1 if top >= 0 else -1
+    first = feeds.index(True) if True in feeds else k  # the first feed
 
     def rec(i: int, used: int, mask: int) -> bool:
         if i == after:  # the tail's images lie above position top's
@@ -563,6 +596,8 @@ def _backtrack(prev, low, size, feeds, g: Graph, visit) -> bool:
         if t >= 0:
             cand &= -2 << images[t]  # strictly above that position's image
         feed = feeds[i]
+        if feed and i > first and not prev[i]:  # cand is not cut by adjacency
+            cand &= _at_least(gadj, mask, size, full)
         sub = mask
         while cand:
             low_bit = cand & -cand
@@ -646,7 +681,8 @@ def is_free(f: Pattern, g: Graph) -> bool:
 
 def iter_copies(f: Pattern, g: Graph, limit: int) -> list:
     """The copies of f in g, in search order, each as the tuple of its host
-    edges (u, v), u < v, listed by plan position.
+    edges (u, v), u < v, listed by plan position.  The search order, and so
+    the order of the copies and of each copy's edges, follows f's plan.
 
     The search visits each copy once.  More than limit copies is a
     ValueError, raised before a tail that would pass the limit is listed.

@@ -125,6 +125,30 @@ def test_free_check_certifies_the_smallest_s4_norm_graph(tmp_path, capsys, schem
     assert code == EXIT_OK and obj == {"pattern": "K4_7", "free": True}
 
 
+def test_free_check_certifies_a_10100_vertex_norm_graph(tmp_path, schema):
+    # H(101,2) is C4-free: the whole class {b1, b2} of K2_2 is the tail, and
+    # the second placed vertex is filtered in bulk by common neighbours
+    src = Path(mexlab.__file__).resolve().parent.parent
+    p = tmp_path / "h101.el"
+
+    def run(*argv, timeout):
+        return subprocess.run(
+            [sys.executable, "-m", "mexlab.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=timeout)
+
+    proc = run("construct", "norm-graph", "--q", "101", "--s", "2", "--out", str(p),
+               timeout=60)
+    assert proc.returncode == EXIT_OK and p.exists()
+    start = time.perf_counter()
+    proc = run("free-check", "--pattern", "K2_2", "--input", str(p), timeout=20)
+    assert time.perf_counter() - start < 20
+    assert proc.returncode == EXIT_OK and not proc.stderr
+    obj = json.loads(proc.stdout)
+    jsonschema.validate(obj, schema)
+    assert obj == {"pattern": "K2_2", "free": True}
+
+
 def test_bounds_report(capsys, schema):
     code, obj = run_json(capsys, schema, "bounds", "--formula", "cor14_kst",
                          "--params", "r=3,s=3")

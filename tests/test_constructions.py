@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from mexlab import constructions
 from mexlab.bounds import COND_MADC, ConditionError
 from mexlab.constructions import (EXPERIMENT_MAX_INSTANCES, deletion_method,
                                   fit_loglog_slope, norm_graph, run_experiment,
                                   tripartite_parts)
-from mexlab.graphs import (Pattern, bits, count_cliques, count_copies, gnp,
-                           is_free, iter_copies, pattern)
+from mexlab.graphs import (Pattern, bits, count_cliques, count_copies,
+                           format_edge_list, gnp, is_free, iter_copies, pattern)
 
 
 def test_norm_graph_small():
@@ -164,6 +165,17 @@ def test_deletion_matches_scan_reference(pat, n, seed, c):
     deleted = scan_greedy_deletion(iter_copies(f, host, 10 ** 4))
     assert run.copies_found > 1 and run.edges_deleted == len(deleted)
     assert g == host.remove_edges(deleted)
+
+
+@pytest.mark.parametrize("pat,n,seed,c", [("K3_4", 90, 4, 2.0), ("K2_2_2", 150, 3, 1.5)])
+def test_deletion_does_not_depend_on_copy_order(pat, n, seed, c, monkeypatch):
+    # iter_copies lists copies in search order, which follows the plan
+    f = pattern(pat)
+    g, run = deletion_method(f, 2, 3, n, seed, c)
+    monkeypatch.setattr(constructions, "iter_copies",
+                        lambda *args: iter_copies(*args)[::-1])
+    g2, run2 = deletion_method(f, 2, 3, n, seed, c)
+    assert format_edge_list(g2) == format_edge_list(g) and run2 == run
 
 
 def test_tripartite_instance_parts():

@@ -38,6 +38,17 @@ def twin_patterns(draw):
 
 
 @st.composite
+def complete_bipartite_patterns(draw):
+    """K_{s,t} with s <= 3 and t <= 4, relabeled, with 0 to 2 isolated
+    vertices: a pattern whose edges all touch one independent twin class,
+    which the search takes whole as its tail."""
+    s, t = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    n = s + t + draw(st.integers(0, 2))
+    label = draw(st.permutations(range(n)))
+    return Graph(n, [(label[a], label[s + b]) for a in range(s) for b in range(t)])
+
+
+@st.composite
 def hosts(draw):
     return gnp(draw(st.integers(0, 14)), draw(st.sampled_from([0.2, 0.35, 0.5, 0.7])),
                draw(st.integers(0, 2 ** 32)))
@@ -66,7 +77,13 @@ def test_collapsed_twin_class_matches_unpruned_reference(f, g):
     check_against_reference(f, g)
 
 
-@given(st.one_of(patterns(), twin_patterns()))
+@given(complete_bipartite_patterns(), hosts())
+@settings(max_examples=300, deadline=None)
+def test_whole_class_tail_matches_unpruned_reference(f, g):
+    check_against_reference(f, g)
+
+
+@given(st.one_of(patterns(), twin_patterns(), complete_bipartite_patterns()))
 @settings(max_examples=200, deadline=None)
 def test_search_visits_one_map_of_a_pattern_in_itself(f):
     assert count_copies(Pattern(f), f) == 1

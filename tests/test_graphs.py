@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from conftest import (bowtie, disjoint_union, hom_brute_force, path,
                       petersen, recursion_headroom)
 from mexlab.bounds import lemma_constant
-from mexlab.graphs import (EdgeListError, Graph, Pattern, _twin_classes,
-                           chromatic_number, complete, complete_multipartite,
-                           count_cliques, count_copies, cycle,
-                           edge_clique_participation, format_edge_list, gnp,
+from mexlab.graphs import (EdgeListError, Graph, Pattern, _at_least,
+                           _twin_classes, chromatic_number, complete,
+                           complete_multipartite, count_cliques, count_copies,
+                           cycle, edge_clique_participation, format_edge_list, gnp,
                            is_free, iter_copies, load_graph, max_avg_degree,
                            parse_pattern_literal, pattern, read_edge_list,
                            save_edge_list, splitmix64, star)
@@ -213,6 +213,17 @@ def test_twin_classes_on_the_graph_atlas():
                     for w in range(n)]
         assert _twin_classes(Graph(n, list(atlas_graph.edges()))) == expected
     assert len(atlas) == 1253
+
+
+@given(n=st.integers(0, 200), p=st.sampled_from([0.05, 0.2, 0.5, 0.9]),
+       seed=st.integers(0, 2 ** 32), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_at_least_k_neighbours_in_mask_matches_brute_force(n, p, seed, data):
+    g = gnp(n, p, seed)
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    k = data.draw(st.integers(1, mask.bit_count() + 2))
+    expected = sum(1 << v for v in range(n) if (g.adj[v] & mask).bit_count() >= k)
+    assert _at_least(g.adj, mask, k, (1 << n) - 1) == expected
 
 
 def test_clique_consistency():
