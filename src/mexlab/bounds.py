@@ -76,21 +76,29 @@ def lemma_constant(u: int, r: int) -> float:
 # Exponent formulas
 # ---------------------------------------------------------------------------
 
+def _exact(*xs) -> bool:
+    return all(isinstance(x, (int, Fraction)) for x in xs)
+
+
 def cor12_exponent(r: int, s):
-    """(r-1)s / (r+s-2); exact when s is a Fraction or int."""
+    """(r-1)s / (r+s-2); a Fraction on int or Fraction inputs."""
     if r < 3:
         raise ValueError("r must be >= 3")
     if not 1 < s <= r:
         raise ValueError("s must lie in (1, r]")
+    if _exact(r, s):
+        s = Fraction(s)
     return (r - 1) * s / (r + s - 2)
 
 
 def thm13_f(alpha, beta):
-    """1 + (beta-1)(1 - 1/alpha)."""
+    """1 + (beta-1)(1 - 1/alpha); a Fraction on int or Fraction inputs."""
     if alpha <= 1:
         raise ValueError("alpha must be > 1")
     if beta < 1:
         raise ValueError("beta must be >= 1")
+    if _exact(alpha, beta):
+        alpha = Fraction(alpha)
     return 1 + (beta - 1) * (1 - 1 / alpha)
 
 

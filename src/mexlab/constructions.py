@@ -60,7 +60,7 @@ def norm_graph(q: int, s: int) -> Graph:
         for bi in range(ext):
             s_idx = F.to_index(F.add(A, F.from_index(bi)))
             c = norm_of[s_idx]
-            if c is None or c == 0:
+            if c is None:  # A + B = 0; a nonzero element has a nonzero norm
                 continue
             for a in range(1, q):
                 b = c * inv_mod_q[a] % q

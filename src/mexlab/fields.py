@@ -25,26 +25,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_divmod(num, den, p):
-    """Polynomial division over GF(p); polys are low-to-high coefficient lists."""
+def _poly_mod(num, den, p):
+    """num mod den over GF(p); polys are low-to-high coefficient lists."""
     num = list(num)
     dden = len(den) - 1
     inv_lead = pow(den[-1], p - 2, p)
-    quot = [0] * max(0, len(num) - dden)
     for i in range(len(num) - 1, dden - 1, -1):
         c = num[i] * inv_lead % p
         if c:
-            quot[i - dden] = c
             for j, d in enumerate(den):
                 num[i - dden + j] = (num[i - dden + j] - c * d) % p
     while len(num) > 1 and num[-1] == 0:
         num.pop()
-    return quot, num
+    return num
 
 
 def _is_irreducible(poly, p: int) -> bool:
     """No monic divisor of degree 1..deg/2, checked exhaustively."""
-    return all(_poly_divmod(poly, list(low) + [1], p)[1] != [0]
+    return all(_poly_mod(poly, list(low) + [1], p) != [0]
                for d in range(1, (len(poly) - 1) // 2 + 1)
                for low in product(range(p), repeat=d))
 

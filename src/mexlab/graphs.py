@@ -116,9 +116,6 @@ class Graph:
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
-    def __hash__(self):
-        return hash((self.n, tuple(self.adj)))
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 

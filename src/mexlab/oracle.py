@@ -1,20 +1,20 @@
 """Exhaustive ground truth for tiny extremal values.
 
 Graphs are enumerated one isomorphism class at a time by canonical edge
-augmentation (McKay 1998), one level per edge count (`_levels`): children
-of a class add one edge (between existing vertices, to one fresh vertex,
-or as a fresh disjoint edge), and each child has one canonical deletion
-edge, so that each class has exactly one accepted parent.  The deletion
-edge is chosen first by an edge invariant that relabeling preserves, as
-nauty's geng does: a child whose added edge falls short of the greatest
-invariant is rejected before it is labeled.  Among the edges of greatest
-invariant, the one last in canonical order is the deletion edge, and a
-child is kept only when its added edge lies in that edge's automorphism
-orbit.  Two kept children of one parent are then isomorphic iff their added
-edges lie in one orbit of Aut(parent) (McKay 1998; McKay & Piperno 2014),
-so only the first child of each such orbit is built, tested and labeled.
-Containment by the forbidden pattern is monotone under edge addition, so
-pruning non-free children keeps the search exact.
+augmentation (McKay 1998), one level per edge count (`_levels`): a class is
+padded with up to two fresh isolated vertices, each child adds one non-edge
+of the padded graph, and each child has one canonical deletion edge, so
+that each class has exactly one accepted parent.  The deletion edge is
+chosen first by an edge invariant that relabeling preserves, as nauty's
+geng does: a child whose added edge falls short of the greatest invariant
+is rejected before it is labeled.  Among the edges of greatest invariant,
+the one last in canonical order is the deletion edge, and a child is kept
+only when its added edge lies in that edge's automorphism orbit.  Two kept
+children of one parent are then isomorphic iff their added edges lie in one
+orbit of Aut(parent) (McKay 1998; McKay & Piperno 2014), so only the first
+child of each such orbit is built, tested and labeled.  Containment by the
+forbidden pattern is monotone under edge addition, so pruning non-free
+children keeps the search exact.
 """
 
 from __future__ import annotations
@@ -100,10 +100,10 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[list[int]], bytes]:
     """Canonical vertex order of g, generators of its automorphism group and
     canonical form, by individualization-refinement (McKay & Piperno 2014).
 
-    The root is the partition of the vertices by ascending degree, refined
-    to be equitable.  A node individualizes each vertex of its first
-    non-singleton cell in turn, placing it in front of the rest of its cell,
-    and refines again.  A leaf is a discrete partition, i.e. a vertex order,
+    The root is the one cell of all vertices, refined to be equitable, so
+    that its first split is by ascending degree.  A node individualizes each
+    vertex of its first non-singleton cell in turn, placing it in front of
+    the rest of its cell, and refines again.  A leaf is a discrete partition, i.e. a vertex order,
     and its certificate is the packed adjacency string of that order; the
     canonical order is the first leaf of least certificate, and the canonical
     form is the byte n followed by that certificate in big-endian bytes.
@@ -117,11 +117,7 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[list[int]], bytes]:
     """
     n = g.n
     adj = g.adj
-    by_degree: dict[int, int] = {}
-    for v in range(n):
-        d = adj[v].bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    root = [by_degree[d] for d in sorted(by_degree)]
+    root = [(1 << n) - 1] if n else []
     _refine(adj, root, list(root))
     gens: list[list[int]] = []
     best = None  # (certificate, order, path) of the best leaf so far
@@ -230,15 +226,13 @@ def _last_in_order(edges: list[tuple[int, int]], perm: list[int]) -> tuple[int, 
 
 
 def _edge_orbit(start: tuple[int, int], gens: list[list[int]]) -> set[tuple[int, int]]:
-    """The orbit of the edge start under the group gens generate.  A vertex
-    at or above len(gamma), such as a fresh vertex of a child, is fixed."""
+    """The orbit of the edge start under the group gens generate."""
     orbit = {start}
     frontier = [start]
     while frontier:
         u, v = frontier.pop()
         for gamma in gens:
-            a = gamma[u] if u < len(gamma) else u
-            b = gamma[v] if v < len(gamma) else v
+            a, b = gamma[u], gamma[v]
             image = (a, b) if a < b else (b, a)
             if image not in orbit:
                 orbit.add(image)
@@ -256,11 +250,12 @@ def _levels(max_vertices: int, max_edges: int, admissible) -> tuple[list, int]:
     max_vertices vertices, stopping at max_edges or at the first empty level;
     examined counts the children generated.  admissible(graph) must be
     monotone under edge deletion (true for pattern-freeness): a child that
-    fails it is counted but not expanded.  Children whose added edges lie in
-    one orbit of Aut(parent) pass or fail every test alike, and two kept
+    fails it is counted but not expanded.  A parent on n vertices is padded
+    to min(n + 2, max_vertices), and its generators, kept from its labeling,
+    are extended to fix the fresh vertices.  Children whose added edges lie
+    in one orbit of Aut(parent) pass or fail every test alike, and two kept
     children in different orbits are not isomorphic (McKay 1998): so only
-    the first child of each orbit is built and tested, under the generators
-    kept from the parent's labeling."""
+    the first child of each orbit is built and tested."""
     empty = Graph(0)
     levels = [[(empty, canonical_form(empty))]]
     level_gens = [[]]  # Aut generators of each class of levels[-1]
@@ -268,12 +263,15 @@ def _levels(max_vertices: int, max_edges: int, admissible) -> tuple[list, int]:
     while len(levels) <= max_edges:
         nxt, nxt_gens = [], []
         for (parent, _), parent_gens in zip(levels[-1], level_gens):
+            padded = parent.padded(min(parent.n + 2, max_vertices))
+            fresh = list(range(parent.n, padded.n))
+            padded_gens = [gamma + fresh for gamma in parent_gens]
             done = set()
-            for edge in _children(parent, max_vertices):
+            for edge in _children(padded):
                 examined += 1
                 if edge in done:
                     continue
-                done |= _edge_orbit(edge, parent_gens)
+                done |= _edge_orbit(edge, padded_gens)
                 u, v = edge
                 child = parent.padded(max(parent.n, v + 1))
                 child.adj[u] |= 1 << v
@@ -292,12 +290,12 @@ def _levels(max_vertices: int, max_edges: int, admissible) -> tuple[list, int]:
     return levels, examined
 
 
-def _children(g: Graph, max_vertices: int):
-    """The edges that make g's children, each child adding one: between
-    existing vertices, to the fresh vertex n, or as the fresh disjoint edge
-    (n, n + 1).  Twin vertices (equal neighborhoods apart from each other)
-    attach isomorphically, so only one edge per twin-class pair is
-    generated."""
+def _children(g: Graph):
+    """The non-edges of g that make its children, one per pair of twin
+    classes (twins attach isomorphically), in lexicographic order.  On a
+    padded parent the fresh vertices are twins of each other only, so an
+    edge joins two parent vertices, a parent vertex and the first fresh
+    vertex, or the two fresh vertices."""
     n = g.n
     cls = _twin_classes(g)
     seen_pairs = set()
@@ -309,12 +307,6 @@ def _children(g: Graph, max_vertices: int):
                 continue
             seen_pairs.add(key)
             yield u, v
-    if n + 1 <= max_vertices:
-        for u in range(n):
-            if cls[u] == u:  # the lowest member of its twin class
-                yield u, n
-    if n + 2 <= max_vertices:
-        yield n, n + 1
 
 
 # ---------------------------------------------------------------------------

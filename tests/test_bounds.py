@@ -53,6 +53,23 @@ def test_thm13():
         thm13_f(1.0, 2.0)
 
 
+def test_scalar_exponents_are_exact_on_exact_inputs():
+    # (r-1)s/(r+s-2) and 1 + (beta-1)(1 - 1/alpha), written out
+    for r in range(3, 8):
+        for s in [*range(2, r + 1), Fraction(3, 2), Fraction(2 * r - 1, 2)]:
+            got = cor12_exponent(r, s)
+            assert type(got) is Fraction and got == Fraction((r - 1) * s, r + s - 2)
+    for alpha in (2, 5, Fraction(3, 2)):
+        for beta in (1, 3, Fraction(5, 4)):
+            got = thm13_f(alpha, beta)
+            assert type(got) is Fraction
+            assert got == 1 + (Fraction(beta) - 1) * (1 - Fraction(1, 1) / alpha)
+    # a float input keeps the float arithmetic
+    assert cor12_exponent(4, 1.5) == 3 * 1.5 / 3.5
+    assert thm13_f(1e5, 2) == 1 + 1 * (1 - 1 / 1e5)
+    assert type(thm13_f(Fraction(3, 2), 2.0)) is float
+
+
 def test_cor14():
     r = cor14_kst(3, 2)
     assert r.value_rational == 1 and r.tight

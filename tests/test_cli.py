@@ -206,9 +206,10 @@ BOUNDS_CASES = [
         "cor12", {"r": 4, "s": "3/2"}, float(cor12_exponent(4, Fraction(3, 2))),
         str(cor12_exponent(4, Fraction(3, 2))))),
     ("cor12", "r=3,s=2,note=abc", lambda: scalar_report(
-        "cor12", {"r": 3, "s": 2, "note": "abc"}, cor12_exponent(3, 2))),
-    ("thm13_f", "alpha=2,beta=3",
-     lambda: scalar_report("thm13_f", {"alpha": 2, "beta": 3}, thm13_f(2, 3))),
+        "cor12", {"r": 3, "s": 2, "note": "abc"}, float(cor12_exponent(3, 2)),
+        str(cor12_exponent(3, 2)))),
+    ("thm13_f", "alpha=2,beta=3", lambda: scalar_report(
+        "thm13_f", {"alpha": 2, "beta": 3}, float(thm13_f(2, 3)), str(thm13_f(2, 3)))),
     ("thm13_f", "alpha=1e5,beta=2",
      lambda: scalar_report("thm13_f", {"alpha": 1e5, "beta": 2}, thm13_f(1e5, 2))),
     ("thm13_f", "alpha=1e+5,beta=2",  # a float, as in repr(1e16) == "1e+16"
@@ -282,6 +283,9 @@ def test_bounds_value_is_its_exact_value_as_a_float(capsys, schema):
 # rationals as text, graphs as edge lists, and (d)'s case list next to a
 # non-applicable (e).
 PINNED_REPORTS = [
+    (["bounds", "--formula", "cor12", "--params", "r=3,s=2"],
+     '{"formulaId": "cor12", "params": {"r": 3, "s": 2}, "value": 1.3333333333333333, '
+     '"valueRational": "4/3", "conditions": [], "tight": false, "aux": {}}'),
     (["bounds", "--formula", "thm43_multipartite", "--params", "r=3,s=1+2+2"],
      '{"formulaId": "thm43_multipartite", "params": {"r": 3, "sizes": [1, 2, 2]}, '
      '"value": 1.4285714285714286, "valueRational": "10/7", "conditions": [], '

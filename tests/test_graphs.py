@@ -28,6 +28,12 @@ def seeded_graphs(count, max_n=12, ps=(0.3, 0.5, 0.8)):
         yield gnp(n, ps[i % len(ps)], seed=i)
 
 
+def test_graph_is_mutable_so_unhashable():
+    assert Graph(2, [(0, 1)]) == Graph(2, [(0, 1)])
+    with pytest.raises(TypeError):
+        hash(Graph(2))
+
+
 # ---------------------------------------------------------------------------
 # Counting
 # ---------------------------------------------------------------------------

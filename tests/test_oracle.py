@@ -17,9 +17,9 @@ from mexlab.graphs import (Graph, Pattern, complete, complete_multipartite,
                            count_copies, cycle, gnp, is_free, pattern, star)
 from mexlab import oracle
 from mexlab.oracle import (CANON_MAX_ORDER, ORACLE_MAX_EDGES, _canonical_order,
-                           _edge_invariant, _edge_orbit, _last_in_order,
-                           _levels, _top_edges, canonical_form, ex_exact,
-                           mex_exact)
+                           _children, _edge_invariant, _edge_orbit,
+                           _last_in_order, _levels, _top_edges, canonical_form,
+                           ex_exact, mex_exact)
 
 TWO_K2 = Pattern(Graph(4, [(0, 1), (2, 3)]), "2K2")
 
@@ -164,7 +164,8 @@ def test_edge_orbits_match_networkx_automorphisms():
         if n > 6:
             break
         g = Graph(n, list(atlas_graph.edges()))
-        gens = _canonical_order(g)[1]
+        # as _levels extends them: the fresh vertices n and n + 1 are fixed
+        gens = [gamma + [n, n + 1] for gamma in _canonical_order(g)[1]]
         auts = _automorphisms(nx, atlas_graph)
         for u, v in combinations(range(n), 2):
             if not g.adj[u] >> v & 1:
@@ -173,6 +174,42 @@ def test_edge_orbits_match_networkx_automorphisms():
         for u in range(n):  # attachments to the fresh vertex n
             assert _edge_orbit((u, n), gens) == {(phi[u], n) for phi in auts}
         assert _edge_orbit((n, n + 1), gens) == {(n, n + 1)}
+
+
+def _three_kinds_of_child(atlas_graph, cap):
+    """The children's edges by kind, with twins read off networkx: one
+    non-edge per pair of twin classes of existing vertices, the first in
+    lexicographic order; then, while the order stays within cap, an edge
+    from the lowest member of each twin class to the fresh vertex n, and the
+    fresh disjoint edge (n, n + 1)."""
+    n = atlas_graph.number_of_nodes()
+    nbrs = [set(atlas_graph[v]) for v in range(n)]
+    lowest = [min(w for w in range(n) if nbrs[v] - {w} == nbrs[w] - {v})
+              for v in range(n)]
+    edges, pairs = [], set()
+    for u, v in combinations(range(n), 2):
+        pair = tuple(sorted((lowest[u], lowest[v])))
+        if v not in nbrs[u] and pair not in pairs:
+            pairs.add(pair)
+            edges.append((u, v))
+    if n + 1 <= cap:
+        edges += [(u, n) for u in range(n) if lowest[u] == u]
+    if n + 2 <= cap:
+        edges.append((n, n + 1))
+    return edges
+
+
+def test_children_of_the_padded_graph_are_the_three_kinds():
+    nx = pytest.importorskip("networkx")
+    for atlas_graph in nx.graph_atlas_g():
+        n = atlas_graph.number_of_nodes()
+        if min((d for _, d in atlas_graph.degree()), default=1) == 0:
+            continue
+        g = Graph(n, list(atlas_graph.edges()))
+        for cap in (n, n + 1, n + 2):
+            got = list(_children(g.padded(min(n + 2, cap))))
+            # in lexicographic order, so with no repeats
+            assert got == sorted(_three_kinds_of_child(atlas_graph, cap))
 
 
 def test_enumerator_level_sizes_match_oeis():
