@@ -12,9 +12,13 @@ the one last in canonical order is the deletion edge, and a child is kept
 only when its added edge lies in that edge's automorphism orbit.  Two kept
 children of one parent are then isomorphic iff their added edges lie in one
 orbit of Aut(parent) (McKay 1998; McKay & Piperno 2014), so only the first
-child of each such orbit is built, tested and labeled.  Containment by the
-forbidden pattern is monotone under edge addition, so pruning non-free
-children keeps the search exact.
+child of each such orbit is built, tested and labeled.  Degrees only grow as
+edges are added, so a parent edge of greatest sorted degree pair (the
+parent's floor) has at least that pair in every child: a child whose added
+edge has a smaller sorted degree pair in the child cannot be canonical, and
+it is rejected before its orbit is looked up or it is built.  Containment
+by the forbidden pattern is monotone under edge addition, so pruning
+non-free children keeps the search exact.
 """
 
 from __future__ import annotations
@@ -38,25 +42,49 @@ def _refine(adj: list[int], cells: list[int], splitters: list[int]) -> None:
     other vertices of its cell.  A cell splits by that count into pieces in
     ascending count order, and the pieces become splitters too, so starting
     from all cells (or from a new singleton of an equitable partition) ends
-    equitable.  No step looks at a vertex label, so refinement commutes with
+    equitable.  A singleton splitter {v} gives each vertex 0 or 1, so a cell
+    that N(v) cuts splits in O(1) into its non-neighbours and neighbours of
+    v.  No step looks at a vertex label, so refinement commutes with
     relabeling."""
     n = len(adj)
     for w in splitters:  # grows while it is read
-        if len(cells) == n:
+        k = len(cells)
+        if k == n:
             return
+        if w & (w - 1) == 0:  # a singleton {v}: counts 0 and 1 only
+            reach = adj[w.bit_length() - 1]
+            i = 0
+            while i < k:
+                x = cells[i]
+                hit = x & reach
+                if hit and hit != x:
+                    split = [x ^ hit, hit]
+                    cells[i:i + 1] = split
+                    splitters += split
+                    i += 2
+                    k += 1
+                else:
+                    i += 1
+            continue
         reach = 0
-        for v in bits(w):
-            reach |= adj[v]
+        rest = w
+        while rest:
+            low = rest & -rest
+            reach |= adj[low.bit_length() - 1]
+            rest ^= low
         i = 0
-        while i < len(cells):
+        while i < k:
             x = cells[i]
             if x & (x - 1) == 0 or not x & reach:
                 i += 1
                 continue
             pieces: dict[int, int] = {}
-            for v in bits(x):
-                c = (adj[v] & w).bit_count()
-                pieces[c] = pieces.get(c, 0) | 1 << v
+            rest = x
+            while rest:
+                low = rest & -rest
+                c = (adj[low.bit_length() - 1] & w).bit_count()
+                pieces[c] = pieces.get(c, 0) | low
+                rest ^= low
             if len(pieces) == 1:
                 i += 1
                 continue
@@ -64,12 +92,13 @@ def _refine(adj: list[int], cells: list[int], splitters: list[int]) -> None:
             cells[i:i + 1] = split
             splitters += split
             i += len(split)
+            k += len(split) - 1
 
 
-def _packed(adj: list[int], perm: list[int]) -> int:
+def _packed(nbrs: list[list[int]], perm: list[int]) -> int:
     """The upper-triangle adjacency string under a vertex order, as an int:
     for k = 1..n-1, k bits telling which of perm[0..k-1] (most significant
-    first) are adjacent to perm[k]."""
+    first) are adjacent to perm[k].  nbrs[v] lists the neighbours of v."""
     n = len(perm)
     rbit = [0] * n
     for i, v in enumerate(perm):
@@ -77,7 +106,7 @@ def _packed(adj: list[int], perm: list[int]) -> int:
     acc = 0
     for k in range(1, n):
         row = 0
-        for w in bits(adj[perm[k]]):
+        for w in nbrs[perm[k]]:
             row |= rbit[w]
         acc = acc << k | row >> (n - k)
     return acc
@@ -117,6 +146,7 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[list[int]], bytes]:
     """
     n = g.n
     adj = g.adj
+    nbrs = [list(bits(row)) for row in adj]  # read by every leaf
     root = [(1 << n) - 1] if n else []
     _refine(adj, root, list(root))
     gens: list[list[int]] = []
@@ -128,7 +158,7 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[list[int]], bytes]:
         depth = len(path)
         if len(cells) == n:
             order = [c.bit_length() - 1 for c in cells]
-            cert = _packed(adj, order)
+            cert = _packed(nbrs, order)
             if best is None or cert < best[0]:
                 best = (cert, order, path)
             elif cert == best[0]:
@@ -176,23 +206,39 @@ def canonical_form(g: Graph) -> bytes:
     return _canonical_order(g)[2]
 
 
+def _degree_sum(row: int, deg: list[int]) -> int:
+    """The sum of deg over the vertices of the mask row."""
+    total = 0
+    while row:
+        low = row & -row
+        total += deg[low.bit_length() - 1]
+        row ^= low
+    return total
+
+
 def _edge_invariant(adj: list[int], deg: list[int], u: int, v: int) -> tuple:
     """inv(u, v): the endpoint degrees, the number of common neighbours,
     and the endpoint neighbour-degree sums, each pair sorted.  No part reads
     a vertex label, so relabeling preserves it."""
-    su = sum(deg[w] for w in bits(adj[u]))
-    sv = sum(deg[w] for w in bits(adj[v]))
-    return (min(deg[u], deg[v]), max(deg[u], deg[v]), (adj[u] & adj[v]).bit_count(),
-            min(su, sv), max(su, sv))
+    du, dv = deg[u], deg[v]
+    su, sv = _degree_sum(adj[u], deg), _degree_sum(adj[v], deg)
+    if du > dv:
+        du, dv = dv, du
+    if su > sv:
+        su, sv = sv, su
+    return du, dv, (adj[u] & adj[v]).bit_count(), su, sv
 
 
 def _top_edges(g: Graph, edge: tuple[int, int]) -> list[tuple[int, int]] | None:
     """The edges of g of greatest invariant, or None when edge is not one of
     them.  The sorted degree pairs are compared first, on vertex masks; the
-    rest of the invariant is computed only for the edges tied with edge."""
+    rest of the invariant is computed only for the edges tied with edge, and
+    only until one of them exceeds edge's."""
     adj = g.adj
     deg = [row.bit_count() for row in adj]
-    a, b = sorted((deg[edge[0]], deg[edge[1]]))
+    a, b = deg[edge[0]], deg[edge[1]]
+    if a > b:
+        a, b = b, a
     above_a = at_a = above_b = at_b = 0
     for v, d in enumerate(deg):
         if d > a:
@@ -205,15 +251,44 @@ def _top_edges(g: Graph, edge: tuple[int, int]) -> list[tuple[int, int]] | None:
             at_b |= 1 << v
     # An edge's sorted degree pair exceeds (a, b) iff both of its ends lie
     # above a, or one end has degree a and the other lies above b.
-    if (any(adj[v] & above_a for v in bits(above_a))
-            or any(adj[v] & above_b for v in bits(at_a))):
-        return None
-    tied = {(min(u, v), max(u, v)) for u in bits(at_a) for v in bits(adj[u] & at_b)}
+    rest = above_a
+    while rest:
+        low = rest & -rest
+        if adj[low.bit_length() - 1] & above_a:
+            return None
+        rest ^= low
+    tied = []  # each edge with ends of degree a and b once, as (low, high)
+    rest = at_a
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        if adj[u] & above_b:
+            return None
+        for v in bits(adj[u] & at_b):
+            if u < v:
+                tied.append((u, v))
+            elif a < b:
+                tied.append((v, u))
+        rest ^= low
     if len(tied) == 1:
-        return [edge]
-    inv = {e: _edge_invariant(adj, deg, *e) for e in tied}
-    best = max(inv.values())
-    return [e for e in tied if inv[e] == best] if inv[edge] == best else None
+        return tied
+    mine = _edge_invariant(adj, deg, *edge)
+    top = []
+    for e in tied:
+        inv = _edge_invariant(adj, deg, *e)
+        if inv > mine:
+            return None
+        if inv == mine:
+            top.append(e)
+    return top
+
+
+def _degree_floor(g: Graph) -> tuple[int, int]:
+    """The greatest sorted degree pair of an edge of g, or (0, 0) when g has
+    no edge: `_levels`' floor for the children of g."""
+    deg = g.degrees()
+    return max(((min(deg[u], deg[v]), max(deg[u], deg[v])) for u, v in g.edges()),
+               default=(0, 0))
 
 
 def _last_in_order(edges: list[tuple[int, int]], perm: list[int]) -> tuple[int, int]:
@@ -255,7 +330,11 @@ def _levels(max_vertices: int, max_edges: int, admissible) -> tuple[list, int]:
     are extended to fix the fresh vertices.  Children whose added edges lie
     in one orbit of Aut(parent) pass or fail every test alike, and two kept
     children in different orbits are not isomorphic (McKay 1998): so only
-    the first child of each orbit is built and tested."""
+    the first child of each orbit is built and tested.  Before that, a child
+    whose added edge's sorted degree pair in the child lies below the
+    parent's `_degree_floor` is rejected unbuilt, since a parent edge then
+    outranks it; Aut(parent) preserves degrees, so a whole orbit passes or
+    fails this together."""
     empty = Graph(0)
     levels = [[(empty, canonical_form(empty))]]
     level_gens = [[]]  # Aut generators of each class of levels[-1]
@@ -266,13 +345,18 @@ def _levels(max_vertices: int, max_edges: int, admissible) -> tuple[list, int]:
             padded = parent.padded(min(parent.n + 2, max_vertices))
             fresh = list(range(parent.n, padded.n))
             padded_gens = [gamma + fresh for gamma in parent_gens]
+            deg = padded.degrees()
+            floor = _degree_floor(parent)
             done = set()
             for edge in _children(padded):
                 examined += 1
+                u, v = edge
+                du, dv = deg[u] + 1, deg[v] + 1
+                if (du, dv) < floor if du <= dv else (dv, du) < floor:
+                    continue  # a parent edge outranks edge in the child
                 if edge in done:
                     continue
                 done |= _edge_orbit(edge, padded_gens)
-                u, v = edge
                 child = parent.padded(max(parent.n, v + 1))
                 child.adj[u] |= 1 << v
                 child.adj[v] |= 1 << u
@@ -295,14 +379,18 @@ def _children(g: Graph):
     classes (twins attach isomorphically), in lexicographic order.  On a
     padded parent the fresh vertices are twins of each other only, so an
     edge joins two parent vertices, a parent vertex and the first fresh
-    vertex, or the two fresh vertices."""
+    vertex, or the two fresh vertices.  The first non-edge of a pair starts
+    at the lowest member of a class (a later twin's non-edge to v is also
+    the lowest member's), so only lowest members are visited."""
     n = g.n
     cls = _twin_classes(g)
     seen_pairs = set()
     for u in range(n):
+        if cls[u] != u:
+            continue
         row = ~g.adj[u] & (((1 << n) - 1) ^ ((1 << (u + 1)) - 1))
         for v in bits(row):
-            key = (cls[u], cls[v]) if cls[u] <= cls[v] else (cls[v], cls[u])
+            key = (u, cls[v]) if u <= cls[v] else (cls[v], u)
             if key in seen_pairs:
                 continue
             seen_pairs.add(key)
@@ -340,6 +428,13 @@ def _check_forbidden(forbidden: Pattern) -> None:
         raise ValueError("forbidden pattern must have >= 3 vertices or an edge")
 
 
+def _check_caps(target: Pattern, forbidden: Pattern) -> None:
+    """Refuse a pattern over the embedding-search cap before any graph is
+    enumerated: reading its plan raises the cap's ValueError."""
+    target.plan
+    forbidden.plan
+
+
 def mex_exact(m: int, target: Pattern, forbidden: Pattern) -> OracleResult:
     """Exact maximum of target-copy counts over forbidden-free graphs with
     exactly m edges and no isolated vertices."""
@@ -352,6 +447,7 @@ def mex_exact(m: int, target: Pattern, forbidden: Pattern) -> OracleResult:
         # each added isolated vertex would add target copies
         raise ValueError("target pattern must have no isolated vertex: "
                          "mex is unbounded for it")
+    _check_caps(target, forbidden)
     levels, examined = _levels(2 * m, m, lambda g: is_free(forbidden, g))
     return _best(target, levels[m] if m < len(levels) else [], levels, examined,
                  "no admissible graph with the requested edge count")
@@ -363,6 +459,7 @@ def ex_exact(n: int, target: Pattern, forbidden: Pattern) -> OracleResult:
     if not 0 <= n <= ORACLE_MAX_N:
         raise ValueError(f"vertex count must lie in 0..{ORACLE_MAX_N}")
     _check_forbidden(forbidden)
+    _check_caps(target, forbidden)
     levels, examined = _levels(n, n * (n - 1) // 2,
                                lambda g: is_free(forbidden, g.padded(n)))
     return _best(target, ((g.padded(n), key) for level in levels for g, key in level),

@@ -1,5 +1,6 @@
 """Canonical labeling and the exhaustive small-case maxima."""
 
+import hashlib
 import math
 import random
 from functools import lru_cache
@@ -17,9 +18,9 @@ from mexlab.graphs import (Graph, Pattern, complete, complete_multipartite,
                            count_copies, cycle, gnp, is_free, pattern, star)
 from mexlab import oracle
 from mexlab.oracle import (CANON_MAX_ORDER, ORACLE_MAX_EDGES, _canonical_order,
-                           _children, _edge_invariant, _edge_orbit,
-                           _last_in_order, _levels, _top_edges, canonical_form,
-                           ex_exact, mex_exact)
+                           _children, _degree_floor, _edge_invariant,
+                           _edge_orbit, _last_in_order, _levels, _refine,
+                           _top_edges, canonical_form, ex_exact, mex_exact)
 
 TWO_K2 = Pattern(Graph(4, [(0, 1), (2, 3)]), "2K2")
 
@@ -118,6 +119,70 @@ def test_canonical_form_on_the_graph_atlas():
         rng.shuffle(perm)
         assert canonical_form(_relabeled(n, edges, perm)) == form
     assert len(atlas) == 1253 and len(forms) == 1253
+
+
+def test_labeling_of_the_graph_atlas_is_pinned():
+    # Canonical keys break witness ties, so any drift in the labeling can
+    # change a report: pin the forms, orders and generators of every atlas
+    # graph, in atlas order and unrelabeled.
+    nx = pytest.importorskip("networkx")
+    forms, labelings = hashlib.sha256(), hashlib.sha256()
+    for atlas_graph in nx.graph_atlas_g():
+        g = Graph(atlas_graph.number_of_nodes(), list(atlas_graph.edges()))
+        forms.update(canonical_form(g))
+        order, gens, _ = _canonical_order(g)
+        labelings.update(bytes(order) + bytes([len(gens)]))
+        for gamma in gens:
+            labelings.update(bytes(gamma))
+    assert forms.hexdigest() == (
+        "00f9ba2d20d65472f6d69b9ee47740f46c36cedd3f96a8235bc1f905f5594bc7")
+    assert labelings.hexdigest() == (
+        "4d51a5cb586165f9d50e82b68bd07d968aed342e2e043784e06989abcc4bf73b")
+
+
+def _refined_by_sets(nbrs, cells, splitters):
+    """Equitable refinement on Python sets: for each splitter in turn, split
+    every cell by its vertices' neighbour counts in the splitter, ascending,
+    and append the pieces of each split cell as splitters."""
+    cells = [set(c) for c in cells]
+    queue = [set(w) for w in splitters]
+    for w in queue:  # grows while it is read
+        out = []
+        for cell in cells:
+            by_count = {}
+            for v in cell:
+                by_count.setdefault(len(nbrs[v] & w), set()).add(v)
+            pieces = [by_count[c] for c in sorted(by_count)]
+            out += pieces
+            if len(pieces) > 1:
+                queue += pieces
+        cells = out
+    return cells
+
+
+def _mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def test_refinement_matches_a_set_reference_on_the_graph_atlas():
+    nx = pytest.importorskip("networkx")
+    for atlas_graph in nx.graph_atlas_g()[1:]:
+        n = atlas_graph.number_of_nodes()
+        g = Graph(n, list(atlas_graph.edges()))
+        nbrs = [set(atlas_graph[v]) for v in range(n)]
+        everything = set(range(n))
+        root = [_mask(everything)]
+        _refine(g.adj, root, list(root))
+        want = _refined_by_sets(nbrs, [everything], [everything])
+        assert root == [_mask(c) for c in want]
+        t = next((i for i, c in enumerate(want) if len(c) > 1), None)
+        if t is None:
+            continue
+        for v in sorted(want[t]):
+            start = want[:t] + [{v}, want[t] - {v}] + want[t + 1:]
+            cells = [_mask(c) for c in start]
+            _refine(g.adj, cells, [1 << v])
+            assert cells == [_mask(c) for c in _refined_by_sets(nbrs, start, [{v}])]
 
 
 def test_canonical_form_on_graphs_with_many_automorphisms():
@@ -299,6 +364,31 @@ def test_deletion_edge_has_the_greatest_invariant(n, data, seed):
     assert _deletion_position(g) == _deletion_position(h)
 
 
+def test_degree_floor_rejects_only_children_the_invariant_rejects():
+    # _levels skips a child whose added edge's sorted degree pair in the
+    # child lies below the parent's floor, before building it.
+    nx = pytest.importorskip("networkx")
+    rejected = 0
+    for atlas_graph in nx.graph_atlas_g():
+        if atlas_graph.number_of_edges() == 0:
+            continue
+        n = atlas_graph.number_of_nodes()
+        parent = Graph(n, list(atlas_graph.edges())).padded(n + 2)
+        floor = _degree_floor(parent)
+        deg = parent.degrees()
+        for u, v in combinations(range(n + 2), 2):
+            if parent.adj[u] >> v & 1:
+                continue
+            if tuple(sorted((deg[u] + 1, deg[v] + 1))) >= floor:
+                continue
+            rejected += 1
+            child = parent.padded(n + 2)
+            child.adj[u] |= 1 << v
+            child.adj[v] |= 1 << u
+            assert _top_edges(child, (u, v)) is None
+    assert rejected > 0
+
+
 # ---------------------------------------------------------------------------
 # mex
 # ---------------------------------------------------------------------------
@@ -361,6 +451,18 @@ def test_mex_rejects():
         mex_exact(3, Pattern(Graph(3, [(0, 1)])), pattern("K3"))
     with pytest.raises(ValueError):
         mex_exact(3, pattern("K3"), Pattern(Graph(2)))
+
+
+def test_over_cap_patterns_are_refused_before_enumerating(monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("_levels ran")
+
+    monkeypatch.setattr(oracle, "_levels", enumerate_nothing)
+    for target, forbidden in (("K13", "K4"), ("K3", "K13")):
+        with pytest.raises(ValueError, match="capped at 12 pattern vertices"):
+            mex_exact(10, pattern(target), pattern(forbidden))
+        with pytest.raises(ValueError, match="capped at 12 pattern vertices"):
+            ex_exact(8, pattern(target), pattern(forbidden))
 
 
 def test_direction_check_k3_k4():
