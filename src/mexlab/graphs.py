@@ -19,7 +19,10 @@ copy prefix and counts the tail, an independent twin class, by a binomial.
 For K_{s,t}, plus any isolated vertices, the tail is a whole side, and the
 placed side's later vertices are filtered in bulk: one bit-sliced pass
 (``_at_least``) keeps the vertices with at least t neighbours in the
-common neighbourhood of the earlier ones.
+common neighbourhood of the earlier ones.  A plan may be rooted at an arc
+(a, b) of the pattern, with a and b pinned to the ends of a host edge
+(``_copies_through``): one rooted plan per automorphism orbit of arcs finds
+each copy through that edge exactly once.
 """
 
 from __future__ import annotations
@@ -467,7 +470,7 @@ def _twin_classes(g: Graph) -> list[int]:
             for v, row in enumerate(g.adj)]
 
 
-def _embedding_plan(f: Graph):
+def _embedding_plan(f: Graph, root: tuple = ()):
     """Static vertex order for backtracking (most already-placed neighbors
     first) with symmetry-breaking bounds, as (prev, low, size, feeds).
 
@@ -481,37 +484,48 @@ def _embedding_plan(f: Graph):
     orbit, then the group shrinks to C's stabilizer.  If class D lies in the
     orbits of C and then of a later C', C' lies in C's orbit, so D's bound
     from C' implies its bound from C; each position keeps only its latest
-    bound.
+    bound.  The group is found by the same map search, of f in itself.
+
+    A plan rooted at an arc (a, b) of f places a and b at positions 0 and 1,
+    each its own class, and the rest greedily after them.  Its maps are the
+    searches that pin a and b (`_backtrack`'s root), so only the stabilizer
+    of a and b is left to break: the self-map search that finds it is rooted
+    at (a, b) in f as well, and no class's bound points at a or b.
 
     The last size positions are the tail: the largest independent twin class,
-    or else the last vertex.  The whole class is the tail when every edge of
-    f touches it, so that f is K_{s,t} with any isolated vertices; otherwise
-    its first member keeps its greedy place.  The tail's members share their
-    neighbours, all placed before them, so their images are any size-subset
-    of one set; feeds marks the neighbours.
+    or else the last vertex (none when only the root is left).  The whole
+    class is the tail when every edge of f touches it or the root, so that f
+    is K_{s,t} with any isolated vertices; otherwise its first member keeps
+    its greedy place.  The tail's members share their neighbours, all placed
+    before them, so their images are any size-subset of one set; feeds marks
+    the neighbours.
     """
     n = f.n
     degs = f.degrees()
     nbrs = [set(bits(f.adj[v])) for v in range(n)]
-    order: list[int] = []
-    chosen: set[int] = set()
-    for _ in range(n):
+    order: list[int] = list(root)
+    chosen: set[int] = set(root)
+    for _ in range(n - len(root)):
         v = max((u for u in range(n) if u not in chosen),
                 key=lambda u: (len(nbrs[u] & chosen), degs[u], -u))
         order.append(v)
         chosen.add(v)
     cls = _twin_classes(f)
+    for i, v in enumerate(root):  # a class of its own, named apart
+        cls[v] = n + i
     classes = [[v for v in order if cls[v] == c] for c in sorted(set(cls))]
     free = [c for c in classes if len(c) > 1 and c[1] not in nbrs[c[0]]]
-    tail = max(free, key=len) if free else order[n - 1:]
-    if free and sum(degs[v] for v in tail) < f.m:  # an edge misses the class
-        tail = tail[1:]
+    tail = max(free, key=len) if free else order[max(n - 1, len(root)):]
+    if free:
+        spare = set(tail) | set(root)
+        if any(x not in spare and y not in spare for x, y in f.edges()):
+            tail = tail[1:]  # an edge misses the class and the root
     order = [v for v in order if v not in tail] + tail
     size = len(tail)
     posof = {v: i for i, v in enumerate(order)}
     prev = [tuple(sorted(posof[w] for w in nbrs[v] if posof[w] < i))
             for i, v in enumerate(order)]
-    feeds = [i in prev[-1] for i in range(n)]
+    feeds = [size > 0 and i in prev[-1] for i in range(n)]
     low = [max((j for j in range(i) if cls[order[j]] == cls[v]), default=-1)
            for i, v in enumerate(order)]
     heads = [i for i, t in enumerate(low) if t < 0]  # each class's first position
@@ -523,7 +537,7 @@ def _embedding_plan(f: Graph):
             group.append([head_of[cls[images[h]]] for h in heads])
         return True
 
-    _backtrack(prev, low, size, feeds, f, each)
+    _backtrack(prev, low, size, feeds, f, each, root)
     for k, h in enumerate(heads):
         for d in {perm[k] for perm in group} - {k}:
             low[heads[d]] = h
@@ -552,7 +566,7 @@ def _at_least(adj, mask: int, k: int, full: int) -> int:
     return over
 
 
-def _backtrack(prev, low, size, feeds, g: Graph, visit) -> bool:
+def _backtrack(prev, low, size, feeds, g: Graph, visit, root: tuple = ()) -> bool:
     """The map search: enumerate the copies of a pattern in g over the
     pattern's plan (prev, low, size, feeds), one visit per copy *prefix*.
 
@@ -567,6 +581,12 @@ def _backtrack(prev, low, size, feeds, g: Graph, visit) -> bool:
     one pass; either way the same candidates are tried in the same order.
     Each size-subset of a full prefix's tail candidates cand completes it to
     one admitted map, so the copies number sum C(|cand|, size).
+
+    With a root (u, v), an edge of g, and a plan rooted at an arc (a, b),
+    positions 0 and 1 are pinned to u and v: the search starts at position 2
+    with u and v used and the tail's mask cut by their neighbourhoods where
+    they feed, so it visits the maps taking a to u and b to v, one per coset
+    of the stabilizer of a and b.
 
     visit(images, cand) is called on each full prefix (images[i] hosts plan
     position i < k - size); it returns True to continue or False to stop
@@ -609,7 +629,15 @@ def _backtrack(prev, low, size, feeds, g: Graph, visit) -> bool:
                 return False
         return True
 
-    return rec(0, 0, full)
+    if not root:
+        return rec(0, 0, full)
+    u, v = images[0], images[1] = root
+    mask = full
+    if feeds[0]:
+        mask &= gadj[u]
+    if feeds[1]:
+        mask &= gadj[v]
+    return mask.bit_count() < size or rec(2, 1 << u | 1 << v, mask)
 
 
 class Pattern:
@@ -629,12 +657,29 @@ class Pattern:
     def size(self) -> int:
         return self.graph.m
 
-    @cached_property
-    def plan(self):
+    def _searchable(self) -> Graph:
         if self.order > COUNTING_MAX_ORDER:
             raise ValueError(
                 f"embedding search capped at {COUNTING_MAX_ORDER} pattern vertices")
-        return _embedding_plan(self.graph)
+        return self.graph
+
+    @cached_property
+    def plan(self):
+        return _embedding_plan(self._searchable())
+
+    @cached_property
+    def rooted_plans(self) -> list:
+        """One plan rooted at each orbit of Aut(f) on the arcs (a, b), ab an
+        edge of f, at its first arc in lexicographic order.  An arc joins the
+        orbit of a kept one iff that one's rooted search, pinned to the arc
+        in f itself, finds a map: a copy of f holding a host edge uv is then
+        found by exactly one plan, the one whose arc maps onto (u, v)."""
+        f = self._searchable()
+        plans = []
+        for a, b in sorted(e for x, y in f.edges() for e in ((x, y), (y, x))):
+            if not _copies_through(plans, f, a, b, True):
+                plans.append(_embedding_plan(f, (a, b)))
+        return plans
 
     @cached_property
     def max_avg_degree(self) -> Fraction:
@@ -667,6 +712,25 @@ def count_copies(f: Pattern, g: Graph) -> int:
         return True
 
     _backtrack(*f.plan, g, visit)
+    return total
+
+
+def _copies_through(plans, g: Graph, u: int, v: int, first: bool = False) -> int:
+    """The number of copies holding the edge uv of g of the pattern whose
+    rooted plans are plans, one search per plan pinned to (u, v); with first,
+    1 if there is one and 0 if not, stopping at the first."""
+    total = size = 0
+
+    def count(_, cand):
+        nonlocal total
+        total += comb(cand.bit_count(), size)
+        return True
+
+    visit = (lambda _, cand: cand.bit_count() < size) if first else count
+    for plan in plans:
+        size = plan[2]  # read by visit
+        if not _backtrack(*plan, g, visit, (u, v)):
+            return 1
     return total
 
 

@@ -19,13 +19,21 @@ edge has a smaller sorted degree pair in the child cannot be canonical, and
 it is rejected before its orbit is looked up or it is built.  Containment
 by the forbidden pattern is monotone under edge addition, so pruning
 non-free children keeps the search exact.
+
+No class is searched whole.  A copy in a child that is not in its parent,
+of the forbidden pattern or of the target, holds the child's added edge uv:
+so each class carries its target-copy count and whether it contains the
+forbidden pattern, each its parent's value plus the searches rooted at uv
+(`graphs._copies_through`).  Isolated vertices of a pattern are left to a
+binomial and to the host order, so edgeless patterns take the same path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
-from .graphs import Graph, Pattern, _twin_classes, bits, count_copies, is_free
+from .graphs import Graph, Pattern, _copies_through, _twin_classes, bits
 
 ORACLE_MAX_EDGES = 10
 ORACLE_MAX_N = 8
@@ -319,29 +327,52 @@ def _edge_orbit(start: tuple[int, int], gens: list[list[int]]) -> set[tuple[int,
 # Isomorph-free enumeration by edge augmentation
 # ---------------------------------------------------------------------------
 
-def _levels(max_vertices: int, max_edges: int, admissible) -> tuple[list, int]:
-    """(levels, examined): levels[m] lists the (graph, canonical form) pairs
-    of the admissible classes with m edges and no isolated vertex, on at most
-    max_vertices vertices, stopping at max_edges or at the first empty level;
-    examined counts the children generated.  admissible(graph) must be
-    monotone under edge deletion (true for pattern-freeness): a child that
-    fails it is counted but not expanded.  A parent on n vertices is padded
-    to min(n + 2, max_vertices), and its generators, kept from its labeling,
-    are extended to fix the fresh vertices.  Children whose added edges lie
-    in one orbit of Aut(parent) pass or fail every test alike, and two kept
-    children in different orbits are not isomorphic (McKay 1998): so only
-    the first child of each orbit is built and tested.  Before that, a child
-    whose added edge's sorted degree pair in the child lies below the
-    parent's `_degree_floor` is rejected unbuilt, since a parent edge then
-    outranks it; Aut(parent) preserves degrees, so a whole orbit passes or
-    fails this together."""
-    empty = Graph(0)
-    levels = [[(empty, canonical_form(empty))]]
+def _core(p: Pattern) -> Pattern:
+    """p without its isolated vertices, the rest relabeled in order."""
+    keep = [v for v, row in enumerate(p.graph.adj) if row]
+    pos = {v: i for i, v in enumerate(keep)}
+    return Pattern(Graph(len(keep), [(pos[x], pos[y]) for x, y in p.graph.edges()]))
+
+
+def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Pattern,
+            order: int | None = None) -> tuple[list, int]:
+    """(levels, examined): levels[m] lists the admissible classes with m
+    edges and no isolated vertex, on at most max_vertices vertices, as
+    (graph, canonical form, T' copies, contains F'), stopping at max_edges or
+    at the first empty level; examined counts the children generated.
+
+    Write F = F' + kK1 for forbidden and T = T' + jK1 for target, F' and T'
+    without isolated vertices.  A class is admissible iff it does not contain
+    F' or its host order, order or else its own, is below |F|; this is
+    monotone under edge deletion, so a child that fails it is counted but
+    not expanded.  A child adds the edge uv to its parent, so its copies of
+    T' are the parent's plus those through uv, and it contains F' iff the
+    parent does or a copy goes through uv: both come from searches rooted at
+    uv (`graphs._copies_through`), never from a whole-graph search.
+
+    A parent on n vertices is padded to min(n + 2, max_vertices), and its
+    generators, kept from its labeling, are extended to fix the fresh
+    vertices.  Children whose added edges lie in one orbit of Aut(parent)
+    pass or fail every test alike, and two kept children in different orbits
+    are not isomorphic (McKay 1998): so only the first child of each orbit is
+    built and tested.  Before that, a child whose added edge's sorted degree
+    pair in the child lies below the parent's `_degree_floor` is rejected
+    unbuilt, since a parent edge then outranks it; Aut(parent) preserves
+    degrees, so a whole orbit passes or fails this together."""
+    counted = _core(target).rooted_plans
+    banned = _core(forbidden).rooted_plans
+
+    def admissible(contains, n: int) -> bool:
+        return not contains or (n if order is None else order) < forbidden.order
+
+    # The empty graph holds one copy of T' and contains F' iff they are empty.
+    start = (Graph(0), canonical_form(Graph(0)), int(not counted), not banned)
+    levels = [[start] if admissible(start[3], 0) else []]
     level_gens = [[]]  # Aut generators of each class of levels[-1]
     examined = 0
     while len(levels) <= max_edges:
         nxt, nxt_gens = [], []
-        for (parent, _), parent_gens in zip(levels[-1], level_gens):
+        for (parent, _, copies, held), parent_gens in zip(levels[-1], level_gens):
             padded = parent.padded(min(parent.n + 2, max_vertices))
             fresh = list(range(parent.n, padded.n))
             padded_gens = [gamma + fresh for gamma in parent_gens]
@@ -361,11 +392,15 @@ def _levels(max_vertices: int, max_edges: int, admissible) -> tuple[list, int]:
                 child.adj[u] |= 1 << v
                 child.adj[v] |= 1 << u
                 top = _top_edges(child, edge)
-                if top is None or not admissible(child):
+                if top is None:
+                    continue
+                contains = held or _copies_through(banned, child, u, v, True) > 0
+                if not admissible(contains, child.n):
                     continue
                 perm, gens, key = _canonical_order(child)
                 if edge in _edge_orbit(_last_in_order(top, perm), gens):  # canonical
-                    nxt.append((child, key))
+                    nxt.append((child, key, copies + _copies_through(counted, child, u, v),
+                                contains))
                     nxt_gens.append(gens)
         if not nxt:
             break
@@ -412,11 +447,12 @@ class OracleResult:
     iso_classes_examined: int
 
 
-def _best(target: Pattern, candidates, levels: list, examined: int,
+def _best(candidates, scale: int, levels: list, examined: int,
           none_msg: str) -> OracleResult:
-    """The (graph, canonical key) candidate with the most target copies; a
-    tie goes to the smaller key.  Every class examined lies in one level."""
-    best = min(((count_copies(target, g), key, g) for g, key in candidates),
+    """The (graph, canonical key, T' copies, _) candidate with the most
+    target copies, scale per T' copy; a tie goes to the smaller key.  Every
+    class examined lies in one level."""
+    best = min(((copies * scale, key, g) for g, key, copies, _ in candidates),
                key=lambda c: (-c[0], c[1]), default=None)
     if best is None:
         raise ValueError(none_msg)
@@ -430,9 +466,9 @@ def _check_forbidden(forbidden: Pattern) -> None:
 
 def _check_caps(target: Pattern, forbidden: Pattern) -> None:
     """Refuse a pattern over the embedding-search cap before any graph is
-    enumerated: reading its plan raises the cap's ValueError."""
-    target.plan
-    forbidden.plan
+    enumerated, with the cap's ValueError."""
+    target._searchable()
+    forbidden._searchable()
 
 
 def mex_exact(m: int, target: Pattern, forbidden: Pattern) -> OracleResult:
@@ -448,8 +484,8 @@ def mex_exact(m: int, target: Pattern, forbidden: Pattern) -> OracleResult:
         raise ValueError("target pattern must have no isolated vertex: "
                          "mex is unbounded for it")
     _check_caps(target, forbidden)
-    levels, examined = _levels(2 * m, m, lambda g: is_free(forbidden, g))
-    return _best(target, levels[m] if m < len(levels) else [], levels, examined,
+    levels, examined = _levels(2 * m, m, target, forbidden)
+    return _best(levels[m] if m < len(levels) else [], 1, levels, examined,
                  "no admissible graph with the requested edge count")
 
 
@@ -460,7 +496,13 @@ def ex_exact(n: int, target: Pattern, forbidden: Pattern) -> OracleResult:
         raise ValueError(f"vertex count must lie in 0..{ORACLE_MAX_N}")
     _check_forbidden(forbidden)
     _check_caps(target, forbidden)
-    levels, examined = _levels(n, n * (n - 1) // 2,
-                               lambda g: is_free(forbidden, g.padded(n)))
-    return _best(target, ((g.padded(n), key) for level in levels for g, key in level),
-                 levels, examined, "no admissible graph on the requested vertex count")
+    if target.order == 0:
+        raise ValueError("pattern must have at least one vertex")
+    levels, examined = _levels(n, n * (n - 1) // 2, target, forbidden, n)
+    # a copy of T = T' + jK1 is a copy of T' and j of the other vertices
+    t_order = sum(1 for row in target.graph.adj if row)
+    scale = comb(n - t_order, target.order - t_order) if n >= t_order else 0
+    res = _best((c for level in levels for c in level), scale, levels, examined,
+                "no admissible graph on the requested vertex count")
+    res.witness = res.witness.padded(n)
+    return res

@@ -1114,6 +1114,21 @@ def test_oracle_mex_rejects_target_with_isolated_vertex(tmp_path, capsys, schema
     assert code == EXIT_OK and obj["value"] == 8
 
 
+def test_oracle_ex_refuses_when_even_the_edgeless_graph_is_forbidden(tmp_path, capsys,
+                                                                     schema):
+    # 3K1 lies in every graph on 3 vertices, the edgeless one too
+    path = tmp_path / "three_k1.el"
+    path.write_text("3 0\n")
+    code, obj = run_json(capsys, schema, "oracle", "ex", "--n", "3",
+                         "--target", "K2", "--forbidden", str(path))
+    assert code == EXIT_VALIDATION and obj == {
+        "code": "invalid-params",
+        "message": "no admissible graph on the requested vertex count"}
+    code, obj = run_json(capsys, schema, "oracle", "ex", "--n", "2",
+                         "--target", "K2", "--forbidden", str(path))
+    assert code == EXIT_OK and obj["value"] == 1
+
+
 def test_extract_rejects_r_beyond_the_lemma_constants_at_once(tmp_path, capsys,
                                                               schema, monkeypatch):
     path = tmp_path / "dense.el"

@@ -3,13 +3,16 @@ unpruned reference search (tests/embedding_reference.py), which visits every
 injective map."""
 
 import math
+import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import embedding_reference as ref
-from mexlab.graphs import (Graph, Pattern, bits, complete, count_copies, gnp,
-                           is_free, iter_copies, parse_pattern_literal)
+from mexlab.graphs import (Graph, Pattern, _copies_through, bits, complete,
+                           count_copies, gnp, is_free, iter_copies,
+                           parse_pattern_literal)
 
 LITERALS = [f"K{n}" for n in range(1, 9)] + [
     "K1_2", "K1_3", "K2_2", "K2_3", "K3_3", "K2_4", "K3_4", "K4_4",
@@ -94,3 +97,65 @@ def test_visits_equal_copies():
     # that breaks only twin symmetry visits each copy 24 times (2520 visits).
     f = Pattern(parse_pattern_literal("K2_2_2_2"))
     assert count_copies(f, complete(8)) == math.factorial(8) // (2 ** 4 * 24)
+
+
+# ---------------------------------------------------------------------------
+# Rooted searches: the copies through one host edge
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_hosts(draw):
+    return gnp(draw(st.integers(2, 9)), draw(st.sampled_from([0.3, 0.5, 0.7])),
+               draw(st.integers(0, 2 ** 32)))
+
+
+def check_through_against_reference(f, g):
+    """For every host edge uv, in both orientations: the rooted searches
+    count count(f, g) - count(f, g - uv) copies, and the first-copy search
+    finds one iff that is positive."""
+    plans = Pattern(f).rooted_plans
+    total = ref.count_copies(f, g)
+    for u, v in g.edges():
+        through = total - ref.count_copies(f, g.remove_edges([(u, v)]))
+        for root in ((u, v), (v, u)):
+            assert _copies_through(plans, g, *root) == through
+            assert _copies_through(plans, g, *root, True) == (through > 0)
+
+
+@given(st.one_of(patterns(), twin_patterns(), complete_bipartite_patterns()),
+       small_hosts())
+@settings(max_examples=300, deadline=None)
+def test_rooted_search_matches_unpruned_reference(f, g):
+    host_p = 2 * g.m / (g.n * (g.n - 1))
+    assume(f.m > 0 and math.perm(g.n, f.n) * host_p ** f.m <= 5000)
+    check_through_against_reference(f, g)
+
+
+TWO_K2 = Graph(4, [(0, 1), (2, 3)])
+
+
+@pytest.mark.parametrize("f", [
+    TWO_K2,                                   # disconnected
+    Graph(6, [(0, 1), (2, 3), (4, 5)]),       # 3K2, disconnected
+    parse_pattern_literal("S3"),              # a star: centre plus a tail leaf
+    parse_pattern_literal("K1_2"),
+    parse_pattern_literal("K2"),              # the root is all: an empty tail
+    parse_pattern_literal("K4"),              # every root vertex has twins
+    parse_pattern_literal("K2_3"),
+    parse_pattern_literal("K2_2_2"),
+    parse_pattern_literal("C5"),
+    Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]),  # K3 + K2
+], ids=["2K2", "3K2", "S3", "K1_2", "K2", "K4", "K2_3", "K2_2_2", "C5", "K3+K2"])
+@pytest.mark.parametrize("seed", range(6))
+def test_rooted_search_on_named_patterns(f, seed):
+    rng = random.Random(seed)
+    g = gnp(rng.randint(4, 8), rng.choice([0.4, 0.6, 0.8]), seed)
+    check_through_against_reference(f, g)
+
+
+@pytest.mark.parametrize("text,orbits", [
+    ("K2", 1), ("K4", 1), ("C5", 1), ("K1_2", 2), ("K2_3", 2), ("K1_1_2", 3)])
+def test_one_rooted_plan_per_arc_orbit(text, orbits):
+    # K1_1_2's arcs: between its two K1 parts, from a K1 part to the
+    # 2-part, and back
+    assert len(Pattern(parse_pattern_literal(text)).rooted_plans) == orbits

@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import embedding_reference as ref
 from conftest import (bowtie, disjoint_union, k4_minus_edge,
                       label_ordered_edge_sets, mex_exhaustive_reference, path,
                       petersen)
 from mexlab.bounds import lemma_constant
 from mexlab.graphs import (Graph, Pattern, complete, complete_multipartite,
-                           count_copies, cycle, gnp, is_free, pattern, star)
-from mexlab import oracle
+                           count_copies, cycle, format_edge_list, gnp, is_free,
+                           pattern, star)
+from mexlab import graphs, oracle
 from mexlab.oracle import (CANON_MAX_ORDER, ORACLE_MAX_EDGES, _canonical_order,
                            _children, _degree_floor, _edge_invariant,
                            _edge_orbit, _last_in_order, _levels, _refine,
@@ -278,17 +280,19 @@ def test_children_of_the_padded_graph_are_the_three_kinds():
 
 
 def test_enumerator_level_sizes_match_oeis():
-    levels, _ = _levels(2 * ORACLE_MAX_EDGES, ORACLE_MAX_EDGES, lambda g: True)
+    # K6 has 15 edges, so no graph of at most 10 edges contains it
+    levels, _ = _levels(2 * ORACLE_MAX_EDGES, ORACLE_MAX_EDGES, pattern("K2"),
+                        pattern("K6"))
     sizes = [len(level) for level in levels]
     assert sizes == A000664
 
 
-@pytest.mark.parametrize("max_edges,admissible", [
-    (8, lambda g: True), (9, lambda g: is_free(pattern("K4"), g))])
-def test_levels_hold_pairwise_distinct_classes(max_edges, admissible):
-    levels, _ = _levels(2 * max_edges, max_edges, admissible)
+@pytest.mark.parametrize("max_edges,forbidden", [
+    (8, lambda: pattern("K6")), (9, lambda: pattern("K4"))])
+def test_levels_hold_pairwise_distinct_classes(max_edges, forbidden):
+    levels, _ = _levels(2 * max_edges, max_edges, pattern("K2"), forbidden())
     for level in levels:
-        assert len({key for _, key in level}) == len(level)
+        assert len({key for _, key, _, _ in level}) == len(level)
 
 
 def test_mex_k3_k4_labeling_count_is_pinned(monkeypatch):
@@ -562,6 +566,9 @@ def test_ex_rejects():
         ex_exact(9, pattern("K2"), pattern("K3"))
     with pytest.raises(ValueError):
         ex_exact(3, pattern("K3"), Pattern(Graph(2)))
+    # every graph on 3 vertices, the edgeless one too, contains 3K1
+    with pytest.raises(ValueError, match="no admissible graph on the requested"):
+        ex_exact(3, pattern("K2"), Pattern(Graph(3)))
 
 
 def test_ex_witness_has_exact_order():
@@ -577,6 +584,105 @@ def test_forbidden_pattern_with_isolated_vertex():
     assert res.value == 1
     res = ex_exact(4, pattern("K3"), f)
     assert res.value == 0
+    # in mex the host is the graph itself: K3 has too few vertices to hold
+    # K3 + K1, and every 4-edge graph without isolated vertices has enough
+    res = mex_exact(3, pattern("K3"), f)
+    assert (res.value, res.witness.n) == (1, 3)
+    res = mex_exact(4, pattern("K3"), f)
+    assert res.value == 0
+
+
+# Patterns with isolated vertices, against brute force over labeled graphs
+# with the unpruned reference search (tests/embedding_reference.py).
+WITH_ISOLATED = {
+    "K3+K1": Graph(4, [(0, 1), (1, 2), (0, 2)]),
+    "K2+K1": Graph(3, [(0, 1)]),
+    "3K1": Graph(3),
+    "C4+2K1": Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+}
+
+
+def _brute_force_best(classes, target, forbidden):
+    """(value, least key of that value) over the classes free of forbidden,
+    or None when none is."""
+    scored = [(ref.count_copies(target, g), key) for key, g in classes.items()
+              if ref.is_free(forbidden, g)]
+    if not scored:
+        return None
+    best = max(value for value, _ in scored)
+    return best, min(key for value, key in scored if value == best)
+
+
+def _check_against_brute_force(query, classes, target, forbidden, strip):
+    expected = _brute_force_best(classes, target, forbidden)
+    if expected is None:
+        with pytest.raises(ValueError, match="no admissible graph"):
+            query(Pattern(target), Pattern(forbidden))
+        return
+    res = query(Pattern(target), Pattern(forbidden))
+    assert (res.value, canonical_form(strip(res.witness))) == expected
+
+
+@pytest.mark.parametrize("forb", sorted(WITH_ISOLATED))
+def test_mex_with_isolated_vertices_matches_brute_force(forb):
+    for m in range(1, 6):
+        classes = {}
+        for g in label_ordered_edge_sets(m):
+            classes.setdefault(canonical_form(g), g)
+        for target in (complete(3), star(2), TWO_K2.graph):
+            _check_against_brute_force(
+                lambda t, f: mex_exact(m, t, f), classes, target,
+                WITH_ISOLATED[forb], lambda g: g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_ex_with_isolated_vertices_matches_brute_force(n):
+    targets = [complete(2), complete(3), Graph(3, [(0, 1)]),  # K2 + K1
+               Graph(5, [(0, 1), (2, 3)])]  # 2K2 + K1
+    forbidden = list(WITH_ISOLATED.values()) + [complete(3), cycle(4)]
+    for target in targets:
+        for forb in forbidden:
+            _check_against_brute_force(
+                lambda t, f: ex_exact(n, t, f), _labeled_classes(n), target,
+                forb, _without_isolated)
+
+
+def test_oracle_makes_no_whole_graph_search(monkeypatch):
+    def whole_graph(*args):
+        raise AssertionError("a whole-graph search ran")
+
+    for module in (graphs, oracle):
+        for name in ("is_free", "count_copies"):
+            monkeypatch.setattr(module, name, whole_graph, raising=False)
+    assert mex_exact(6, pattern("K3"), pattern("K4")).value == 2
+    assert mex_exact(5, TWO_K2, Pattern(WITH_ISOLATED["C4+2K1"])).value == 10
+    assert ex_exact(6, Pattern(Graph(5, [(0, 1), (2, 3)])),
+                    Pattern(WITH_ISOLATED["K3+K1"])).value == 36
+    assert ex_exact(5, pattern("K3"), Pattern(Graph(6))).value == 10
+
+
+# The reports of a grid of 588 queries, hashed when every copy was found by
+# a whole-graph search: rooted searches must not change a reported number.
+GRID_SHA256 = "8024b8341e0b7af26b4a3dce24f168c6e382a1433add9807a4ebf3153495f016"
+
+
+def test_report_grid_is_pinned():
+    def report(query, size, t, f):
+        try:
+            res = query(size, TWO_K2 if t == "2K2" else pattern(t), pattern(f))
+        except ValueError as exc:
+            return f"error {exc}"
+        return (f"{res.value} {res.graphs_examined} {res.iso_classes_examined} "
+                f"{format_edge_list(res.witness)!r}")
+
+    digest = hashlib.sha256()
+    for t in ("K2", "K3", "K1_2", "C4", "K1_3", "2K2"):
+        for f in ("K3", "K4", "C4", "C5", "K2_3", "K1_3", "K1_2"):
+            for mode, query in (("mex", mex_exact), ("ex", ex_exact)):
+                for size in range(1, 8):
+                    line = f"{mode} {size} {t} {f} {report(query, size, t, f)}\n"
+                    digest.update(line.encode())
+    assert digest.hexdigest() == GRID_SHA256
 
 
 # ---------------------------------------------------------------------------
