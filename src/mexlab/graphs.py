@@ -14,8 +14,9 @@ count runs over the vertices sorted by degree, the order with which Chiba
 and Nishizeki (SIAM J. Comput. 1985) list K_r in O(a(G)^(r-2) m) time.
 
 Pattern copies (``count_copies``, ``is_free``, ``iter_copies``) come from one
-map search, ``_backtrack`` over a pattern's plan, which visits one map per
-copy prefix and counts the tail, an independent twin class, by a binomial.
+map search, ``_search`` over a pattern's plan, built once, which returns
+the number of copies, or stops at the first: it reaches one map per copy
+prefix and counts the tail, an independent twin class, by a binomial.
 For K_{s,t}, plus any isolated vertices, the tail is a whole side, and the
 placed side's later vertices are filtered in bulk: one bit-sliced pass
 (``_at_least``) keeps the vertices with at least t neighbours in the
@@ -28,6 +29,7 @@ each copy through that edge exactly once.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -470,9 +472,24 @@ def _twin_classes(g: Graph) -> list[int]:
             for v, row in enumerate(g.adj)]
 
 
-def _embedding_plan(f: Graph, root: tuple = ()):
-    """Static vertex order for backtracking (most already-placed neighbors
-    first) with symmetry-breaking bounds, as (prev, low, size, feeds).
+# A pattern's map-search plan (see _embedding_plan), with the values that
+# every search of it reads: stop, the first tail position; top, the tail's
+# bound, and after, the position from which the tail's mask lies above top's
+# image (both -1 for none); lead, the first feed.
+_Plan = namedtuple("_Plan", "prev low size feeds stop top after lead")
+
+
+def _plan(prev, low, size: int, feeds) -> _Plan:
+    k = len(prev)
+    top = low[k - size] if size else -1
+    return _Plan(tuple(prev), tuple(low), size, tuple(feeds), k - size, top,
+                 top + 1 if top >= 0 else -1,
+                 feeds.index(True) if True in feeds else k)
+
+
+def _embedding_plan(f: Graph, root: tuple = ()) -> _Plan:
+    """Static vertex order for the map search (most already-placed
+    neighbors first) with symmetry-breaking bounds, as a _Plan.
 
     prev[i] lists the earlier positions adjacent to position i in f, so the
     pairs (j, i) with j in prev[i] are the edges of f.  low[i] is the earlier
@@ -484,11 +501,12 @@ def _embedding_plan(f: Graph, root: tuple = ()):
     orbit, then the group shrinks to C's stabilizer.  If class D lies in the
     orbits of C and then of a later C', C' lies in C's orbit, so D's bound
     from C' implies its bound from C; each position keeps only its latest
-    bound.  The group is found by the same map search, of f in itself.
+    bound.  The group is found by the same map search, of f in itself, over
+    the twin bounds alone; the plan returned is built after the bounds above.
 
     A plan rooted at an arc (a, b) of f places a and b at positions 0 and 1,
     each its own class, and the rest greedily after them.  Its maps are the
-    searches that pin a and b (`_backtrack`'s root), so only the stabilizer
+    searches that pin a and b (`_search`'s root), so only the stabilizer
     of a and b is left to break: the self-map search that finds it is rooted
     at (a, b) in f as well, and no class's bound points at a or b.
 
@@ -535,14 +553,13 @@ def _embedding_plan(f: Graph, root: tuple = ()):
     def each(images, cand):
         for images[n - size:] in combinations(bits(cand), size):
             group.append([head_of[cls[images[h]]] for h in heads])
-        return True
 
-    _backtrack(prev, low, size, feeds, f, each, root)
+    _search(_plan(prev, low, size, feeds), f, root, visit=each)
     for k, h in enumerate(heads):
         for d in {perm[k] for perm in group} - {k}:
             low[heads[d]] = h
         group = [perm for perm in group if perm[k] == k]
-    return prev, low, size, feeds
+    return _plan(prev, low, size, feeds)
 
 
 def _at_least(adj, mask: int, k: int, full: int) -> int:
@@ -566,13 +583,14 @@ def _at_least(adj, mask: int, k: int, full: int) -> int:
     return over
 
 
-def _backtrack(prev, low, size, feeds, g: Graph, visit, root: tuple = ()) -> bool:
-    """The map search: enumerate the copies of a pattern in g over the
-    pattern's plan (prev, low, size, feeds), one visit per copy *prefix*.
+def _search(plan: _Plan, g: Graph, root: tuple = (), first: bool = False,
+            visit=None) -> int:
+    """The map search: the number of copies of a pattern in g, found over
+    the pattern's plan one map per copy *prefix*.
 
     Two maps give the same copy iff they differ by an automorphism of the
     pattern.  The plan's lower bounds admit exactly one map of each
-    automorphism orbit.  The search places positions 0..k-size-1 and carries
+    automorphism orbit.  The search places positions 0..stop-1 and carries
     the tail's mask: the AND of its placed neighbours' neighbourhoods, above
     the tail's bound once that is placed.  A candidate that leaves the mask
     fewer than size vertices is dropped.  At a feed after the first with no
@@ -585,27 +603,27 @@ def _backtrack(prev, low, size, feeds, g: Graph, visit, root: tuple = ()) -> boo
     With a root (u, v), an edge of g, and a plan rooted at an arc (a, b),
     positions 0 and 1 are pinned to u and v: the search starts at position 2
     with u and v used and the tail's mask cut by their neighbourhoods where
-    they feed, so it visits the maps taking a to u and b to v, one per coset
+    they feed, so it counts the maps taking a to u and b to v, one per coset
     of the stabilizer of a and b.
 
-    visit(images, cand) is called on each full prefix (images[i] hosts plan
-    position i < k - size); it returns True to continue or False to stop
-    the search.  Returns False iff a visit stopped the search.
+    With first, the search stops at the first full prefix with a copy and
+    returns its count, so the result is 0 iff there is no copy.  visit, if
+    given, is called as visit(images, cand) on each full prefix, in search
+    order (images[i] hosts plan position i < stop).
     """
-    k = len(prev)
-    stop = k - size
+    prev, low, size, feeds, stop, top, after, lead = plan
     gadj = g.adj
     full = (1 << g.n) - 1
-    images = [0] * k
-    top = low[stop] if size else -1  # the tail's bound
-    after = top + 1 if top >= 0 else -1
-    first = feeds.index(True) if True in feeds else k  # the first feed
+    images = [0] * len(prev)
 
-    def rec(i: int, used: int, mask: int) -> bool:
+    def rec(i: int, used: int, mask: int) -> int:
         if i == after:  # the tail's images lie above position top's
             mask &= -2 << images[top]
         if i == stop:
-            return visit(images, mask & ~used)
+            cand = mask & ~used
+            if visit:
+                visit(images, cand)
+            return comb(cand.bit_count(), size)
         cand = full & ~used
         for j in prev[i]:
             cand &= gadj[images[j]]
@@ -613,8 +631,9 @@ def _backtrack(prev, low, size, feeds, g: Graph, visit, root: tuple = ()) -> boo
         if t >= 0:
             cand &= -2 << images[t]  # strictly above that position's image
         feed = feeds[i]
-        if feed and i > first and not prev[i]:  # cand is not cut by adjacency
+        if feed and i > lead and not prev[i]:  # cand is not cut by adjacency
             cand &= _at_least(gadj, mask, size, full)
+        total = 0
         sub = mask
         while cand:
             low_bit = cand & -cand
@@ -625,9 +644,10 @@ def _backtrack(prev, low, size, feeds, g: Graph, visit, root: tuple = ()) -> boo
                 if sub.bit_count() < size:
                     continue
             images[i] = v
-            if not rec(i + 1, used | low_bit, sub):
-                return False
-        return True
+            total += rec(i + 1, used | low_bit, sub)
+            if first and total:
+                break
+        return total
 
     if not root:
         return rec(0, 0, full)
@@ -637,7 +657,7 @@ def _backtrack(prev, low, size, feeds, g: Graph, visit, root: tuple = ()) -> boo
         mask &= gadj[u]
     if feeds[1]:
         mask &= gadj[v]
-    return mask.bit_count() < size or rec(2, 1 << u | 1 << v, mask)
+    return rec(2, 1 << u | 1 << v, mask) if mask.bit_count() >= size else 0
 
 
 class Pattern:
@@ -664,7 +684,7 @@ class Pattern:
         return self.graph
 
     @cached_property
-    def plan(self):
+    def plan(self) -> _Plan:
         return _embedding_plan(self._searchable())
 
     @cached_property
@@ -696,48 +716,27 @@ def pattern(text: str) -> Pattern:
 
 
 def count_copies(f: Pattern, g: Graph) -> int:
-    """Number of subgraphs of g isomorphic to f (copies, not induced).
-
-    The search visits one map per copy prefix, and a prefix whose tail has
-    c candidates completes to C(c, size) copies.
-    """
+    """Number of subgraphs of g isomorphic to f (copies, not induced)."""
     if f.order == 0:
         raise ValueError("pattern must have at least one vertex")
-    size = f.plan[2]
-    total = 0
-
-    def visit(_, cand):
-        nonlocal total
-        total += comb(cand.bit_count(), size)
-        return True
-
-    _backtrack(*f.plan, g, visit)
-    return total
+    return _search(f.plan, g)
 
 
 def _copies_through(plans, g: Graph, u: int, v: int, first: bool = False) -> int:
     """The number of copies holding the edge uv of g of the pattern whose
     rooted plans are plans, one search per plan pinned to (u, v); with first,
     1 if there is one and 0 if not, stopping at the first."""
-    total = size = 0
-
-    def count(_, cand):
-        nonlocal total
-        total += comb(cand.bit_count(), size)
-        return True
-
-    visit = (lambda _, cand: cand.bit_count() < size) if first else count
+    total = 0
     for plan in plans:
-        size = plan[2]  # read by visit
-        if not _backtrack(*plan, g, visit, (u, v)):
+        total += _search(plan, g, (u, v), first)
+        if first and total:
             return 1
     return total
 
 
 def is_free(f: Pattern, g: Graph) -> bool:
     """True iff g contains no copy of f; exits on the first copy found."""
-    size = f.plan[2]
-    return _backtrack(*f.plan, g, lambda _, cand: cand.bit_count() < size)
+    return not _search(f.plan, g, first=True)
 
 
 def iter_copies(f: Pattern, g: Graph, limit: int) -> list:
@@ -748,20 +747,19 @@ def iter_copies(f: Pattern, g: Graph, limit: int) -> list:
     The search visits each copy once.  More than limit copies is a
     ValueError, raised before a tail that would pass the limit is listed.
     """
-    prev, _, size, _ = f.plan
-    k = len(prev)
-    key_edges = [(j, i) for i in range(k) for j in prev[i]]
+    plan = f.plan
+    stop, size = plan.stop, plan.size
+    key_edges = [(j, i) for i, js in enumerate(plan.prev) for j in js]
     found = []
 
     def visit(images, cand):
         if len(found) + comb(cand.bit_count(), size) > limit:
             raise ValueError(f"more than {limit} copies of {f.name}")
-        for images[k - size:] in combinations(bits(cand), size):
+        for images[stop:] in combinations(bits(cand), size):
             found.append(tuple((min(images[j], images[i]), max(images[j], images[i]))
                                for j, i in key_edges))
-        return True
 
-    _backtrack(*f.plan, g, visit)
+    _search(plan, g, visit=visit)
     return found
 
 

@@ -2,6 +2,8 @@
 unpruned reference search (tests/embedding_reference.py), which visits every
 injective map."""
 
+import hashlib
+import json
 import math
 import random
 
@@ -10,8 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import embedding_reference as ref
-from mexlab.graphs import (Graph, Pattern, _copies_through, bits, complete,
-                           count_copies, gnp, is_free, iter_copies,
+from mexlab.graphs import (Graph, Pattern, _copies_through, _search, bits,
+                           complete, count_copies, gnp, is_free, iter_copies,
                            parse_pattern_literal)
 
 LITERALS = [f"K{n}" for n in range(1, 9)] + [
@@ -159,3 +161,75 @@ def test_one_rooted_plan_per_arc_orbit(text, orbits):
     # K1_1_2's arcs: between its two K1 parts, from a K1 part to the
     # 2-part, and back
     assert len(Pattern(parse_pattern_literal(text)).rooted_plans) == orbits
+
+
+# The literal patterns of the benchmark workloads, and 2K2.
+WORKLOAD_PATTERNS = ["K2", "K3", "K4", "K1_2", "S3", "S4", "C4", "C5", "K2_2", "K3_3",
+                     "K4_7", "K2_3", "K3_4", "K3_5", "K4_4", "K2_2_2", "K3_3_3", "K1_1_2"]
+
+
+def test_plans_are_pinned():
+    # The plan fixes the search order and every count.  The hash covers
+    # prev, low, size and feeds of each unrooted plan and of each rooted
+    # plan list; the plan's other fields are derived from these.
+    digest = hashlib.sha256()
+    for f in [parse_pattern_literal(t) for t in WORKLOAD_PATTERNS] + [TWO_K2]:
+        pat = Pattern(f)
+        fields = [[p.prev, p.low, p.size, p.feeds] for p in [pat.plan] + pat.rooted_plans]
+        digest.update(json.dumps([fields[0], fields[1:]]).encode())
+    assert digest.hexdigest() == (
+        "b7943ebe9a880ddf1fb61b022027fa348de7afc54c75d5f21ac3c6f99222c64d")
+
+
+# ---------------------------------------------------------------------------
+# The search's modes against each other, on hosts too large for the reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def mid_instances(draw):
+    """A pattern with an edge and a G(n, p) host of 10 to 40 vertices, p
+    capped so that about 5000 injective maps are expected at most."""
+    f = draw(st.one_of(patterns(), twin_patterns(), complete_bipartite_patterns()))
+    assume(f.m > 0)
+    n = draw(st.sampled_from(range(10, 41, 5)))
+    cap = min(0.9, (5000 / math.perm(n, f.n)) ** (1 / f.m))
+    p = cap * draw(st.sampled_from([0.4, 0.7, 1.0]))
+    return f, gnp(n, p, draw(st.integers(0, 2 ** 32)))
+
+
+def check_first_stops_at_first_copy(plan, g, root=()):
+    """With first, the search visits the full prefixes of the whole search
+    up to the first with a copy, and returns that prefix's count."""
+    def run(first):
+        seen = []
+        got = _search(plan, g, root, first, lambda images, cand: seen.append(
+            (tuple(images[:plan.stop]), math.comb(cand.bit_count(), plan.size))))
+        return got, seen
+
+    total, seen = run(False)
+    assert total == sum(c for _, c in seen)
+    hit = next((j for j, (_, c) in enumerate(seen) if c), None)
+    if hit is None:
+        assert run(True) == (0, seen)
+    else:
+        assert run(True) == (seen[hit][1], seen[:hit + 1])
+
+
+@given(mid_instances())
+@settings(max_examples=200, deadline=None)
+def test_search_modes_agree_on_mid_size_hosts(case):
+    f, g = case
+    pat = Pattern(f)
+    total = count_copies(pat, g)
+    assert is_free(pat, g) == (total == 0)
+    assert len(iter_copies(pat, g, math.inf)) == total
+    check_first_stops_at_first_copy(pat.plan, g)
+    through_all = 0
+    for u, v in g.edges():
+        through = _copies_through(pat.rooted_plans, g, u, v)
+        assert _copies_through(pat.rooted_plans, g, u, v, True) == (through > 0)
+        for plan in pat.rooted_plans:
+            check_first_stops_at_first_copy(plan, g, (u, v))
+        through_all += through
+    # every copy holds e(f) host edges and is found once through each
+    assert through_all == f.m * total
