@@ -12,6 +12,13 @@ listed, and that enumerates cliques one by one, with bulk popcounts for the
 last two sizes, where the set is small or shallow.  The whole-graph
 count runs over the vertices sorted by degree, the order with which Chiba
 and Nishizeki (SIAM J. Comput. 1985) list K_r in O(a(G)^(r-2) m) time.
+Per edge, the kernel runs once on each edge's common neighbourhood, except
+on small dense hosts with 4 <= r <= _PIVOT_DEPTH + 2, where it would only
+enumerate: there each vertex x gets G[N(x)]'s upper-triangular adjacency
+matrix packed into one n^2-bit int, each (r-2)-clique S is visited once,
+and the AND of its vertices' matrices counts the r-cliques through S in one
+popcount, in place of the enumeration's last two levels.  The matrices take
+n^3/8 bytes, about 1 MB at the order cut-off n = 200.
 
 Pattern copies (``count_copies``, ``is_free``, ``iter_copies``) come from one
 map search, ``_search`` over a pattern's plan, built once, which returns
@@ -227,21 +234,23 @@ def gnp(n: int, p: float, seed: int) -> Graph:
 
     Edge slots are visited in lexicographic (u, v) order; slot i is present
     iff splitmix64(seed, i) < round(p * 2**64).  Identical (n, p, seed)
-    always produce the identical labeled graph on every platform.
+    always produce the identical labeled graph on every platform.  The loop
+    walks splitmix64's counter, seed + (i + 1) * _GOLDEN, one step per slot.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if n < 0:
         raise ValueError("n must be non-negative")
-    seed &= _MASK64
+    z = seed & _MASK64
     threshold = round(p * 2.0 ** 64)
     edges = []
-    i = 0
     for u in range(n):
         for v in range(u + 1, n):
-            if splitmix64(seed, i) < threshold:
+            z = (z + _GOLDEN) & _MASK64
+            x = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+            if x ^ (x >> 31) < threshold:
                 edges.append((u, v))
-            i += 1
     return Graph(n, edges)
 
 
@@ -304,6 +313,14 @@ class CliqueVector:
 # cand.
 _PIVOT_DEPTH = 3
 _PIVOT_PROBE = 12
+
+# Per-edge participation for 4 <= r <= _PIVOT_DEPTH + 2 is counted over
+# packed neighbourhood matrices on hosts of at most _PACKED_MAX_ORDER
+# vertices and edge density at least _PACKED_MIN_DENSITY.  Elsewhere the
+# n^2-bit ANDs cost more than the enumeration they replace
+# (scripts/participation_sweep.py).
+_PACKED_MAX_ORDER = 200
+_PACKED_MIN_DENSITY = 0.2
 
 
 def _clique_counts(adj, cand: int, R: int) -> list:
@@ -444,14 +461,101 @@ def count_cliques(g: Graph, R: int) -> CliqueVector:
 
 
 def edge_clique_participation(g: Graph, r: int) -> dict:
-    """For each edge e, the number of r-cliques containing e."""
+    """For each edge e, the number of r-cliques containing e.
+
+    For 4 <= r <= _PIVOT_DEPTH + 2, where the kernel would only enumerate,
+    on a host of at most _PACKED_MAX_ORDER vertices and edge density at
+    least _PACKED_MIN_DENSITY, the map comes from packed neighbourhood
+    matrices (_packed_participation), which take n^3/8 bytes: about 1 MB at
+    n = 200.  Otherwise r = 3 is one popcount per edge, an edge whose common
+    neighbourhood has fewer than r - 2 vertices gets 0, and every other edge
+    takes one kernel call on its common neighbourhood.
+    """
     if not 3 <= r <= EDGE_LIST_MAX_VERTICES:
         raise ValueError(f"r must lie in 3..{EDGE_LIST_MAX_VERTICES}")
-    if g.m == 0:
+    m, n = g.m, g.n
+    if m == 0:
         raise ValueError("graph has no edges")
+    if (4 <= r <= _PIVOT_DEPTH + 2 and n <= _PACKED_MAX_ORDER
+            and m >= _PACKED_MIN_DENSITY * comb(n, 2)):
+        return _packed_participation(g, r)
+    return _kernel_participation(g, r)
+
+
+def _kernel_participation(g: Graph, r: int) -> dict:
+    """edge_clique_participation's map, one kernel call per edge whose common
+    neighbourhood may hold an (r-2)-clique."""
     adj = g.adj
-    return {(u, v): _clique_counts(adj, adj[u] & adj[v], r - 2)[r - 2]
-            for u, v in g.edges()}
+    if r == 3:
+        return {(u, v): (adj[u] & adj[v]).bit_count() for u, v in g.edges()}
+    k = r - 2
+    part = {}
+    for u, v in g.edges():
+        common = adj[u] & adj[v]
+        part[(u, v)] = _clique_counts(adj, common, k)[k] if common.bit_count() >= k else 0
+    return part
+
+
+def _packed_participation(g: Graph, r: int) -> dict:
+    """edge_clique_participation's map for r >= 4 from packed matrices.
+
+    mats[x] is the upper-triangular adjacency matrix of G[N(x)] as one
+    n^2-bit int, bit i*n + j for i < j.  col = adj[x] * rep repeats N(x) in
+    every row; (col & diag) * full fills row i from its diagonal on iff i is
+    in N(x), the spill into row i+1 lying below its diagonal, and masking
+    both with G's own upper triangle up leaves G[N(x)]'s edges.  The AND of
+    mats[s] over an (r-2)-clique S holds the edges of S's common
+    neighbourhood, so its popcount is the number of r-cliques containing S.
+    Each (r-2)-clique is visited once, growing over forward neighbours, and
+    its count goes to each of its C(r-2, 2) edges; an r-clique through an
+    edge uv holds C(r-2, 2) of the (r-2)-cliques through uv, so one exact
+    division ends.
+    """
+    n, adj = g.n, g.adj
+    full = (1 << n) - 1
+    rep = ((1 << n * n) - 1) // full  # bit i*n for every row i
+    diag = ((1 << n * (n + 1)) - 1) // ((2 << n) - 1)  # bit i*n + i
+    up = 0
+    for i in reversed(range(n)):
+        up = up << n | adj[i] >> i + 1 << i + 1
+    mats = []
+    for row in adj:
+        col = row * rep
+        mats.append(up & col & (col & diag) * full)
+    fwd = [row >> v + 1 << v + 1 for v, row in enumerate(adj)]
+    part = dict.fromkeys(g.edges(), 0)
+    k = r - 2
+
+    def grow(clique: list, cand: int, acc: int) -> None:
+        if len(clique) + 1 < k:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                v = low.bit_length() - 1
+                sub, nxt = acc & mats[v], cand & fwd[v]
+                if sub and nxt:
+                    grow(clique + [v], nxt, sub)
+            return
+        total = 0  # the last vertex v closes S: c goes to its edges xv here
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            c = (acc & mats[v]).bit_count()
+            if c:
+                total += c
+                for x in clique:
+                    part[x, v] += c
+        if total:  # and the sum to the edges among the earlier vertices
+            for e in combinations(clique, 2):
+                part[e] += total
+
+    grow([], full, -1)
+    if k > 2:
+        d = comb(k, 2)
+        for e in part:
+            part[e] //= d
+    return part
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Graph core: generators, exact counting, invariants."""
 
 import math
+import random
 import re
 import time
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (bowtie, disjoint_union, hom_brute_force, path,
                       petersen, recursion_headroom)
+from mexlab import graphs
 from mexlab.bounds import lemma_constant
 from mexlab.graphs import (EdgeListError, Graph, Pattern, _at_least,
                            _twin_classes, chromatic_number, complete,
@@ -142,6 +144,75 @@ def test_count_cliques_matches_networkx(nx, p, seed, data):
     for clique in nx.enumerate_all_cliques(h):
         want[len(clique)] += 1
     assert count_cliques(g, R).counts == tuple(want)
+
+
+def _nx_participation(nx, g, top):
+    """For each r <= top and each edge, the number of r-cliques through the
+    edge, from networkx's listing of every clique in order of size."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    want = {r: dict.fromkeys(g.edges(), 0) for r in range(3, top + 1)}
+    for clique in nx.enumerate_all_cliques(h):
+        if len(clique) > top:
+            break
+        if len(clique) >= 3:
+            for e in combinations(sorted(clique), 2):
+                want[len(clique)][e] += 1
+    return want
+
+
+def _participation_hosts():
+    """Dense and sparse hosts at the packed path's order cut-off and one
+    above it, and small dense hosts."""
+    cut = graphs._PACKED_MAX_ORDER
+    return [gnp(cut, 0.3, 1), gnp(cut + 1, 0.3, 2), gnp(cut, 0.05, 3),
+            gnp(cut + 1, 0.05, 4), gnp(30, 0.7, 5), gnp(45, 0.5, 6)]
+
+
+def test_participation_matches_networkx_on_both_paths(nx):
+    for i, g in enumerate(_participation_hosts()):
+        perm = list(range(g.n))
+        random.Random(i).shuffle(perm)
+        h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        want = _nx_participation(nx, g, 6)
+        for r in (3, 4, 5, 6):
+            part = edge_clique_participation(g, r)
+            assert part == want[r], (i, r)
+            assert list(part) == g.edges()
+            moved = {(min(perm[u], perm[v]), max(perm[u], perm[v])): c
+                     for (u, v), c in part.items()}
+            assert edge_clique_participation(h, r) == moved, (i, r)
+
+
+def test_packed_path_runs_only_where_it_is_cut_to(monkeypatch):
+    calls = []
+    packed = graphs._packed_participation
+    monkeypatch.setattr(graphs, "_packed_participation",
+                        lambda g, r: calls.append((g.n, r)) or packed(g, r))
+    hosts = _participation_hosts()
+    rs = range(3, graphs._PIVOT_DEPTH + 5)
+    for g in hosts:
+        for r in rs:
+            edge_clique_participation(g, r)
+    # the dense hosts at or below the order cut-off, at 4 <= r <= _PIVOT_DEPTH + 2
+    assert calls == [(g.n, r) for g in (hosts[0], hosts[4], hosts[5])
+                     for r in rs if 4 <= r <= graphs._PIVOT_DEPTH + 2]
+
+
+# Per p, the largest n drawn, which keeps the r = 6 counts of the kernel
+# path under a second.
+_SUM_MAX_N = {0.1: 150, 0.3: 90, 0.5: 50, 0.7: 35, 0.9: 22}
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from(sorted(_SUM_MAX_N)), seed=st.integers(0, 2 ** 32 - 1),
+       r=st.integers(3, 6), data=st.data())
+def test_participation_sums_to_the_clique_count_on_gnp(p, seed, r, data):
+    g = gnp(data.draw(st.integers(2, _SUM_MAX_N[p]), label="n"), p, seed)
+    if g.m:
+        part = edge_clique_participation(g, r)
+        assert sum(part.values()) == math.comb(r, 2) * count_cliques(g, r)[r]
 
 
 def test_deep_counts_stay_under_the_recursion_limit():
@@ -376,6 +447,18 @@ def test_splitmix64_reference_vector():
     assert splitmix64(0, 0) == 0xE220A8397B1DCDAF
     assert splitmix64(0, 1) == 0x6E789E6AA1B965F4
     assert splitmix64(0, 2) == 0x06C45D188009454F
+
+
+def test_gnp_is_the_splitmix64_slot_definition():
+    # slot i, the i-th pair (u, v) in lexicographic order, is an edge iff
+    # splitmix64(seed, i) < round(p * 2^64)
+    for n, p, seed in [(0, 0.5, 1), (1, 0.5, 1), (2, 0.5, 3), (17, 0.3, 0),
+                       (30, 0.5, 12345), (40, 0.05, 2 ** 64 - 1), (25, 0.9, 2 ** 70 + 5)]:
+        threshold = round(p * 2.0 ** 64)
+        slots = combinations(range(n), 2)
+        want = Graph(n, [e for i, e in enumerate(slots)
+                         if splitmix64(seed, i) < threshold])
+        assert gnp(n, p, seed) == want, (n, p, seed)
 
 
 @given(st.integers(2, 10), st.data())
