@@ -31,6 +31,13 @@ common neighbourhood of the earlier ones.  A plan may be rooted at an arc
 (a, b) of the pattern, with a and b pinned to the ends of a host edge
 (``_copies_through``): one rooted plan per automorphism orbit of arcs finds
 each copy through that edge exactly once.
+
+``gnp`` draws slot i of G(n, p) from ``splitmix64(seed, i)``, but computes
+a chunk of up to 1024 slots at once, one slot per 128-bit lane of one
+Python int, so each step of the mix is one big-int operation.  A threshold
+added to every lane leaves one flag bit per slot; the flags come out as
+b"0"/b"1" bytes, from which each adjacency row, and each column of a block
+of rows, is read as one base-2 numeral.
 """
 
 from __future__ import annotations
@@ -56,9 +63,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 def splitmix64(seed: int, index: int) -> int:
     """Return the index-th 64-bit output of a SplitMix64 stream.
 
-    SplitMix64 is counter-based: output(i) depends only on (seed, i), so
-    individual draws are addressable without sequential state.  This is the
-    only randomness source in the package.
+    SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) is counter-based:
+    output(i) depends only on (seed, i), so individual draws are addressable
+    without sequential state.  This is the only randomness source in the
+    package, and the definition of every draw: ``gnp`` computes the same
+    outputs many slots at a time.
     """
     z = (seed + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -229,29 +238,106 @@ def cycle(length: int) -> Graph:
     return Graph(length, [(v, (v + 1) % length) for v in range(length)])
 
 
+# gnp runs SplitMix64 on up to _LANES slots at once, one slot per 128-bit
+# lane of a Python int: a lane holds a 64-bit value and, after a multiply by
+# a 64-bit constant, its full product, so no carry crosses into the next
+# lane.  _ONES has a 1 at the bottom of every lane, _RAMP holds k * _GOLDEN
+# mod 2^64 in lane k; both are built by doubling.
+_LANES = 1024
+# Flag bytes of the rows that gnp turns into adjacency at once: an n-vertex
+# block of about _BLOCK_BYTES // n rows, the whole graph up to n = 512.
+_BLOCK_BYTES = 1 << 18
+_EDGE_FLAG = bytes.maketrans(b"\x00\x01", b"10")
+
+
+def _lane_constants(lanes: int) -> tuple[int, int]:
+    ones, ramp, k = 1, 0, 1
+    while k < lanes:
+        step = (k * _GOLDEN & _MASK64) * ones
+        ramp |= ((ramp + step) & _MASK64 * ones) << 128 * k
+        ones |= ones << 128 * k
+        k *= 2
+    return ones, ramp
+
+
+_ONES, _RAMP = _lane_constants(_LANES)
+
+
+def _slot_flags(seed: int, threshold: int, start: int, count: int) -> bytes:
+    """One byte per slot start..start+count-1: b"1" iff
+    splitmix64(seed, slot) < threshold, else b"0".
+
+    Each chunk of k <= _LANES slots is one int of k lanes, and each step of
+    the mix is one operation on it, masked back to 64 bits per lane.  The
+    counters of the next chunk are this chunk's plus k * _GOLDEN per lane.
+    Adding 2^64 - threshold to a lane leaves its bit 64 clear exactly when
+    the draw is below threshold, and byte 8 of every 16 little-endian bytes
+    holds that bit.  The first chunk and a short last one build their lane
+    constants cut to their own k.
+    """
+    out = []
+    end = start + count
+    k = 0
+    for s in range(start, end, _LANES):
+        if end - s < _LANES or not k:
+            k = min(_LANES, end - s)
+            cut = (1 << 128 * k) - 1
+            ones = _ONES & cut
+            low = _MASK64 * ones
+            step = (k * _GOLDEN & _MASK64) * ones
+            over = ((1 << 64) - threshold) * ones
+            c = (((seed + (s + 1) * _GOLDEN) & _MASK64) * ones + (_RAMP & cut)) & low
+        else:
+            c = (c + step) & low
+        z = ((c ^ c >> 30) & low) * 0xBF58476D1CE4E5B9 & low
+        z = ((z ^ z >> 27) & low) * 0x94D049BB133111EB & low
+        z = (z ^ z >> 31) + over
+        out.append(z.to_bytes(16 * k, "little")[8::16])
+    return b"".join(out).translate(_EDGE_FLAG)
+
+
 def gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p) sampled with SplitMix64.
 
     Edge slots are visited in lexicographic (u, v) order; slot i is present
     iff splitmix64(seed, i) < round(p * 2**64).  Identical (n, p, seed)
-    always produce the identical labeled graph on every platform.  The loop
-    walks splitmix64's counter, seed + (i + 1) * _GOLDEN, one step per slot.
+    always produce the identical labeled graph on every platform.
+
+    The draws come a block of rows at a time from ``_slot_flags``.  Each row
+    u of the block is padded with u + 1 b"0" to n flag bytes, and the block
+    is reversed once: row u, read as a base-2 numeral, is then u's upper
+    neighbours, and every n-th byte from the end of the block is a column,
+    the neighbours of v among the block's rows.  Only one block is held, so
+    memory beyond the graph stays within a few times _BLOCK_BYTES.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if n < 0:
         raise ValueError("n must be non-negative")
-    z = seed & _MASK64
     threshold = round(p * 2.0 ** 64)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            z = (z + _GOLDEN) & _MASK64
-            x = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-            if x ^ (x >> 31) < threshold:
-                edges.append((u, v))
-    return Graph(n, edges)
+    adj = [0] * n
+    rows = max(1, _BLOCK_BYTES // max(n, 1))
+    zeros = b"0" * n
+    slot = 0
+    for a in range(0, n, rows):
+        b = min(n, a + rows)
+        count = comb(n - a, 2) - comb(n - b, 2)
+        flags = _slot_flags(seed, threshold, slot, count)
+        slot += count
+        parts = []
+        o = 0
+        for u in range(a, b):
+            parts += zeros[:u + 1], flags[o:o + n - 1 - u]
+            o += n - 1 - u
+        block = b"".join(parts)[::-1]
+        for u in range(a, b):
+            o = (b - 1 - u) * n
+            adj[u] |= int(block[o:o + n], 2)
+        for v in range(a + 1, n):
+            adj[v] |= int(block[n - 1 - v::n], 2) << a
+    g = Graph(n)
+    g.adj = adj
+    return g
 
 
 _LITERAL_RE = re.compile(r"^(K|C|S)(\d+(?:_\d+)*)$")

@@ -1,5 +1,6 @@
 """Norm graphs, the deletion procedure, and scaling experiments."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from mexlab import constructions
 from mexlab.bounds import COND_MADC, ConditionError
+from mexlab.cli import EXIT_OK, main
 from mexlab.constructions import (EXPERIMENT_MAX_INSTANCES, deletion_method,
                                   fit_loglog_slope, norm_graph, run_experiment,
                                   tripartite_parts)
@@ -176,6 +178,28 @@ def test_deletion_does_not_depend_on_copy_order(pat, n, seed, c, monkeypatch):
                         lambda *args: iter_copies(*args)[::-1])
     g2, run2 = deletion_method(f, 2, 3, n, seed, c)
     assert format_edge_list(g2) == format_edge_list(g) and run2 == run
+
+
+# sha256 of the report and of the written edge list of `construct deletion`
+# with u = 2, r = 3, at the sizes of the benchmark's deletion runs
+@pytest.mark.parametrize("pat,n,c,seed,report_sha,graph_sha", [
+    ("K3_4", 300, 1.2, 3,
+     "b6f2e9b8c19db7bff6d80a4db002de42f841d645bd9ae524f4d587d302eef389",
+     "9d4a1ee32cb5ca1a3e27dc93740400a2d4ead79d5b43da4c08a4242301d2a792"),
+    ("K2_2_2", 300, 1.3, 1,
+     "477e4187a2e09cf47197b4882ac788f9999ed3c93bf89bee69d72f3c01884f59",
+     "2fc88adc63fd127e2c00625b765626eed37b5d94d8a1e1df232986e9b008051c"),
+    ("K2_2_2", 500, 1.5, 1,
+     "c0ab5a7163b396bc67c3652edb0b740113fbe42776c3a35538824f1f159ff8d5",
+     "ba75d9fcee0dc35be5fac5421a7190ea579a29e6d70d96d31387e14168a9a521")])
+def test_deletion_outputs_are_pinned(tmp_path, pat, n, c, seed, report_sha, graph_sha):
+    report, out = tmp_path / "report.json", tmp_path / "graph.el"
+    code = main(["construct", "deletion", "--pattern", pat, "--u", "2", "--r", "3",
+                 "--n", str(n), "--seed", str(seed), "--c", str(c),
+                 "--out", str(out), "--report", str(report)])
+    assert code == EXIT_OK
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == graph_sha
 
 
 def test_tripartite_instance_parts():

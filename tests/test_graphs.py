@@ -449,16 +449,65 @@ def test_splitmix64_reference_vector():
     assert splitmix64(0, 2) == 0x06C45D188009454F
 
 
+def per_slot_gnp(n, p, seed):
+    """slot i, the i-th pair (u, v) in lexicographic order, is an edge iff
+    splitmix64(seed, i) < round(p * 2^64)"""
+    threshold = round(p * 2.0 ** 64)
+    slots = combinations(range(n), 2)
+    return Graph(n, [e for i, e in enumerate(slots) if splitmix64(seed, i) < threshold])
+
+
+# p at the ends of the threshold range: 0, a subnormal, one draw in 2^64,
+# a half, the largest double below 1, and 1
+_EDGE_PS = {0.0: 0, 5e-324: 0, 2.0 ** -64: 1, 0.5: 2 ** 63,
+            1 - 2.0 ** -53: 2 ** 64 - 2 ** 11, 1.0: 2 ** 64}
+_EDGE_SEEDS = (0, -1, 2 ** 64 - 1, 2 ** 70 + 5)
+
+
 def test_gnp_is_the_splitmix64_slot_definition():
-    # slot i, the i-th pair (u, v) in lexicographic order, is an edge iff
-    # splitmix64(seed, i) < round(p * 2^64)
     for n, p, seed in [(0, 0.5, 1), (1, 0.5, 1), (2, 0.5, 3), (17, 0.3, 0),
                        (30, 0.5, 12345), (40, 0.05, 2 ** 64 - 1), (25, 0.9, 2 ** 70 + 5)]:
-        threshold = round(p * 2.0 ** 64)
-        slots = combinations(range(n), 2)
-        want = Graph(n, [e for i, e in enumerate(slots)
-                         if splitmix64(seed, i) < threshold])
-        assert gnp(n, p, seed) == want, (n, p, seed)
+        assert gnp(n, p, seed) == per_slot_gnp(n, p, seed), (n, p, seed)
+    # no C(n, 2) is one of these chunk ends, so n and n + 1 bracket each;
+    # test_slot_flags_across_chunk_ends takes the counts themselves
+    lanes = graphs._LANES
+    ends = {lanes - 1, lanes, lanes + 1, 2 * lanes + 1}
+    assert not any(math.comb(n, 2) in ends for n in range(2 * lanes))
+    below = {max(n for n in range(2 * lanes) if math.comb(n, 2) < end) for end in ends}
+    for n in sorted({*below, *(n + 1 for n in below), 500}):
+        for p, threshold in _EDGE_PS.items():
+            assert round(p * 2.0 ** 64) == threshold
+            for seed in _EDGE_SEEDS:
+                if n == 500 and p not in (0.5, 1 - 2.0 ** -53):
+                    continue
+                assert gnp(n, p, seed) == per_slot_gnp(n, p, seed), (n, p, seed)
+
+
+@pytest.mark.parametrize("start", [0, 5, 2 ** 40])
+def test_slot_flags_across_chunk_ends(start):
+    lanes = graphs._LANES
+    for count in (0, 1, lanes - 1, lanes, lanes + 1, 2 * lanes + 1):
+        for threshold in (0, 1, 2 ** 63, 2 ** 64 - 2 ** 11, 2 ** 64):
+            for seed in _EDGE_SEEDS:
+                want = bytes(48 + (splitmix64(seed, i) < threshold)
+                             for i in range(start, start + count))
+                assert graphs._slot_flags(seed, threshold, start, count) == want
+
+
+@pytest.mark.parametrize("block_bytes", [1, 40, 97])
+def test_gnp_rows_cut_into_blocks(monkeypatch, block_bytes):
+    # a block holds max(1, _BLOCK_BYTES // n) rows; these sizes make
+    # blocks of one row, of a few rows, and blocks that end mid-graph
+    monkeypatch.setattr(graphs, "_BLOCK_BYTES", block_bytes)
+    for n in (0, 1, 2, 7, 13, 46):
+        for seed in (0, 2 ** 64 - 1):
+            assert gnp(n, 0.5, seed) == per_slot_gnp(n, 0.5, seed), (n, seed)
+
+
+@given(st.integers(0, 120), st.floats(0.0, 1.0), st.integers(-2 ** 70, 2 ** 70))
+@settings(max_examples=60, deadline=None)
+def test_gnp_matches_the_per_slot_definition(n, p, seed):
+    assert gnp(n, p, seed) == per_slot_gnp(n, p, seed)
 
 
 @given(st.integers(2, 10), st.data())
