@@ -1336,10 +1336,12 @@ def _spoilt(draw, valid, odd):
 
 # Patterns that meet the thm15 conditions for (u, r) = (2, 3) (K3_4, K2_2_2,
 # K4_4, K3_5) or also for (2, 4) and (3, 4) (K8); the odd ones fail them
-# (K3_3, K4, C4) or are not patterns.  K4_4_4 also meets them, but a host
-# of 14 to 60 vertices with just under DELETION_MAX_COPIES of its copies
-# takes 0.6 to 3.7 s to search, and the CLI run of n = 58, seed 26695,
-# c = 1.47 takes 4.9 s, too close to the fuzz budget.
+# (K3_3, K4, C4) or are not patterns.  K4_4_4 also meets them, but its
+# slowest known case, the CLI run of n = 58, seed 26695, c = 1.47 (9,624
+# copies), takes 2.4 to 3.0 s in process, 1.8 to 2.4 s of it in
+# iter_copies: above half the fuzz budget.  60 random K4_4_4 argvs drawn
+# as below, and 40 more with n in 30..60 and c in 1.1..1.8, took at most
+# 0.9 and 1.2 s.
 _DELETION_PATTERNS = (
     st.sampled_from(["K3_4", "K2_2_2", "K4_4", "K3_5", "K8"]),
     st.sampled_from(["K3_3", "K4", "C4", "K0", "S0", "C2", "K13", "K17",

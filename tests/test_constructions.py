@@ -12,7 +12,7 @@ from mexlab.cli import EXIT_OK, main
 from mexlab.constructions import (EXPERIMENT_MAX_INSTANCES, deletion_method,
                                   fit_loglog_slope, norm_graph, run_experiment,
                                   tripartite_parts)
-from mexlab.graphs import (Pattern, bits, count_cliques, count_copies,
+from mexlab.graphs import (Graph, Pattern, bits, count_cliques, count_copies,
                            format_edge_list, gnp, is_free, iter_copies, pattern)
 
 
@@ -137,6 +137,63 @@ def test_deletion_actually_deletes_when_copies_exist():
     assert count_copies(f, g) == 0
 
 
+def _nx_graph(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def _nx_holds(nx, h, f) -> bool:
+    """Whether the networkx graph h holds a copy of f: by a clique of f's
+    order for a complete f, since VF2 would visit each smaller clique in
+    every order of its vertices, and otherwise by a VF2 monomorphism search."""
+    k = f.order
+    if f.size == k * (k - 1) // 2:
+        return any(len(clique) >= k for clique in nx.find_cliques(h))
+    matcher = nx.algorithms.isomorphism.GraphMatcher(h, _nx_graph(nx, f.graph))
+    return matcher.subgraph_is_monomorphic()
+
+
+# Every (u, r) with 2 <= u < r <= 5 that thm15_general accepts for these
+# patterns, on hosts where edges get deleted.  The hosts of the bipartite
+# and tripartite patterns have 9 to 14 vertices: VF2 searches them in 0.1
+# to 1 s, and hosts of 30 vertices in seconds to minutes.
+@pytest.mark.parametrize("pat,u,r,n,seed,c", [
+    ("K3_4", 2, 3, 10, 2, 3.0), ("K2_2_2", 2, 3, 14, 2, 2.0),
+    ("K4_4", 2, 3, 9, 2, 2.5), ("K8", 2, 3, 45, 1, 1.5),
+    ("K8", 2, 4, 45, 2, 1.8), ("K8", 2, 4, 40, 2, 2.0), ("K8", 3, 4, 45, 1, 1.8)])
+def test_deletion_counts_and_freeness_by_networkx(pat, u, r, n, seed, c):
+    """The reported counts against a count of the output, and the counts and
+    f_free against references that share no code with mexlab: networkx's
+    clique listing and a networkx search for f, which must find f in the
+    host."""
+    nx = pytest.importorskip("networkx")
+    f = pattern(pat)
+    out, run = deletion_method(f, u, r, n, seed, c)
+    assert run.copies_found > 0 and run.edges_deleted > 0 and run.f_free
+    counts = count_cliques(out, r)
+    assert (run.ku_after, run.kr_after) == (counts[u], counts[r])
+    h = _nx_graph(nx, out)
+    want = [0] * (r + 1)
+    for clique in nx.enumerate_all_cliques(h):
+        if len(clique) > r:
+            break
+        want[len(clique)] += 1
+    assert (run.ku_after, run.kr_after) == (want[u], want[r])
+    assert not _nx_holds(nx, h, f)
+    assert _nx_holds(nx, _nx_graph(nx, gnp(n, run.p, seed)), f)
+
+
+def test_deletion_catches_an_edge_left_in(monkeypatch):
+    """A removal that keeps the last edge of its list fails the certificate."""
+    keep_last = Graph.remove_edges
+    monkeypatch.setattr(Graph, "remove_edges",
+                        lambda self, edges: keep_last(self, list(edges)[:-1]))
+    with pytest.raises(AssertionError):
+        deletion_method(pattern("K3_4"), 2, 3, 30, 2, 2.5)
+
+
 def scan_greedy_deletion(copies) -> list:
     """The greedy deletion by a scan over every live edge per deleted edge,
     as it was computed before the lazy heap."""
@@ -180,21 +237,42 @@ def test_deletion_does_not_depend_on_copy_order(pat, n, seed, c, monkeypatch):
     assert format_edge_list(g2) == format_edge_list(g) and run2 == run
 
 
-# sha256 of the report and of the written edge list of `construct deletion`
-# with u = 2, r = 3, at the sizes of the benchmark's deletion runs
-@pytest.mark.parametrize("pat,n,c,seed,report_sha,graph_sha", [
+# sha256 of the report and of the written edge list of `construct deletion`:
+# with u = 2, r = 3 at the sizes of the benchmark's deletion runs, and at
+# r = 4 and 5, where the post-deletion counts reach cliques of 4 and 5
+# vertices through the deleted edges
+@pytest.mark.parametrize("pat,n,c,seed,report_sha,graph_sha,u,r", [
     ("K3_4", 300, 1.2, 3,
      "b6f2e9b8c19db7bff6d80a4db002de42f841d645bd9ae524f4d587d302eef389",
-     "9d4a1ee32cb5ca1a3e27dc93740400a2d4ead79d5b43da4c08a4242301d2a792"),
+     "9d4a1ee32cb5ca1a3e27dc93740400a2d4ead79d5b43da4c08a4242301d2a792", 2, 3),
     ("K2_2_2", 300, 1.3, 1,
      "477e4187a2e09cf47197b4882ac788f9999ed3c93bf89bee69d72f3c01884f59",
-     "2fc88adc63fd127e2c00625b765626eed37b5d94d8a1e1df232986e9b008051c"),
+     "2fc88adc63fd127e2c00625b765626eed37b5d94d8a1e1df232986e9b008051c", 2, 3),
     ("K2_2_2", 500, 1.5, 1,
      "c0ab5a7163b396bc67c3652edb0b740113fbe42776c3a35538824f1f159ff8d5",
-     "ba75d9fcee0dc35be5fac5421a7190ea579a29e6d70d96d31387e14168a9a521")])
-def test_deletion_outputs_are_pinned(tmp_path, pat, n, c, seed, report_sha, graph_sha):
+     "ba75d9fcee0dc35be5fac5421a7190ea579a29e6d70d96d31387e14168a9a521", 2, 3),
+    ("K8", 80, 1.5, 1,  # 11 copies, 4 edges deleted
+     "a1b95c115177a2a4e567fb7c72a465750897709a14908f656d499e26d160ec0b",
+     "c9c96293404d1255e036bedca4e48917f5b9863865a00e9e819ac4e5a38f1968", 2, 4),
+    ("K8", 40, 2.0, 2,  # 7,643 copies, 30 edges deleted
+     "65b4b56a34c00d158a86518bb4dc87c85bd77285aaafce198aea3ab823a32107",
+     "7b2e894956b718fa451f5a5a61aab0529d7d5182c92e5550e6ca2686c6577a1e", 2, 4),
+    ("K8", 150, 1.5, 3,
+     "644f492664761a7850ab7759dca24b7d228eaae79954550886d0822ccf4af120",
+     "005664edf766ec63c847fc938f5d4058bf5446dfc1e2d0d2e844e0d2117202a7", 3, 4),
+    ("K12", 30, 1.5, 2,
+     "bac0e0386b9cbdfaabd284f1e03851e2f9ac04b07299b45651da29099d743234",
+     "ad20b760dd6c6141a9778c258d9f90f747d11ac3b0dc5f1ac95c21bc276cf572", 2, 5),
+    ("K12", 30, 1.5, 2,
+     "4089651346ddd29be231f8499e9d53d7384f1d1ae097b7defc2ec2f3af6cb558",
+     "ad20b760dd6c6141a9778c258d9f90f747d11ac3b0dc5f1ac95c21bc276cf572", 4, 5),
+    ("K12", 30, 1.5, 1,
+     "bde8ce88b26e6bbb4ba8a3632b3777324114c4685a1001e303bfb102befc37df",
+     "c98751e563bf44f4dad170c8f613c64f32b612e31a6b0dcc6ec6464d3cc2d6e0", 3, 5)])
+def test_deletion_outputs_are_pinned(tmp_path, pat, n, c, seed, report_sha, graph_sha,
+                                     u, r):
     report, out = tmp_path / "report.json", tmp_path / "graph.el"
-    code = main(["construct", "deletion", "--pattern", pat, "--u", "2", "--r", "3",
+    code = main(["construct", "deletion", "--pattern", pat, "--u", str(u), "--r", str(r),
                  "--n", str(n), "--seed", str(seed), "--c", str(c),
                  "--out", str(out), "--report", str(report)])
     assert code == EXIT_OK
