@@ -17,7 +17,9 @@ whether every median stays within the bounds that BENCHMARK.json gives.  A
 --claim names the workload and metric a gain is claimed on; the claim is met
 when the change wins at least nine tenths of the pairs, and its median lies
 past the parent's quartile range on the better side, away from the parent's
-median by more than that range.  The file is rewritten after each workload.
+median by more than that range.  The file also records each side's source
+size, the newline count of its src/mexlab/*.py, as `wc -l` gives it.  It is
+rewritten after each workload.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ def prepare(ref: str, work: Path) -> dict[str, Path]:
         tar.extractall(sides["parent"], filter="data")
     _git("checkout-index", "-a", f"--prefix={sides['change']}/")
     return sides
+
+
+def src_lines(side: Path) -> int:
+    return sum(f.read_bytes().count(b"\n") for f in (side / "src" / "mexlab").glob("*.py"))
 
 
 def run_once(side: Path, workload: str, seed: int, bench: dict) -> dict:
@@ -152,6 +158,7 @@ def main(argv=None) -> int:
         out = {"parent_commit": _git("rev-parse", args.parent).decode().strip(),
                "host": {"cores": os.cpu_count(), "python": platform.python_version(),
                         "machine": platform.machine()},
+               "src_lines": {name: src_lines(side) for name, side in sides.items()},
                "command": " ".join(bench["command"]) + " --workload W --seed S "
                           f"--seconds {bench['run_seconds']} --trace 0",
                "method": __doc__.split("\n\n")[-1].replace("\n", " ").strip(),

@@ -29,10 +29,6 @@ COND_EDGE_COUNT = "e > (r-1)/2*v + r(r-1)/2 - (r-1)"
 COND_MADC = "madc < (2e-r(r-1))/(v-2)"
 
 
-def _binom2(x: int) -> int:
-    return x * (x - 1) // 2
-
-
 @dataclass
 class Condition:
     text: str
@@ -108,7 +104,7 @@ def cor14_kst(r: int, s: int) -> ExponentReport:
         raise ValueError("r must be >= 3")
     if not 2 <= s <= COR14_MAX_S:
         raise ValueError(f"s must lie in 2..{COR14_MAX_S}")
-    frac = Fraction(r * s - _binom2(r), 2 * s - 1)
+    frac = Fraction(r * s - math.comb(r, 2), 2 * s - 1)
     s_min = 2 if r == 3 else r
     tight = (r >= 4 and s >= 2 * r - 2) or (r == 3 and s >= 2)
     t_min = math.factorial(s - 1) + 1
@@ -123,7 +119,7 @@ def cor14_kst(r: int, s: int) -> ExponentReport:
 def _thm15_exponent(u: int, r: int, v: int, e: int) -> Fraction | None:
     """Thm 1.5's exponent for a forbidden graph with v vertices and e edges;
     None where its denominator vanishes."""
-    br, bu = _binom2(r), _binom2(u)
+    br, bu = math.comb(r, 2), math.comb(u, 2)
     den = u * e - bu * v - u * br + 2 * bu
     return Fraction(r * e - br * v - r * br + 2 * br, den) if den != 0 else None
 
@@ -139,7 +135,7 @@ def thm15_general(u: int, r: int, f: Pattern) -> ExponentReport:
     if v <= 2:
         raise ValueError("pattern must have more than 2 vertices")
     frac = _thm15_exponent(u, r, v, e)
-    c1 = 2 * e > (r - 1) * v + 2 * _binom2(r) - 2 * (r - 1)
+    c1 = 2 * e > (r - 1) * v + 2 * math.comb(r, 2) - 2 * (r - 1)
     if e == 0:
         c2 = False
     else:
@@ -157,7 +153,7 @@ def thm41_kst_lower(u: int, r: int, s: int, t: int) -> ExponentReport:
     if not 1 <= s <= t:
         raise ValueError("need t >= s >= 1")
     frac = _thm15_exponent(u, r, s + t, s * t)
-    s_min = max(_binom2(r), 2 * r - 2)
+    s_min = max(math.comb(r, 2), 2 * r - 2)
     conditions = [Condition(f"s >= max(r(r-1)/2, 2r-2) = {s_min}", s >= s_min)]
     return ExponentReport("thm41_kst_lower", {"u": u, "r": r, "s": s, "t": t},
                           value_rational=frac, conditions=conditions)

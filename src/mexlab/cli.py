@@ -265,7 +265,7 @@ def _dispatch(args) -> tuple[object, str | None]:
     if cmd == "participation":
         part = edge_clique_participation(load_graph(args.input), args.r)
         return {"r": args.r, "participation": [
-            [u, v, part[(u, v)]] for u, v in sorted(part)]}, args.out
+            [u, v, c] for (u, v), c in part.items()]}, args.out
     if cmd == "pattern-count":
         f = pattern(args.pattern)
         g = load_graph(args.input)

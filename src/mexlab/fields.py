@@ -26,23 +26,21 @@ def is_prime(n: int) -> bool:
 
 
 def _poly_mod(num, den, p):
-    """num mod den over GF(p); polys are low-to-high coefficient lists."""
+    """num mod den over GF(p) for a monic den, as the len(den) - 1 low
+    coefficients of the remainder; polys are low-to-high coefficient lists."""
     num = list(num)
     dden = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p)
     for i in range(len(num) - 1, dden - 1, -1):
-        c = num[i] * inv_lead % p
+        c = num[i]
         if c:
-            for j, d in enumerate(den):
-                num[i - dden + j] = (num[i - dden + j] - c * d) % p
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return num
+            for j in range(dden):
+                num[i - dden + j] = (num[i - dden + j] - c * den[j]) % p
+    return num[:dden]
 
 
 def _is_irreducible(poly, p: int) -> bool:
     """No monic divisor of degree 1..deg/2, checked exhaustively."""
-    return all(_poly_mod(poly, list(low) + [1], p) != [0]
+    return all(any(_poly_mod(poly, list(low) + [1], p))
                for d in range(1, (len(poly) - 1) // 2 + 1)
                for low in product(range(p), repeat=d))
 
@@ -96,20 +94,13 @@ class FiniteField:
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def mul(self, a, b) -> tuple:
-        p, k = self.p, self.k
-        conv = [0] * (2 * k - 1)
+        p = self.p
+        conv = [0] * (2 * self.k - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     conv[i + j] = (conv[i + j] + x * y) % p
-        mod = self.modulus
-        for i in range(2 * k - 2, k - 1, -1):
-            c = conv[i]
-            if c:
-                conv[i] = 0
-                for j in range(k):
-                    conv[i - k + j] = (conv[i - k + j] - c * mod[j]) % p
-        return tuple(conv[:k])
+        return tuple(_poly_mod(conv, self.modulus, p))
 
     def pow(self, a, e: int) -> tuple:
         result = self.one

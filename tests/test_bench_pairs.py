@@ -1,11 +1,12 @@
 """The decision rules of scripts/bench_pairs.py on hand-made runs: when a
-claimed gain is met and when a change stays within the benchmark's bounds."""
+claimed gain is met and when a change stays within the benchmark's bounds;
+and the source size it records per side."""
 
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-from bench_pairs import claim_met, summarize, within_bounds  # noqa: E402
+from bench_pairs import claim_met, src_lines, summarize, within_bounds  # noqa: E402
 
 # Parent quartiles 1.0225 and 1.0675 (range 0.045), median 1.045.
 PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
@@ -66,3 +67,13 @@ def test_within_bounds_fails_past_the_bound_or_on_a_failed_run():
     assert not within_bounds(entry(parent, [0.7] * 4, HIGHER), [HIGHER])
     assert not within_bounds(entry(parent, parent, LOWER, failed=1), [LOWER])
     assert not within_bounds(entry(parent, parent, LOWER, all_correct=False), [LOWER])
+
+
+def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
+    pkg = tmp_path / "src" / "mexlab"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+    (pkg / "notes.txt").write_text("not\ncode\n")
+    (pkg / "sub" / "c.py").write_text("w = 4\n")
+    assert src_lines(tmp_path) == 3

@@ -105,6 +105,19 @@ def test_norm_graph_triangle_count_closed_form():
         assert count_cliques(g, 3)[3] == comb(q - 1, 3)
 
 
+# sha256 of format_edge_list(norm_graph(q, s)) for s = 3, 4, 5, whose norms
+# are products in GF(q^2), GF(q^3) and GF(q^4)
+@pytest.mark.parametrize("q,s,sha", [
+    (5, 3, "6557e8884e238e4fa945a261b0d27d4961b71e8b4a28000f606b3c0d7f81e016"),
+    (7, 3, "4f6ea8db3dd67f676a02ab44eb7a4476f184585d8c05427497294947f4e9ac79"),
+    (3, 4, "ebfb08de443384ffca1ebb87b157c25bbe7ac082eeefb9549487f975bdfd19c9"),
+    (5, 4, "3cc6b4a1d76be00944f112ad5615b1297caba8c2d2f13b0db69d35f3e1f1215a"),
+    (3, 5, "736ced73078652d30e6e926ebaf05df7eab717b1bde9482f8fb751f861a97ea6")])
+def test_norm_graph_edge_lists_are_pinned(q, s, sha):
+    text = format_edge_list(norm_graph(q, s))
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
 def test_deletion_rejects_bad_patterns():
     with pytest.raises(ConditionError) as err:
         deletion_method(pattern("K3_3"), 2, 3, 40, seed=1)

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -183,6 +184,17 @@ def test_participation_matches_networkx_on_both_paths(nx):
             moved = {(min(perm[u], perm[v]), max(perm[u], perm[v])): c
                      for (u, v), c in part.items()}
             assert edge_clique_participation(h, r) == moved, (i, r)
+
+
+def test_participation_keys_are_in_edge_order_on_both_paths():
+    # the participation report lists the map as it stands, so its order is
+    # the edges' lexicographic order on every path
+    for g in _participation_hosts():
+        edges = g.edges()
+        assert list(edge_clique_participation(g, 3)) == edges
+        for r in (4, 5):
+            assert list(graphs._packed_participation(g, r)) == edges, (g.n, r)
+            assert list(graphs._kernel_participation(g, r)) == edges, (g.n, r)
 
 
 def test_packed_path_runs_only_where_it_is_cut_to(monkeypatch):
@@ -481,27 +493,32 @@ def test_gnp_is_the_splitmix64_slot_definition():
                 if n == 500 and p not in (0.5, 1 - 2.0 ** -53):
                     continue
                 assert gnp(n, p, seed) == per_slot_gnp(n, p, seed), (n, p, seed)
+    # n = 512 fills the grid with n^2 = 2^18 flag bytes; 511 and 513 bracket it
+    for n, p, seed in [(511, 0.5, -1), (512, 2.0 ** -64, 0), (512, 0.5, 2 ** 70 + 5),
+                       (513, 1 - 2.0 ** -53, 2 ** 64 - 1)]:
+        assert gnp(n, p, seed) == per_slot_gnp(n, p, seed), (n, p, seed)
 
 
-@pytest.mark.parametrize("start", [0, 5, 2 ** 40])
-def test_slot_flags_across_chunk_ends(start):
+def test_slot_flags_across_chunk_ends():
     lanes = graphs._LANES
     for count in (0, 1, lanes - 1, lanes, lanes + 1, 2 * lanes + 1):
         for threshold in (0, 1, 2 ** 63, 2 ** 64 - 2 ** 11, 2 ** 64):
             for seed in _EDGE_SEEDS:
                 want = bytes(48 + (splitmix64(seed, i) < threshold)
-                             for i in range(start, start + count))
-                assert graphs._slot_flags(seed, threshold, start, count) == want
+                             for i in range(count))
+                assert graphs._slot_flags(seed, threshold, count) == want
 
 
-@pytest.mark.parametrize("block_bytes", [1, 40, 97])
-def test_gnp_rows_cut_into_blocks(monkeypatch, block_bytes):
-    # a block holds max(1, _BLOCK_BYTES // n) rows; these sizes make
-    # blocks of one row, of a few rows, and blocks that end mid-graph
-    monkeypatch.setattr(graphs, "_BLOCK_BYTES", block_bytes)
-    for n in (0, 1, 2, 7, 13, 46):
-        for seed in (0, 2 ** 64 - 1):
-            assert gnp(n, 0.5, seed) == per_slot_gnp(n, 0.5, seed), (n, seed)
+def test_gnp_transient_memory_at_the_largest_deletion_host():
+    # the flags, rows and grid of one pass: about 3.5 * n^2 bytes, 0.87 MiB
+    gnp(500, 0.5, 7)
+    tracemalloc.start()
+    try:
+        gnp(500, 0.5, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2 ** 20
 
 
 @given(st.integers(0, 120), st.floats(0.0, 1.0), st.integers(-2 ** 70, 2 ** 70))
