@@ -19,7 +19,9 @@ when the change wins at least nine tenths of the pairs, and its median lies
 past the parent's quartile range on the better side, away from the parent's
 median by more than that range.  The file also records each side's source
 size, the newline count of its src/mexlab/*.py, as `wc -l` gives it.  It is
-rewritten after each workload.
+rewritten after each workload.  When the staged tree is --parent's own tree,
+so that both sides would run the same files, the script exits 2 before it
+prepares either side.
 """
 
 from __future__ import annotations
@@ -43,6 +45,16 @@ ROOT = Path(__file__).resolve().parent.parent
 def _git(*args: str) -> bytes:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True).stdout
+
+
+def same_tree(ref: str) -> bool:
+    """Whether the staged tree is the tree of ref, so that both sides would
+    run the same files; if so, say so on stderr."""
+    if _git("write-tree") != _git("rev-parse", f"{ref}^{{tree}}"):
+        return False
+    print(f"the staged tree is the tree of {ref}: stage the change to compare",
+          file=sys.stderr)
+    return True
 
 
 def prepare(ref: str, work: Path) -> dict[str, Path]:
@@ -153,6 +165,8 @@ def main(argv=None) -> int:
         if spec is None or workload not in [w for w, _ in args.run]:
             ap.error(f"--claim {args.claim}: name a --run workload and an end-to-end metric")
         claim = {"workload": workload, "metric": metric}
+    if same_tree(args.parent):
+        return 2
     with tempfile.TemporaryDirectory() as tmp:
         sides = prepare(args.parent, Path(tmp))
         out = {"parent_commit": _git("rev-parse", args.parent).decode().strip(),

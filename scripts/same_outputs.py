@@ -25,7 +25,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_pairs import ROOT, _git, prepare
+from bench_pairs import ROOT, prepare, same_tree
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (perfbench/ is not a package)
@@ -52,9 +52,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, type=parse_seeds, metavar="A-B",
                     help="the workload seeds to compare")
     args = ap.parse_args(argv)
-    if _git("write-tree") == _git("rev-parse", f"{args.parent}^{{tree}}"):
-        print(f"the staged tree is the tree of {args.parent}: stage the change "
-              "to compare", file=sys.stderr)
+    if same_tree(args.parent):
         return 2
     compared = 0
     with tempfile.TemporaryDirectory() as tmp:

@@ -46,20 +46,15 @@ def norm_graph(q: int, s: int) -> Graph:
         raise ValueError(f"(q, s) = ({q}, {s}) has up to {edges} "
                          f"edges, above cap {LITERAL_MAX_EDGES}")
     F = FiniteField(q, s - 1)
-    ext = F.order
-    norm_of = [None] * ext
-    for i in range(ext):
-        a = F.from_index(i)
-        if a != F.zero:
-            norm_of[i] = F.norm_to_base(a)
+    elems = [F.from_index(i) for i in range(F.order)]
+    index = {a: i for i, a in enumerate(elems)}
+    norm_of = [None if a == F.zero else F.norm_to_base(a) for a in elems]
     inv_mod_q = [0] + [pow(a, q - 2, q) for a in range(1, q)]
     g = Graph(n)
     adj = g.adj
-    for ai in range(ext):
-        A = F.from_index(ai)
-        for bi in range(ext):
-            s_idx = F.to_index(F.add(A, F.from_index(bi)))
-            c = norm_of[s_idx]
+    for ai, A in enumerate(elems):
+        for bi, B in enumerate(elems):
+            c = norm_of[index[F.add(A, B)]]
             if c is None:  # A + B = 0; a nonzero element has a nonzero norm
                 continue
             for a in range(1, q):

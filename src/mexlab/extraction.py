@@ -80,7 +80,7 @@ def extract_dense(g: Graph, r: int, alpha: float, C: float):
 
     participation = edge_clique_participation(g, r)
     tau = 0.5 * C * m ** ((alpha * r - 2) / 2)
-    kept = [e for e in g.edges() if participation[e] > tau]
+    kept = [e for e, c in participation.items() if c > tau]
     e2_count = len(kept)
     e1_count = m - e2_count
 

@@ -84,12 +84,6 @@ class FiniteField:
             i //= self.p
         return tuple(coeffs)
 
-    def to_index(self, a) -> int:
-        i = 0
-        for c in reversed(a):
-            i = i * self.p + c
-        return i
-
     def add(self, a, b) -> tuple:
         return tuple((x + y) % self.p for x, y in zip(a, b))
 

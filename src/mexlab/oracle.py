@@ -16,7 +16,9 @@ child of each such orbit is built, tested and labeled.  Degrees only grow as
 edges are added, so a parent edge of greatest sorted degree pair (the
 parent's floor) has at least that pair in every child: a child whose added
 edge has a smaller sorted degree pair in the child cannot be canonical, and
-it is rejected before its orbit is looked up or it is built.  Containment
+it is rejected before its orbit is looked up or it is built.  A class is
+kept only when its added edge has the greatest sorted degree pair of its
+edges, so its floor is that edge's pair, carried with the class.  Containment
 by the forbidden pattern is monotone under edge addition, so pruning
 non-free children keeps the search exact.
 
@@ -291,14 +293,6 @@ def _top_edges(g: Graph, edge: tuple[int, int]) -> list[tuple[int, int]] | None:
     return top
 
 
-def _degree_floor(g: Graph) -> tuple[int, int]:
-    """The greatest sorted degree pair of an edge of g, or (0, 0) when g has
-    no edge: `_levels`' floor for the children of g."""
-    deg = g.degrees()
-    return max(((min(deg[u], deg[v]), max(deg[u], deg[v])) for u, v in g.edges()),
-               default=(0, 0))
-
-
 def _last_in_order(edges: list[tuple[int, int]], perm: list[int]) -> tuple[int, int]:
     """The edge mapping to the largest position pair under the vertex order."""
     pos = [0] * len(perm)
@@ -356,9 +350,12 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
     pass or fail every test alike, and two kept children in different orbits
     are not isomorphic (McKay 1998): so only the first child of each orbit is
     built and tested.  Before that, a child whose added edge's sorted degree
-    pair in the child lies below the parent's `_degree_floor` is rejected
-    unbuilt, since a parent edge then outranks it; Aut(parent) preserves
-    degrees, so a whole orbit passes or fails this together."""
+    pair in the child lies below the parent's floor is rejected unbuilt,
+    since a parent edge then outranks it; Aut(parent) preserves degrees, so
+    a whole orbit passes or fails this together.  The floor is the greatest
+    sorted degree pair of the parent's edges, (0, 0) for the empty graph: a
+    kept child's is the pair of its added edge, which `_top_edges` has
+    checked is the greatest, so each class carries it with its generators."""
     counted = _core(target).rooted_plans
     banned = _core(forbidden).rooted_plans
 
@@ -368,22 +365,22 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
     # The empty graph holds one copy of T' and contains F' iff they are empty.
     start = (Graph(0), canonical_form(Graph(0)), int(not counted), not banned)
     levels = [[start] if admissible(start[3], 0) else []]
-    level_gens = [[]]  # Aut generators of each class of levels[-1]
+    known = [([], (0, 0))]  # (Aut generators, degree floor) of each class of levels[-1]
     examined = 0
     while len(levels) <= max_edges:
-        nxt, nxt_gens = [], []
-        for (parent, _, copies, held), parent_gens in zip(levels[-1], level_gens):
+        nxt, nxt_known = [], []
+        for (parent, _, copies, held), (parent_gens, floor) in zip(levels[-1], known):
             padded = parent.padded(min(parent.n + 2, max_vertices))
             fresh = list(range(parent.n, padded.n))
             padded_gens = [gamma + fresh for gamma in parent_gens]
             deg = padded.degrees()
-            floor = _degree_floor(parent)
             done = set()
             for edge in _children(padded):
                 examined += 1
                 u, v = edge
                 du, dv = deg[u] + 1, deg[v] + 1
-                if (du, dv) < floor if du <= dv else (dv, du) < floor:
+                pair = (du, dv) if du <= dv else (dv, du)
+                if pair < floor:
                     continue  # a parent edge outranks edge in the child
                 if edge in done:
                     continue
@@ -401,11 +398,11 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
                 if edge in _edge_orbit(_last_in_order(top, perm), gens):  # canonical
                     nxt.append((child, key, copies + _copies_through(counted, child, u, v),
                                 contains))
-                    nxt_gens.append(gens)
+                    nxt_known.append((gens, pair))
         if not nxt:
             break
         levels.append(nxt)
-        level_gens = nxt_gens
+        known = nxt_known
     return levels, examined
 
 

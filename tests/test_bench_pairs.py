@@ -1,12 +1,15 @@
 """The decision rules of scripts/bench_pairs.py on hand-made runs: when a
 claimed gain is met and when a change stays within the benchmark's bounds;
-and the source size it records per side."""
+the source size it records per side; and its refusal to measure a tree
+against itself."""
 
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-from bench_pairs import claim_met, src_lines, summarize, within_bounds  # noqa: E402
+import bench_pairs  # noqa: E402
+from bench_pairs import (claim_met, same_tree, src_lines, summarize,  # noqa: E402
+                         within_bounds)
 
 # Parent quartiles 1.0225 and 1.0675 (range 0.045), median 1.045.
 PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
@@ -77,3 +80,30 @@ def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
     (pkg / "notes.txt").write_text("not\ncode\n")
     (pkg / "sub" / "c.py").write_text("w = 4\n")
     assert src_lines(tmp_path) == 3
+
+
+def fake_git(monkeypatch, staged, parent):
+    trees = {("write-tree",): staged, ("rev-parse", "HEAD^{tree}"): parent}
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: trees[args])
+
+
+def test_same_tree_compares_the_staged_tree_with_the_parents(monkeypatch, capsys):
+    fake_git(monkeypatch, b"1f2e\n", b"1f2e\n")
+    assert same_tree("HEAD")
+    assert "the staged tree is the tree of HEAD" in capsys.readouterr().err
+    fake_git(monkeypatch, b"1f2e\n", b"9c0d\n")
+    assert not same_tree("HEAD")
+    assert capsys.readouterr().err == ""
+
+
+def test_bench_pairs_exits_2_on_its_parents_tree_before_preparing(monkeypatch, tmp_path):
+    fake_git(monkeypatch, b"1f2e\n", b"1f2e\n")
+
+    def prepare(ref, work):
+        raise AssertionError("a side was prepared")
+
+    monkeypatch.setattr(bench_pairs, "prepare", prepare)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", "HEAD", "--run", "oracle-enum:1-2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 2
+    assert not out.exists()

@@ -539,7 +539,7 @@ def test_extract_cli(tmp_path, capsys, schema):
     assert load_edge_list(out_path) == g
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: extract decides the "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: extract decides the "
                    "hypothesis in floats, where C * 216 rounds to 84.0")
 def test_extract_near_tie_misses_the_hypothesis(capsys, schema):
     # K9 has m = 36 and k3 = 84; the hypothesis k3 >= C m^(3/2) = 216 C

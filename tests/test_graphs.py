@@ -6,7 +6,7 @@ import re
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -442,6 +442,18 @@ def test_generator_examples():
     assert (g.n, g.m) == (6, 12)
     assert star(5).m == 5 and star(5).n == 6
     assert cycle(5).m == 5
+
+
+def test_complete_multipartite_matches_networkx(nx):
+    for k in range(1, 5):
+        for sizes in product(range(1, 5), repeat=k):
+            g = complete_multipartite(sizes)
+            want = nx.complete_multipartite_graph(*sizes)
+            assert g.n == want.number_of_nodes(), sizes
+            assert set(g.edges()) == {(min(e), max(e)) for e in want.edges()}, sizes
+    for sizes in ([], [2, 0], [0], [3, -1, 2]):
+        with pytest.raises(ValueError, match="part sizes must be positive integers"):
+            complete_multipartite(sizes)
 
 
 def test_gnp_determinism_and_bounds():

@@ -20,7 +20,7 @@ from mexlab.graphs import (Graph, Pattern, complete, complete_multipartite,
                            pattern, star)
 from mexlab import graphs, oracle
 from mexlab.oracle import (CANON_MAX_ORDER, ORACLE_MAX_EDGES, _canonical_order,
-                           _children, _degree_floor, _edge_invariant,
+                           _children, _edge_invariant,
                            _edge_orbit, _last_in_order, _levels, _refine,
                            _top_edges, canonical_form, ex_exact, mex_exact)
 
@@ -297,17 +297,25 @@ def test_levels_hold_pairwise_distinct_classes(max_edges, forbidden):
 
 def test_mex_k3_k4_labeling_count_is_pinned(monkeypatch):
     # One child per orbit of Aut(parent) is labeled: 2,280 labelings, down
-    # from the 3,790 of labeling every child that passes the invariant.
-    calls = []
-    labeled = _canonical_order
+    # from the 3,790 of labeling every child that passes the invariant.  The
+    # degree floor leaves 3,969 children to build: 11,827 with no floor,
+    # while a floor one above the true pair keeps 11 classes.
+    calls, built = [], []
+    labeled, ranked = _canonical_order, _top_edges
 
     def counted(g):
         calls.append(g.n)
         return labeled(g)
 
+    def counted_top(g, edge):
+        built.append(edge)
+        return ranked(g, edge)
+
     monkeypatch.setattr(oracle, "_canonical_order", counted)
+    monkeypatch.setattr(oracle, "_top_edges", counted_top)
     res = mex_exact(9, pattern("K3"), pattern("K4"))
     assert (res.value, res.iso_classes_examined, len(calls)) == (4, 2230, 2280)
+    assert len(built) == 3969
 
 
 def test_ex_unfiltered_class_counts_match_oeis():
@@ -378,8 +386,11 @@ def test_degree_floor_rejects_only_children_the_invariant_rejects():
             continue
         n = atlas_graph.number_of_nodes()
         parent = Graph(n, list(atlas_graph.edges())).padded(n + 2)
-        floor = _degree_floor(parent)
         deg = parent.degrees()
+        # the floor by its definition: the greatest sorted degree pair of an
+        # edge of the parent, or (0, 0) when it has none
+        floor = max((tuple(sorted((deg[u], deg[v]))) for u, v in atlas_graph.edges()),
+                    default=(0, 0))
         for u, v in combinations(range(n + 2), 2):
             if parent.adj[u] >> v & 1:
                 continue
