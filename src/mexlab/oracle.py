@@ -12,7 +12,7 @@ the one last in canonical order is the deletion edge, and a child is kept
 only when its added edge lies in that edge's automorphism orbit.  Two kept
 children of one parent are then isomorphic iff their added edges lie in one
 orbit of Aut(parent) (McKay 1998; McKay & Piperno 2014), so only the first
-child of each such orbit is built, tested and labeled.  Degrees only grow as
+child of each such orbit is built and tested.  Degrees only grow as
 edges are added, so a parent edge of greatest sorted degree pair (the
 parent's floor) has at least that pair in every child: a child whose added
 edge has a smaller sorted degree pair in the child cannot be canonical, and
@@ -21,6 +21,13 @@ kept only when its added edge has the greatest sorted degree pair of its
 edges, so its floor is that edge's pair, carried with the class.  Containment
 by the forbidden pattern is monotone under edge addition, so pruning
 non-free children keeps the search exact.
+
+A class is labeled only when something reads its labeling.  A child whose
+added edge is its only edge of greatest invariant is canonical without one.
+Aut(parent) is read only to tell apart two children of one parent past its
+floor, so a parent that came unlabeled is labeled at its second such child.
+A canonical form is read only to break a tie for the best value, so `_best`
+labels only the candidates tied at it and at the least order.
 
 No class is searched whole.  A copy in a child that is not in its parent,
 of the forbidden pattern or of the target, holds the child's added edge uv:
@@ -37,7 +44,7 @@ from math import comb
 
 from .graphs import Graph, Pattern, _copies_through, _twin_classes, bits
 
-ORACLE_MAX_EDGES = 10
+ORACLE_MAX_EDGES = 11
 ORACLE_MAX_N = 8
 CANON_MAX_ORDER = 16
 
@@ -332,8 +339,9 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
             order: int | None = None) -> tuple[list, int]:
     """(levels, examined): levels[m] lists the admissible classes with m
     edges and no isolated vertex, on at most max_vertices vertices, as
-    (graph, canonical form, T' copies, contains F'), stopping at max_edges or
-    at the first empty level; examined counts the children generated.
+    (graph, canonical form or None, T' copies, contains F'), stopping at
+    max_edges or at the first empty level; examined counts the children
+    generated.
 
     Write F = F' + kK1 for forbidden and T = T' + jK1 for target, F' and T'
     without isolated vertices.  A class is admissible iff it does not contain
@@ -345,11 +353,22 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
     uv (`graphs._copies_through`), never from a whole-graph search.
 
     A parent on n vertices is padded to min(n + 2, max_vertices), and its
-    generators, kept from its labeling, are extended to fix the fresh
-    vertices.  Children whose added edges lie in one orbit of Aut(parent)
-    pass or fail every test alike, and two kept children in different orbits
-    are not isomorphic (McKay 1998): so only the first child of each orbit is
-    built and tested.  Before that, a child whose added edge's sorted degree
+    generators are extended to fix the fresh vertices.  Children whose added
+    edges lie in one orbit of Aut(parent) pass or fail every test alike, and
+    two kept children in different orbits are not isomorphic (McKay 1998):
+    so only the first child of each orbit is built and tested.  The first
+    child past the floor shares an orbit with no explored child, so the
+    generators are first read at the second: they are kept from the
+    parent's own labeling, or, if it was accepted unlabeled, it is labeled
+    then, and the orbits start with the first child's.
+
+    A child is canonical iff its added edge lies in the orbit of its
+    deletion edge, the last in canonical order of the edges that
+    `_top_edges` returns.  When that is one edge it is the added edge, and
+    the child is kept unlabeled, with form and generators None; otherwise
+    it is labeled, and kept with its form and generators if canonical.
+
+    Before its orbit is looked up, a child whose added edge's sorted degree
     pair in the child lies below the parent's floor is rejected unbuilt,
     since a parent edge then outranks it; Aut(parent) preserves degrees, so
     a whole orbit passes or fails this together.  The floor is the greatest
@@ -365,16 +384,16 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
     # The empty graph holds one copy of T' and contains F' iff they are empty.
     start = (Graph(0), canonical_form(Graph(0)), int(not counted), not banned)
     levels = [[start] if admissible(start[3], 0) else []]
-    known = [([], (0, 0))]  # (Aut generators, degree floor) of each class of levels[-1]
+    known = [([], (0, 0))]  # (Aut generators or None, degree floor) per class
     examined = 0
     while len(levels) <= max_edges:
         nxt, nxt_known = [], []
         for (parent, _, copies, held), (parent_gens, floor) in zip(levels[-1], known):
             padded = parent.padded(min(parent.n + 2, max_vertices))
             fresh = list(range(parent.n, padded.n))
-            padded_gens = [gamma + fresh for gamma in parent_gens]
             deg = padded.degrees()
-            done = set()
+            first = None  # the first child past the floor
+            done = set()  # orbits of the children explored, once a second comes
             for edge in _children(padded):
                 examined += 1
                 u, v = edge
@@ -384,7 +403,17 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
                     continue  # a parent edge outranks edge in the child
                 if edge in done:
                     continue
-                done |= _edge_orbit(edge, padded_gens)
+                if first is None:
+                    first = edge  # no explored child to share an orbit with
+                else:
+                    if not done:
+                        if parent_gens is None:
+                            parent_gens = _canonical_order(parent)[1]
+                        padded_gens = [gamma + fresh for gamma in parent_gens]
+                        done = _edge_orbit(first, padded_gens)
+                        if edge in done:
+                            continue
+                    done |= _edge_orbit(edge, padded_gens)
                 child = parent.padded(max(parent.n, v + 1))
                 child.adj[u] |= 1 << v
                 child.adj[v] |= 1 << u
@@ -394,11 +423,15 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
                 contains = held or _copies_through(banned, child, u, v, True) > 0
                 if not admissible(contains, child.n):
                     continue
-                perm, gens, key = _canonical_order(child)
-                if edge in _edge_orbit(_last_in_order(top, perm), gens):  # canonical
-                    nxt.append((child, key, copies + _copies_through(counted, child, u, v),
-                                contains))
-                    nxt_known.append((gens, pair))
+                if len(top) == 1:  # edge is the deletion edge: canonical
+                    key = gens = None
+                else:
+                    perm, gens, key = _canonical_order(child)
+                    if edge not in _edge_orbit(_last_in_order(top, perm), gens):
+                        continue
+                nxt.append((child, key, copies + _copies_through(counted, child, u, v),
+                            contains))
+                nxt_known.append((gens, pair))
         if not nxt:
             break
         levels.append(nxt)
@@ -436,7 +469,10 @@ def _children(g: Graph):
 @dataclass
 class OracleResult:
     """graphs_examined counts every child generated, including those skipped
-    unbuilt as duplicates within an Aut(parent) orbit."""
+    unbuilt as duplicates within an Aut(parent) orbit.  The witness is the
+    class of greatest value with the least canonical form, though only
+    classes tied at that value and at the least order are labeled to find
+    it (`_best`)."""
 
     value: int
     witness: Graph
@@ -447,13 +483,20 @@ class OracleResult:
 def _best(candidates, scale: int, levels: list, examined: int,
           none_msg: str) -> OracleResult:
     """The (graph, canonical key, T' copies, _) candidate with the most
-    target copies, scale per T' copy; a tie goes to the smaller key.  Every
-    class examined lies in one level."""
-    best = min(((copies * scale, key, g) for g, key, copies, _ in candidates),
-               key=lambda c: (-c[0], c[1]), default=None)
-    if best is None:
+    target copies, scale per T' copy; a tie goes to the smaller canonical
+    form.  The tie-break is the only reader of a form, so a key that
+    `_levels` left as None is labeled here, and only when its candidate is
+    tied with another at the greatest scaled count and at the least order,
+    the form's first byte.  Every class examined lies in one level."""
+    candidates = list(candidates)
+    if not candidates:
         raise ValueError(none_msg)
-    return OracleResult(best[0], best[2], examined, sum(map(len, levels)))
+    rank = max((copies * scale, -g.n) for g, _, copies, _ in candidates)
+    tied = [(key, g) for g, key, copies, _ in candidates if (copies * scale, -g.n) == rank]
+    if len(tied) > 1:
+        tied = [(_canonical_order(g)[2] if key is None else key, g) for key, g in tied]
+    witness = min(tied, key=lambda c: c[0])[1]
+    return OracleResult(rank[0], witness, examined, sum(map(len, levels)))
 
 
 def _check_forbidden(forbidden: Pattern) -> None:

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -590,6 +591,53 @@ def test_oracle_cli(capsys, schema):
     code, obj = run_json(capsys, schema, "oracle", "ex", "--n", "5",
                          "--target", "K3", "--forbidden", "K2_2")
     assert code == EXIT_OK and obj["value"] == 2
+
+
+# sha256 of the stdout of `oracle mex` and `oracle ex` past the sizes that
+# the benchmark's queries reach (m <= 7, n <= 7), taken before the oracle
+# labeled classes on demand: value, witness and both counters must not move.
+ORACLE_REPORT_SHA256 = {
+    ("mex", 8, "K3", "K4"): "3bd8142a6c4e544c8386b67489f616ddca643be75ac4a724091b888a42d16059",
+    ("mex", 8, "K3", "K5"): "eb06189b4aba989c74d5c00f70e2337a4dfdb0ae5a1fa108b2b10edff7b73a7a",
+    ("mex", 8, "K3", "C5"): "240b0d87d94c8987d2b2e3df88e72259deaac38e4341b421fbf7a09410a918d5",
+    ("mex", 8, "K3", "K2_3"): "527f599f1ec89c9fb51eca10a5b41a0eb4b478497b6f484cf89b75ff842a37dd",
+    ("mex", 9, "K3", "K4"): "1e39cddb4ec57f6a0110b637177e1b614c54ff1100b6745e7f8cb3c37d4e118a",
+    ("mex", 9, "K3", "K5"): "f019cda9cdf6a4b979ff0c50676b70d5ea0cbeaa12beb9dfcb8da53ebf229d62",
+    ("mex", 9, "K3", "C5"): "b9adefb03faae3a2fefa415abf234f16246cd902a33bcf9bb12285ee022aa85d",
+    ("mex", 9, "K3", "K2_3"): "41bd7002f04be71d4ac06799d38df4afa0a51638a60dac781eb65dc4680c0113",
+    ("mex", 10, "K3", "K4"): "5551ea1898e3715c1ff75bd151474922603797768c1988cc06831ac85be83e53",
+    ("mex", 10, "K3", "K5"): "9e993c63f8e0fb48e8d57169824e01667b58ef69579a95740a46c87b507c28ff",
+    ("mex", 10, "K3", "C5"): "cc6c358dd1d8fdb896edf23925704b51dacaff5a26b82b0f0e92b1de3170a582",
+    ("mex", 10, "K3", "K2_3"): "772c9bcb47fe6508a54703050cd7d331add6272c1bbb14799cdb86e79f2534db",
+    ("mex", 9, "2K2", "K4"): "77e1f5afcf21edae3423bfabda34cc060b5f05e1d6bffe06ee145ae65999e019",
+    ("mex", 9, "2K2", "K5"): "397ee3ed44fb50a8967efb0a062d8ad5ca642ad6620aa7f095a0938069343ee8",
+    ("mex", 9, "2K2", "C5"): "767ac4d1f45f6ddd6eefc1ba419a6b72340a027dd874303e7557bdc0637668d8",
+    ("mex", 9, "2K2", "K2_3"): "3c3c253e5a406206163999fcaf0bc81af3c53da27f2e4050951882ff9c471213",
+    ("ex", 8, "K3", "K4"): "9fe0c3fb79087e642884a41842c8955fbce680cc1f548f650e8519cfc1f98c05",
+    ("ex", 8, "K3", "C5"): "1ab2ffef003b2c05e050a2e8ca26bf2791ae84ae131d9d5c9cf5442b71aa64ec",
+}
+
+
+@pytest.mark.parametrize("mode,size,target,forbidden", sorted(ORACLE_REPORT_SHA256))
+def test_oracle_reports_past_the_benchmark_are_pinned(mode, size, target, forbidden,
+                                                      tmp_path, capsys):
+    arg = target
+    if target == "2K2":
+        arg = tmp_path / "2K2.el"
+        arg.write_text("4 2\n0 1\n2 3\n")
+    code, out = run_cli(capsys, "oracle", mode, "--m" if mode == "mex" else "--n",
+                        str(size), "--target", str(arg), "--forbidden", forbidden)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_REPORT_SHA256[
+        mode, size, target, forbidden]
+
+
+def test_oracle_mex_returns_a_value_at_the_edge_cap(capsys, schema):
+    # m = 11 was refused with exit 2 while the cap was 10
+    assert ORACLE_MAX_EDGES == 11
+    code, obj = run_json(capsys, schema, "oracle", "mex", "--m", "11",
+                         "--target", "K3", "--forbidden", "K4")
+    assert code == EXIT_OK and obj["value"] == 6
 
 
 def test_experiment_cli(tmp_path, capsys, schema):

@@ -26,8 +26,8 @@ from mexlab.oracle import (CANON_MAX_ORDER, ORACLE_MAX_EDGES, _canonical_order,
 
 TWO_K2 = Pattern(Graph(4, [(0, 1), (2, 3)]), "2K2")
 
-# OEIS A000664: graphs with m edges and no isolated vertices, m = 0..10.
-A000664 = [1, 1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613]
+# OEIS A000664: graphs with m edges and no isolated vertices, m = 0..11.
+A000664 = [1, 1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613, 15216]
 # OEIS A000088: graphs on n vertices, n = 0..7.
 A000088 = [1, 1, 2, 4, 11, 34, 156, 1044]
 
@@ -280,7 +280,7 @@ def test_children_of_the_padded_graph_are_the_three_kinds():
 
 
 def test_enumerator_level_sizes_match_oeis():
-    # K6 has 15 edges, so no graph of at most 10 edges contains it
+    # K6 has 15 edges, so no graph of at most 11 edges contains it
     levels, _ = _levels(2 * ORACLE_MAX_EDGES, ORACLE_MAX_EDGES, pattern("K2"),
                         pattern("K6"))
     sizes = [len(level) for level in levels]
@@ -290,14 +290,24 @@ def test_enumerator_level_sizes_match_oeis():
 @pytest.mark.parametrize("max_edges,forbidden", [
     (8, lambda: pattern("K6")), (9, lambda: pattern("K4"))])
 def test_levels_hold_pairwise_distinct_classes(max_edges, forbidden):
+    # A class accepted without a labeling carries the key None, so the forms
+    # are computed here, past canonical_form's order cap as `_levels` labels;
+    # a key that was computed must be the form.
     levels, _ = _levels(2 * max_edges, max_edges, pattern("K2"), forbidden())
     for level in levels:
-        assert len({key for _, key, _, _ in level}) == len(level)
+        forms = [_canonical_order(g)[2] for g, _, _, _ in level]
+        assert len(set(forms)) == len(level)
+        assert all(key in (None, form) for (_, key, _, _), form in zip(level, forms))
 
 
 def test_mex_k3_k4_labeling_count_is_pinned(monkeypatch):
-    # One child per orbit of Aut(parent) is labeled: 2,280 labelings, down
-    # from the 3,790 of labeling every child that passes the invariant.  The
+    # Labeling is on demand: a child whose added edge is its only top edge
+    # is canonical unlabeled, a parent is labeled only at its second child
+    # past the floor, and `_best` labels only the candidates tied at the
+    # greatest value and the least order.  That is 1,323 labelings (1,318
+    # in `_levels`, 5 in `_best`), down from 2,280 when every child kept by
+    # its orbit was labeled and 3,790 when every child that passes the
+    # invariant was.  The
     # degree floor leaves 3,969 children to build: 11,827 with no floor,
     # while a floor one above the true pair keeps 11 classes.
     calls, built = [], []
@@ -314,7 +324,7 @@ def test_mex_k3_k4_labeling_count_is_pinned(monkeypatch):
     monkeypatch.setattr(oracle, "_canonical_order", counted)
     monkeypatch.setattr(oracle, "_top_edges", counted_top)
     res = mex_exact(9, pattern("K3"), pattern("K4"))
-    assert (res.value, res.iso_classes_examined, len(calls)) == (4, 2230, 2280)
+    assert (res.value, res.iso_classes_examined, len(calls)) == (4, 2230, 1323)
     assert len(built) == 3969
 
 
@@ -459,7 +469,7 @@ def test_mex_k3_k4_counters_are_pinned(m, value, graphs, classes):
 
 def test_mex_rejects():
     with pytest.raises(ValueError):
-        mex_exact(11, pattern("K3"), pattern("K4"))
+        mex_exact(ORACLE_MAX_EDGES + 1, pattern("K3"), pattern("K4"))
     with pytest.raises(ValueError):
         mex_exact(3, Pattern(Graph(2)), pattern("K4"))
     with pytest.raises(ValueError):  # K2 + K1: unbounded, one isolated vertex
