@@ -18,10 +18,10 @@ whether every median stays within the bounds that BENCHMARK.json gives.  A
 when the change wins at least nine tenths of the pairs, and its median lies
 past the parent's quartile range on the better side, away from the parent's
 median by more than that range.  The file also records each side's source
-size, the newline count of its src/mexlab/*.py, as `wc -l` gives it.  It is
-rewritten after each workload.  When the staged tree is --parent's own tree,
-so that both sides would run the same files, the script exits 2 before it
-prepares either side.
+size, the newline count of its src/mexlab/*.py, as `wc -l` gives it, in
+total and per file.  It is rewritten after each workload.  When the staged
+tree is --parent's own tree, so that both sides would run the same files,
+the script exits 2 before it prepares either side.
 """
 
 from __future__ import annotations
@@ -65,8 +65,9 @@ def prepare(ref: str, work: Path) -> dict[str, Path]:
     return sides
 
 
-def src_lines(side: Path) -> int:
-    return sum(f.read_bytes().count(b"\n") for f in (side / "src" / "mexlab").glob("*.py"))
+def src_lines(side: Path) -> dict[str, int]:
+    return {f.name: f.read_bytes().count(b"\n")
+            for f in sorted((side / "src" / "mexlab").glob("*.py"))}
 
 
 def run_once(side: Path, workload: str, seed: int, bench: dict) -> dict:
@@ -169,10 +170,12 @@ def main(argv=None) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         sides = prepare(args.parent, Path(tmp))
+        lines = {name: src_lines(side) for name, side in sides.items()}
         out = {"parent_commit": _git("rev-parse", args.parent).decode().strip(),
                "host": {"cores": os.cpu_count(), "python": platform.python_version(),
                         "machine": platform.machine()},
-               "src_lines": {name: src_lines(side) for name, side in sides.items()},
+               "src_lines": {name: sum(per_file.values()) for name, per_file in lines.items()},
+               "src_lines_per_file": lines,
                "command": " ".join(bench["command"]) + " --workload W --seed S "
                           f"--seconds {bench['run_seconds']} --trace 0",
                "method": __doc__.split("\n\n")[-1].replace("\n", " ").strip(),

@@ -314,6 +314,8 @@ def _dispatch(args) -> tuple[object, str | None]:
             obj = json.load(fh)
         except RecursionError:
             raise _CliError("invalid-input", f"{args.spec}: JSON nested too deeply")
+        except ValueError as exc:  # not JSON, or not ASCII
+            raise _CliError("invalid-input", f"{args.spec}: {exc}")
     rows, predicted, slope = run_experiment(obj)
     with open(args.csv, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -44,7 +44,7 @@ base-2 numeral.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -406,14 +406,9 @@ def _clique_counts(adj, cand: int, R: int) -> list:
     top = max(cand.bit_count(), 1)
     if R > top:  # no clique of cand has more than top vertices
         return _clique_counts(adj, cand, top) + [0] * (R - top)
-    rows = {0: [1] + [0] * R}  # rows[piv][a]: nodes with a chosen vertices
+    rows = defaultdict(lambda: [0] * (R + 1))  # rows[piv][a]: nodes with a chosen vertices
+    rows[0][0] = 1
     stack = []
-
-    def row(piv: int) -> list:
-        r = rows.get(piv)
-        if r is None:
-            r = rows[piv] = [0] * (R + 1)
-        return r
 
     def enum(cand: int, size: int, row: list) -> None:
         size += 1
@@ -438,7 +433,7 @@ def _clique_counts(adj, cand: int, R: int) -> list:
         if R - held > _PIVOT_DEPTH and cand.bit_count() >= _PIVOT_PROBE:
             stack.append((cand, held, piv))
         else:
-            enum(cand, held, row(piv))
+            enum(cand, held, rows[piv])
 
     branch(cand, 0, 0)
     while stack:
@@ -465,7 +460,7 @@ def _clique_counts(adj, cand: int, R: int) -> list:
             pivot = 2 * best >= s
             rest = cand
             nonnbr = cand & ~adj[p] ^ (1 << p) if pivot else cand
-            row(piv)[held + 1] += nonnbr.bit_count()
+            rows[piv][held + 1] += nonnbr.bit_count()
             while nonnbr:
                 low = nonnbr & -nonnbr
                 nonnbr ^= low
@@ -478,8 +473,8 @@ def _clique_counts(adj, cand: int, R: int) -> list:
             cand &= adj[p]
             piv += 1
         if piv != first:  # the chain's own cliques, with first..piv pivots
-            row(piv)[held] += 1
-            row(first)[held] -= 1
+            rows[piv][held] += 1
+            rows[first][held] -= 1
     if len(rows) == 1:
         return rows[0]
     counts = [0] * (R + 1)

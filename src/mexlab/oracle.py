@@ -223,34 +223,16 @@ def canonical_form(g: Graph) -> bytes:
     return _canonical_order(g)[2]
 
 
-def _degree_sum(row: int, deg: list[int]) -> int:
-    """The sum of deg over the vertices of the mask row."""
-    total = 0
-    while row:
-        low = row & -row
-        total += deg[low.bit_length() - 1]
-        row ^= low
-    return total
-
-
-def _edge_invariant(adj: list[int], deg: list[int], u: int, v: int) -> tuple:
-    """inv(u, v): the endpoint degrees, the number of common neighbours,
-    and the endpoint neighbour-degree sums, each pair sorted.  No part reads
-    a vertex label, so relabeling preserves it."""
-    du, dv = deg[u], deg[v]
-    su, sv = _degree_sum(adj[u], deg), _degree_sum(adj[v], deg)
-    if du > dv:
-        du, dv = dv, du
-    if su > sv:
-        su, sv = sv, su
-    return du, dv, (adj[u] & adj[v]).bit_count(), su, sv
-
-
 def _top_edges(g: Graph, edge: tuple[int, int]) -> list[tuple[int, int]] | None:
-    """The edges of g of greatest invariant, or None when edge is not one of
-    them.  The sorted degree pairs are compared first, on vertex masks; the
-    rest of the invariant is computed only for the edges tied with edge, and
-    only until one of them exceeds edge's."""
+    """The edges of g of greatest invariant, or None when edge, given as
+    (low, high), is not one of them.  inv(u, v) is the sorted pair of
+    endpoint degrees, then the number of common neighbours, then the sorted
+    pair of endpoint neighbour-degree sums, compared lexicographically.  No
+    part reads a vertex label, so relabeling preserves it.
+
+    The sorted degree pairs are compared first, on vertex masks.  The rest
+    is computed only for the edges tied with edge, edge's first, each end's
+    degree sum once, and only until one of them exceeds edge's."""
     adj = g.adj
     deg = [row.bit_count() for row in adj]
     a, b = deg[edge[0]], deg[edge[1]]
@@ -289,14 +271,30 @@ def _top_edges(g: Graph, edge: tuple[int, int]) -> list[tuple[int, int]] | None:
         rest ^= low
     if len(tied) == 1:
         return tied
-    mine = _edge_invariant(adj, deg, *edge)
+    tied.remove(edge)
+    sums = {}  # the neighbour-degree sum of each end reached
     top = []
-    for e in tied:
-        inv = _edge_invariant(adj, deg, *e)
-        if inv > mine:
+    mine = None
+    for u, v in (edge, *tied):
+        for x in u, v:
+            if x not in sums:
+                total = 0
+                rest = adj[x]
+                while rest:
+                    low = rest & -rest
+                    total += deg[low.bit_length() - 1]
+                    rest ^= low
+                sums[x] = total
+        common = (adj[u] & adj[v]).bit_count()
+        su, sv = sums[u], sums[v]
+        inv = (common, su, sv) if su <= sv else (common, sv, su)
+        if mine is None:
+            mine = inv
+        elif inv > mine:
             return None
-        if inv == mine:
-            top.append(e)
+        elif inv < mine:
+            continue
+        top.append((u, v))
     return top
 
 

@@ -1,7 +1,7 @@
 """The decision rules of scripts/bench_pairs.py on hand-made runs: when a
 claimed gain is met and when a change stays within the benchmark's bounds;
-the source size it records per side; and its refusal to measure a tree
-against itself."""
+the source size it records per side and per file; and its refusal to
+measure a tree against itself."""
 
 import sys
 from pathlib import Path
@@ -79,7 +79,7 @@ def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
     (pkg / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
     (pkg / "notes.txt").write_text("not\ncode\n")
     (pkg / "sub" / "c.py").write_text("w = 4\n")
-    assert src_lines(tmp_path) == 3
+    assert src_lines(tmp_path) == {"a.py": 3, "b.py": 0}
 
 
 def fake_git(monkeypatch, staged, parent):

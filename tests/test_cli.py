@@ -1029,17 +1029,18 @@ _FUZZ_BUDGET_S = 5.0
 
 def run_fuzz_case(argv, schema):
     """Run argv in process: the exit code is a documented one, stdout is
-    one strict-JSON report of the schema, and the run keeps the budget."""
+    one strict-JSON report of the schema, and the run keeps the budget.
+    Returns the exit code and the report."""
     buf = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
     elapsed = time.perf_counter() - start
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_USAGE, EXIT_IO), argv
-    validator = jsonschema.Draft202012Validator(schema)
-    validator.validate(json.loads(buf.getvalue(), parse_constant=pytest.fail))
+    report = json.loads(buf.getvalue(), parse_constant=pytest.fail)
+    jsonschema.Draft202012Validator(schema).validate(report)
     assert elapsed < _FUZZ_BUDGET_S, (argv, elapsed)
-    return code
+    return code, report
 
 
 @settings(max_examples=120, deadline=None)
@@ -1256,6 +1257,22 @@ def test_experiment_rejects_deeply_nested_json(tmp_path, capsys, schema):
     assert code == EXIT_VALIDATION and obj["code"] == "invalid-input"
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b'{"family": ', "Expecting value: line 1 column 12 (char 11)"),
+    (b'{"family": "tripartite"}\xff', "'ascii' codec can't decode byte 0xff"),
+], ids=["truncated", "byte-0xff"])
+def test_experiment_rejects_a_spec_that_is_not_ascii_json(raw, message, tmp_path,
+                                                          capsys, schema):
+    # a malformed spec file is reported as an edge-list file is: the
+    # input's fault, with its path in front
+    spec, csv_path = tmp_path / "spec.json", tmp_path / "rows.csv"
+    spec.write_bytes(raw)
+    code, obj = run_json(capsys, schema, "experiment", str(spec), "--csv", str(csv_path))
+    assert code == EXIT_VALIDATION and obj["code"] == "invalid-input"
+    assert obj["message"].startswith(f"{spec}: {message}")
+    assert not csv_path.exists()
+
+
 # Values of the wrong type, non-integral or non-finite numbers, and
 # integers far out of range, for any field of an experiment spec.
 _SPEC_ODD = st.sampled_from([-1, 0, 10 ** 12, 10 ** 400, 2 ** 61 - 1, 2.5, 3.0,
@@ -1308,8 +1325,13 @@ def test_experiment_argv_fuzz(case, schema):
     with tempfile.TemporaryDirectory() as tmp:
         path, csv_path = Path(tmp, "spec.json"), Path(tmp, "rows.csv")
         path.write_bytes(raw)
-        code = run_fuzz_case(["experiment", str(path), "--csv", str(csv_path)], schema)
+        code, report = run_fuzz_case(["experiment", str(path), "--csv", str(csv_path)],
+                                     schema)
         assert code == EXIT_OK or not csv_path.exists(), spec
+    try:
+        json.loads(raw.decode("ascii"))
+    except ValueError:  # not ASCII, or not JSON: the file's fault
+        assert report["code"] == "invalid-input", (raw, report)
 
 
 # Values out of range, non-finite, huge or malformed for --r, --alpha and
@@ -1370,7 +1392,7 @@ def fuzz_dir(tmp_path_factory):
 def run_fuzz_case_writing(argv, out, schema):
     """run_fuzz_case for a command that writes out on success and only then."""
     out.unlink(missing_ok=True)
-    code = run_fuzz_case(argv + ["--out", str(out)], schema)
+    code, _ = run_fuzz_case(argv + ["--out", str(out)], schema)
     assert out.exists() == (code == EXIT_OK), argv
     if code == EXIT_OK:
         load_edge_list(out)
@@ -1473,7 +1495,7 @@ def oracle_argvs(draw):
 def test_oracle_argv_fuzz(case, fuzz_dir, schema):
     mode, argv = case
     argv = [str(fuzz_dir / a) if a == "2K2.el" else a for a in argv]
-    code = run_fuzz_case(argv, schema)
+    code, _ = run_fuzz_case(argv, schema)
     size, forbidden = int(argv[3]), argv[-1]
     if forbidden in ("K0", "S0"):
         assert code in (EXIT_VALIDATION, EXIT_IO), argv

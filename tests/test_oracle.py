@@ -20,8 +20,7 @@ from mexlab.graphs import (Graph, Pattern, complete, complete_multipartite,
                            pattern, star)
 from mexlab import graphs, oracle
 from mexlab.oracle import (CANON_MAX_ORDER, ORACLE_MAX_EDGES, _canonical_order,
-                           _children, _edge_invariant,
-                           _edge_orbit, _last_in_order, _levels, _refine,
+                           _children, _edge_orbit, _last_in_order, _levels, _refine,
                            _top_edges, canonical_form, ex_exact, mex_exact)
 
 TWO_K2 = Pattern(Graph(4, [(0, 1), (2, 3)]), "2K2")
@@ -359,6 +358,30 @@ def _deletion_position(g):
     return sorted((pos[v] for v in _last_in_order(top, order)), reverse=True)
 
 
+def _check_top_edges(n, edges, perm):
+    """_top_edges on the graph of edges, and on its relabeling by perm,
+    returns the edges of greatest invariant by its definition, and None for
+    every other edge; the deletion edge sits in one place of the canonical
+    order under either labeling."""
+    g = Graph(n, edges)
+    h = _relabeled(n, edges, perm)
+    inv = {e: _invariant_by_definition(g, *e) for e in g.edges()}
+    best = max(inv.values())
+    greatest = sorted(e for e in inv if inv[e] == best)
+    image = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in greatest)
+    order = _canonical_order(g)[0]
+    for u, v in inv:
+        top = _top_edges(g, (u, v))
+        top_h = _top_edges(h, tuple(sorted((perm[u], perm[v]))))
+        if inv[(u, v)] < best:
+            assert top is None and top_h is None
+            continue
+        assert sorted(top) == greatest and sorted(top_h) == image
+        assert inv[_last_in_order(top, order)] == best
+    # the same edge of the canonical graph, whatever the labeling
+    assert _deletion_position(g) == _deletion_position(h)
+
+
 @given(st.integers(2, 9), st.data(), st.integers(0, 2 ** 32))
 @settings(max_examples=80, deadline=None)
 def test_deletion_edge_has_the_greatest_invariant(n, data, seed):
@@ -366,24 +389,20 @@ def test_deletion_edge_has_the_greatest_invariant(n, data, seed):
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
     perm = list(range(n))
     random.Random(seed).shuffle(perm)
-    g = Graph(n, chosen)
-    h = _relabeled(n, chosen, perm)
-    inv = {}
-    for u, v in g.edges():
-        inv[(u, v)] = _invariant_by_definition(g, u, v)
-        assert _edge_invariant(g.adj, g.degrees(), u, v) == inv[(u, v)]
-        assert _edge_invariant(h.adj, h.degrees(), perm[u], perm[v]) == inv[(u, v)]
-    best = max(inv.values())
-    order = _canonical_order(g)[0]
-    for edge in inv:
-        top = _top_edges(g, edge)
-        if inv[edge] < best:
-            assert top is None
+    _check_top_edges(n, chosen, perm)
+
+
+def test_deletion_edge_has_the_greatest_invariant_on_the_atlas():
+    # every graph on at most 7 vertices with an edge, under a seeded shuffle
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(7)
+    for atlas_graph in nx.graph_atlas_g():
+        if atlas_graph.number_of_edges() == 0:
             continue
-        assert sorted(top) == sorted(e for e in inv if inv[e] == best)
-        assert inv[_last_in_order(top, order)] == best
-    # the same edge of the canonical graph, whatever the labeling
-    assert _deletion_position(g) == _deletion_position(h)
+        n = atlas_graph.number_of_nodes()
+        perm = list(range(n))
+        rng.shuffle(perm)
+        _check_top_edges(n, sorted(tuple(sorted(e)) for e in atlas_graph.edges()), perm)
 
 
 def test_degree_floor_rejects_only_children_the_invariant_rejects():
