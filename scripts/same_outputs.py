@@ -9,11 +9,11 @@ archive` of --parent and a `git checkout-index` of the staged tree.  For
 each seed and each workload of `perfbench/workloads.py`, the workload's
 inputs are written into both sides, and each query's argv runs once through
 `python3 -m mexlab.cli` on each side.  After every query the exit code, the
-stdout and every file in the workload's directory must be the same on both
-sides.  The script prints the first argv that differs and exits 1, or
-prints how many queries it compared and exits 0.  When the staged tree is
---parent's own tree, so that an unstaged change would go unrun, it exits 2
-before it runs anything.
+stdout, the stderr and every file in the workload's directory must be the
+same on both sides.  The script prints the first argv that differs and
+exits 1, or prints how many queries it compared and exits 0.  When the
+staged tree is --parent's own tree, so that an unstaged change would go
+unrun, it exits 2 before it runs anything.
 """
 
 from __future__ import annotations
@@ -36,14 +36,17 @@ def parse_seeds(text: str) -> list[int]:
     return list(range(int(lo), int(hi or lo) + 1))
 
 
+PARTS = ("exit code", "stdout", "stderr", "files")
+
+
 def run_query(side: Path, work: Path, argv: list[str]) -> tuple:
-    """The exit code, stdout and files in work after one CLI run on side."""
+    """The PARTS of one CLI run on side, the files read from work."""
     proc = subprocess.run([sys.executable, "-m", "mexlab.cli", *argv], cwd=side,
                           env=dict(os.environ, PYTHONPATH=str(side / "src")),
                           capture_output=True)
     files = {str(p.relative_to(work)): p.read_bytes()
              for p in sorted(work.rglob("*")) if p.is_file()}
-    return proc.returncode, proc.stdout, files
+    return proc.returncode, proc.stdout, proc.stderr, files
 
 
 def main(argv=None) -> int:
@@ -71,13 +74,13 @@ def main(argv=None) -> int:
                     got = {side: run_query(sides[side], work, query)
                            for side, (work, _) in built.items()}
                     if got["parent"] != got["change"]:
-                        parts = [part for i, part in enumerate(("exit code", "stdout", "files"))
-                                 if got["parent"][i] != got["change"][i]]
+                        parts = [part for part, a, b in zip(PARTS, got["parent"], got["change"])
+                                 if a != b]
                         print(f"{name} seed {seed}: the sides differ in {', '.join(parts)} for\n"
                               f"  {' '.join(query)}")
                         return 1
                     compared += 1
-    print(f"{compared} queries: identical exit codes, stdout and files")
+    print(f"{compared} queries: identical exit codes, stdout, stderr and files")
     return 0
 
 

@@ -57,14 +57,10 @@ class ExponentReport:
 # Clique-count constants C(u, r)
 # ---------------------------------------------------------------------------
 
-def _check_ur(u: int, r: int) -> None:
-    if not 1 <= u < r <= LEMMA_CONSTANT_MAX_R:
-        raise ValueError(f"need 1 <= u < r <= {LEMMA_CONSTANT_MAX_R}, got ({u},{r})")
-
-
 def lemma_constant(u: int, r: int) -> float:
     """C(u, r) = (u!)^(r/u) / r!: for every graph, k_r < C(u,r) * k_u^(r/u)."""
-    _check_ur(u, r)
+    if not 1 <= u < r <= LEMMA_CONSTANT_MAX_R:
+        raise ValueError(f"need 1 <= u < r <= {LEMMA_CONSTANT_MAX_R}, got ({u},{r})")
     return math.factorial(u) ** (r / u) / math.factorial(r)
 
 

@@ -925,8 +925,6 @@ def chromatic_number(g: Graph) -> int:
         raise ValueError(f"order {g.n} exceeds cap {CHROMATIC_MAX_ORDER}")
     if g.n == 0:
         return 0
-    if g.m == 0:
-        return 1
     n = g.n
     degs = g.degrees()
     order = sorted(range(n), key=lambda v: (-degs[v], v))
@@ -949,12 +947,10 @@ def chromatic_number(g: Graph) -> int:
         color[v] = -1
         return False
 
-    for k in range(2, n + 1):
-        for v in range(n):
-            color[v] = -1
-        if colorable(0, 0, k):
-            return k
-    return n
+    k = 1  # a failed search leaves every colour at -1
+    while not colorable(0, 0, k):
+        k += 1
+    return k
 
 
 def max_avg_degree(f: Pattern) -> Fraction:

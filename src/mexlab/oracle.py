@@ -3,7 +3,8 @@
 Graphs are enumerated one isomorphism class at a time by canonical edge
 augmentation (McKay 1998), one level per edge count (`_levels`): a class is
 padded with up to two fresh isolated vertices, each child adds one non-edge
-of the padded graph, and each child has one canonical deletion edge, so
+of the padded graph, one per pair of twin classes and read off their lowest
+members (`_children`), and each child has one canonical deletion edge, so
 that each class has exactly one accepted parent.  The deletion edge is
 chosen first by an edge invariant that relabeling preserves, as nauty's
 geng does: a child whose added edge falls short of the greatest invariant
@@ -22,12 +23,13 @@ edges, so its floor is that edge's pair, carried with the class.  Containment
 by the forbidden pattern is monotone under edge addition, so pruning
 non-free children keeps the search exact.
 
-A class is labeled only when something reads its labeling.  A child whose
-added edge is its only edge of greatest invariant is canonical without one.
-Aut(parent) is read only to tell apart two children of one parent past its
-floor, so a parent that came unlabeled is labeled at its second such child.
-A canonical form is read only to break a tie for the best value, so `_best`
-labels only the candidates tied at it and at the least order.
+A class is labeled only when something reads its labeling, the empty class
+included.  A child whose added edge is its only edge of greatest invariant
+is canonical without one.  Aut(parent) is read only to tell apart two
+children of one parent past its floor, so a parent that came unlabeled is
+labeled at its second such child.  A canonical form is read only to break a
+tie for the best value, so `_best` labels only the candidates tied at it
+and at the least order.
 
 No class is searched whole.  A copy in a child that is not in its parent,
 of the forbidden pattern or of the target, holds the child's added edge uv:
@@ -337,9 +339,10 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
             order: int | None = None) -> tuple[list, int]:
     """(levels, examined): levels[m] lists the admissible classes with m
     edges and no isolated vertex, on at most max_vertices vertices, as
-    (graph, canonical form or None, T' copies, contains F'), stopping at
-    max_edges or at the first empty level; examined counts the children
-    generated.
+    records (graph, key, copies, contains, gens, floor): its canonical form
+    or None, T' copies, whether it contains F', Aut generators or None, and
+    degree floor.  Levels stop at max_edges or at the first empty level;
+    examined counts the children generated.
 
     Write F = F' + kK1 for forbidden and T = T' + jK1 for target, F' and T'
     without isolated vertices.  A class is admissible iff it does not contain
@@ -380,13 +383,12 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
         return not contains or (n if order is None else order) < forbidden.order
 
     # The empty graph holds one copy of T' and contains F' iff they are empty.
-    start = (Graph(0), canonical_form(Graph(0)), int(not counted), not banned)
+    start = (Graph(0), None, int(not counted), not banned, [], (0, 0))
     levels = [[start] if admissible(start[3], 0) else []]
-    known = [([], (0, 0))]  # (Aut generators or None, degree floor) per class
     examined = 0
     while len(levels) <= max_edges:
-        nxt, nxt_known = [], []
-        for (parent, _, copies, held), (parent_gens, floor) in zip(levels[-1], known):
+        nxt = []
+        for parent, _, copies, held, parent_gens, floor in levels[-1]:
             padded = parent.padded(min(parent.n + 2, max_vertices))
             fresh = list(range(parent.n, padded.n))
             deg = padded.degrees()
@@ -428,35 +430,33 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
                     if edge not in _edge_orbit(_last_in_order(top, perm), gens):
                         continue
                 nxt.append((child, key, copies + _copies_through(counted, child, u, v),
-                            contains))
-                nxt_known.append((gens, pair))
+                            contains, gens, pair))
         if not nxt:
             break
         levels.append(nxt)
-        known = nxt_known
     return levels, examined
 
 
 def _children(g: Graph):
     """The non-edges of g that make its children, one per pair of twin
-    classes (twins attach isomorphically), in lexicographic order.  On a
-    padded parent the fresh vertices are twins of each other only, so an
-    edge joins two parent vertices, a parent vertex and the first fresh
-    vertex, or the two fresh vertices.  The first non-edge of a pair starts
-    at the lowest member of a class (a later twin's non-edge to v is also
-    the lowest member's), so only lowest members are visited."""
-    n = g.n
-    cls = _twin_classes(g)
-    seen_pairs = set()
-    for u in range(n):
-        if cls[u] != u:
-            continue
-        row = ~g.adj[u] & (((1 << n) - 1) ^ ((1 << (u + 1)) - 1))
-        for v in bits(row):
-            key = (u, cls[v]) if u <= cls[v] else (cls[v], u)
-            if key in seen_pairs:
-                continue
-            seen_pairs.add(key)
+    classes (twins attach isomorphically), in lexicographic order.  Twins
+    share their neighbours outside their class, so the first non-edge
+    between two classes joins their lowest members, and the first inside a
+    class of non-adjacent twins joins its two lowest members: each lowest
+    member u is joined to the lowest members above it that it misses, and
+    to its own second member.  On a padded parent the fresh vertices are
+    twins of each other only, so an edge joins two parent vertices, a
+    parent vertex and the first fresh vertex, or the two fresh vertices."""
+    lowest = 0
+    second = {}  # each class's second member, as a mask
+    for v, c in enumerate(_twin_classes(g)):
+        if c == v:
+            lowest |= 1 << v
+        elif c not in second:
+            second[c] = 1 << v
+    for u in bits(lowest):
+        ends = (lowest | second.get(u, 0)) >> u + 1 << u + 1  # those above u
+        for v in bits(ends & ~g.adj[u]):
             yield u, v
 
 
@@ -480,17 +480,18 @@ class OracleResult:
 
 def _best(candidates, scale: int, levels: list, examined: int,
           none_msg: str) -> OracleResult:
-    """The (graph, canonical key, T' copies, _) candidate with the most
-    target copies, scale per T' copy; a tie goes to the smaller canonical
-    form.  The tie-break is the only reader of a form, so a key that
-    `_levels` left as None is labeled here, and only when its candidate is
-    tied with another at the greatest scaled count and at the least order,
-    the form's first byte.  Every class examined lies in one level."""
+    """The `_levels` record (graph, key, copies, *_) with the most target
+    copies, scale per T' copy; a tie goes to the smaller canonical form.
+    The tie-break is the only reader of a form, so a key that `_levels` left
+    as None is labeled here, and only when its candidate is tied with
+    another at the greatest scaled count and at the least order, the form's
+    first byte.  The empty class is alone at order 0, so it is never
+    labeled.  Every class examined lies in one level."""
     candidates = list(candidates)
     if not candidates:
         raise ValueError(none_msg)
-    rank = max((copies * scale, -g.n) for g, _, copies, _ in candidates)
-    tied = [(key, g) for g, key, copies, _ in candidates if (copies * scale, -g.n) == rank]
+    rank = max((copies * scale, -g.n) for g, _, copies, *_ in candidates)
+    tied = [(key, g) for g, key, copies, *_ in candidates if (copies * scale, -g.n) == rank]
     if len(tied) > 1:
         tied = [(_canonical_order(g)[2] if key is None else key, g) for key, g in tied]
     witness = min(tied, key=lambda c: c[0])[1]

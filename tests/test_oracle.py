@@ -278,6 +278,29 @@ def test_children_of_the_padded_graph_are_the_three_kinds():
             assert got == sorted(_three_kinds_of_child(atlas_graph, cap))
 
 
+def test_children_of_larger_padded_graphs_are_the_three_kinds():
+    # Past the atlas's 7 vertices: G(n, p) graphs without isolated vertices,
+    # and complete multipartite graphs whose repeated part sizes give twin
+    # classes of 3 or more false twins, next to true twins from parts of 1.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(34)
+    hosts = []
+    while len(hosts) < 150:
+        g = gnp(rng.randrange(8, 13), rng.uniform(0.2, 0.9), rng.randrange(10 ** 9))
+        if all(g.adj):
+            hosts.append(g)
+    for parts in ([3, 3], [3, 3, 3], [2, 2, 2, 2], [1, 1, 3, 3], [1, 1, 1, 4, 4],
+                  [2, 2, 3, 3], [1, 2, 2, 5], [4, 4, 4]):
+        hosts.append(complete_multipartite(parts))
+    for g in hosts:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        for cap in (g.n, g.n + 1, g.n + 2):
+            got = list(_children(g.padded(cap)))
+            assert got == sorted(_three_kinds_of_child(h, cap)), (g.edges(), cap)
+
+
 def test_enumerator_level_sizes_match_oeis():
     # K6 has 15 edges, so no graph of at most 11 edges contains it
     levels, _ = _levels(2 * ORACLE_MAX_EDGES, ORACLE_MAX_EDGES, pattern("K2"),
@@ -294,21 +317,22 @@ def test_levels_hold_pairwise_distinct_classes(max_edges, forbidden):
     # a key that was computed must be the form.
     levels, _ = _levels(2 * max_edges, max_edges, pattern("K2"), forbidden())
     for level in levels:
-        forms = [_canonical_order(g)[2] for g, _, _, _ in level]
+        forms = [_canonical_order(g)[2] for g, *_ in level]
         assert len(set(forms)) == len(level)
-        assert all(key in (None, form) for (_, key, _, _), form in zip(level, forms))
+        assert all(key in (None, form) for (_, key, *_), form in zip(level, forms))
 
 
 def test_mex_k3_k4_labeling_count_is_pinned(monkeypatch):
     # Labeling is on demand: a child whose added edge is its only top edge
     # is canonical unlabeled, a parent is labeled only at its second child
     # past the floor, and `_best` labels only the candidates tied at the
-    # greatest value and the least order.  That is 1,323 labelings (1,318
-    # in `_levels`, 5 in `_best`), down from 2,280 when every child kept by
-    # its orbit was labeled and 3,790 when every child that passes the
-    # invariant was.  The
-    # degree floor leaves 3,969 children to build: 11,827 with no floor,
-    # while a floor one above the true pair keeps 11 classes.
+    # greatest value and the least order.  The empty class is never
+    # labeled.  That is 1,322 labelings (1,317 in `_levels`, 5 in `_best`),
+    # down from 1,323 when the empty class was labeled, 2,280 when every
+    # child kept by its orbit was labeled and 3,790 when every child that
+    # passes the invariant was.  The degree floor leaves 3,969 children to
+    # build: 11,827 with no floor, while a floor one above the true pair
+    # keeps 11 classes.
     calls, built = [], []
     labeled, ranked = _canonical_order, _top_edges
 
@@ -323,7 +347,7 @@ def test_mex_k3_k4_labeling_count_is_pinned(monkeypatch):
     monkeypatch.setattr(oracle, "_canonical_order", counted)
     monkeypatch.setattr(oracle, "_top_edges", counted_top)
     res = mex_exact(9, pattern("K3"), pattern("K4"))
-    assert (res.value, res.iso_classes_examined, len(calls)) == (4, 2230, 1323)
+    assert (res.value, res.iso_classes_examined, len(calls)) == (4, 2230, 1322)
     assert len(built) == 3969
 
 
@@ -685,6 +709,17 @@ def test_ex_with_isolated_vertices_matches_brute_force(n):
             _check_against_brute_force(
                 lambda t, f: ex_exact(n, t, f), _labeled_classes(n), target,
                 forb, _without_isolated)
+
+
+def test_oracle_reads_no_canonical_form(monkeypatch):
+    # A class is labeled only when something reads its labeling, so no
+    # query calls the public canonical_form, not even for the empty class.
+    def form(g):
+        raise AssertionError("canonical_form ran")
+
+    monkeypatch.setattr(oracle, "canonical_form", form)
+    assert mex_exact(6, pattern("K3"), pattern("K4")).value == 2
+    assert ex_exact(5, pattern("K3"), pattern("K4")).value == 4
 
 
 def test_oracle_makes_no_whole_graph_search(monkeypatch):

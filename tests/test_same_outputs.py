@@ -39,4 +39,4 @@ def test_same_outputs_refuses_a_staged_tree_equal_to_the_parent(tmp_path):
     git(repo, "add", "-A")
     proc = same_outputs(repo, "--seeds", "1-0")  # no seed: nothing to run
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 queries: identical exit codes, stdout and files\n"
+    assert proc.stdout == "0 queries: identical exit codes, stdout, stderr and files\n"
