@@ -9,9 +9,13 @@ Clique counts, whole-graph (``count_cliques``) and per edge
 a succinct clique tree that pivots where the candidate set is dense and
 deep, so a k-clique inside a pivot set is counted by a binomial rather than
 listed, and that enumerates cliques one by one, with bulk popcounts for the
-last two sizes, where the set is small or shallow.  The whole-graph
-count runs over the vertices sorted by degree, the order with which Chiba
-and Nishizeki (SIAM J. Comput. 1985) list K_r in O(a(G)^(r-2) m) time.
+last two sizes, where the set is small or shallow.  Enumeration visits each
+clique once whatever the vertex order, and only a pivot reads it.  So the
+whole-graph count runs on the host's own labels where no node can pivot:
+at R <= _PIVOT_DEPTH, on fewer than _PIVOT_PROBE vertices, and at R =
+_PIVOT_DEPTH + 1 when every degree is below n/2.  Every other count
+runs over the vertices sorted by degree, the order with which Chiba and
+Nishizeki (SIAM J. Comput. 1985) list K_r in O(a(G)^(r-2) m) time.
 Per edge, the kernel runs once on each edge's common neighbourhood, except
 on small dense hosts with 4 <= r <= _PIVOT_DEPTH + 2, where it would only
 enumerate: there each vertex x gets G[N(x)]'s upper-triangular adjacency
@@ -25,12 +29,13 @@ map search, ``_search`` over a pattern's plan, built once, which returns
 the number of copies, or stops at the first: it reaches one map per copy
 prefix and counts the tail, an independent twin class, by a binomial.
 For K_{s,t}, plus any isolated vertices, the tail is a whole side, and the
-placed side's later vertices are filtered in bulk: one bit-sliced pass
-(``_at_least``) keeps the vertices with at least t neighbours in the
-common neighbourhood of the earlier ones.  A plan may be rooted at an arc
-(a, b) of the pattern, with a and b pinned to the ends of a host edge
-(``_copies_through``): one rooted plan per automorphism orbit of arcs finds
-each copy through that edge exactly once.
+placed side's later vertices are filtered in bulk: one pass (``_at_least``),
+by saturating registers for t <= 3 and bit-sliced counters above, keeps
+the vertices with at least t neighbours in the common neighbourhood of the
+earlier ones.  A plan may be rooted at an arc (a, b) of the pattern, with a
+and b pinned to the ends of a host edge (``_copies_through``): one rooted
+plan per automorphism orbit of arcs finds each copy through that edge
+exactly once.
 
 ``gnp`` draws slot i of G(n, p) from ``splitmix64(seed, i)``, but computes
 whole chunks of 1024 slots, one slot per 128-bit lane of one Python int, so
@@ -113,10 +118,12 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, in lexicographic order."""
         out = []
-        for u in range(self.n):
-            row = self.adj[u] & ~((1 << (u + 1)) - 1)
-            for v in bits(row):
-                out.append((u, v))
+        for u, row in enumerate(self.adj):
+            row >>= u + 1
+            while row:
+                low = row & -row
+                row ^= low
+                out.append((u, u + low.bit_length()))
         return out
 
     def remove_edges(self, edges) -> "Graph":
@@ -192,9 +199,9 @@ def load_edge_list(path) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    edges = g.edges()
+    ends = tuple(x for e in edges for x in e)
+    return f"{g.n} {len(edges)}\n" + "%d %d\n" * len(edges) % ends
 
 
 def save_edge_list(g: Graph, path) -> None:
@@ -488,24 +495,35 @@ def _clique_counts(adj, cand: int, R: int) -> list:
 
 
 def count_cliques(g: Graph, R: int) -> CliqueVector:
-    """Exact number of r-cliques for every 1 <= r <= R, counted over the
-    vertices in ascending (degree, label) order: each clique grows from its
-    vertex of least degree, which lists K_r in O(a(G)^(r-2) m) time for
-    arboricity a(G) (Chiba & Nishizeki, SIAM J. Comput. 1985)."""
+    """Exact number of r-cliques for every 1 <= r <= R.
+
+    An enumerating node of the clique tree visits each clique once, from its
+    lowest vertex, at a few bitset operations per clique, whatever the
+    vertex order; only a pivoting node reads the order.  So the kernel runs
+    on g's own labels wherever no node can pivot: R <= _PIVOT_DEPTH, n <
+    _PIVOT_PROBE (the root enumerates), or R = _PIVOT_DEPTH + 1 with a root
+    that does not pivot, every degree being below n/2.  Elsewhere the
+    vertices are relabeled in ascending (degree, label) order, the order
+    with which Chiba and Nishizeki (SIAM J. Comput. 1985) list K_r in
+    O(a(G)^(r-2) m) time for arboricity a(G): each clique grows from its
+    vertex of least degree.
+    """
     if not 1 <= R <= EDGE_LIST_MAX_VERTICES:
         raise ValueError(f"R must lie in 1..{EDGE_LIST_MAX_VERTICES}")
-    n = g.n
-    degs = g.degrees()
-    pos = [0] * n
-    for i, v in enumerate(sorted(range(n), key=degs.__getitem__)):  # ties by label
-        pos[v] = i
-    radj = [0] * n
-    for v in range(n):
-        row = 0
-        for w in bits(g.adj[v]):
-            row |= 1 << pos[w]
-        radj[pos[v]] = row
-    return CliqueVector(R, tuple(_clique_counts(radj, (1 << n) - 1, R)))
+    n, adj = g.n, g.adj
+    if R > _PIVOT_DEPTH and n >= _PIVOT_PROBE:
+        degs = g.degrees()
+        if R > _PIVOT_DEPTH + 1 or 2 * max(degs) >= n:
+            pos = [0] * n
+            for i, v in enumerate(sorted(range(n), key=degs.__getitem__)):  # ties by label
+                pos[v] = i
+            adj = [0] * n
+            for v in range(n):
+                row = 0
+                for w in bits(g.adj[v]):
+                    row |= 1 << pos[w]
+                adj[pos[v]] = row
+    return CliqueVector(R, tuple(_clique_counts(adj, (1 << n) - 1, R)))
 
 
 def edge_clique_participation(g: Graph, r: int) -> dict:
@@ -716,11 +734,24 @@ def _embedding_plan(f: Graph, root: tuple = ()) -> _Plan:
 
 def _at_least(adj, mask: int, k: int, full: int) -> int:
     """The vertices of full with at least k >= 1 neighbours in mask, found
-    in one pass over mask by bit-sliced counters: slices[j] holds bit j of
-    every vertex's counter.  Each counter starts at 2^w - k, w the bit length
-    of k, and adding adj[b] for each b of mask ripples a carry up the w
-    slices; a counter carries out of its top slice, into over, iff it has
-    counted k.  Every int stays non-negative."""
+    in one pass over mask.  For k <= 3, three saturating registers: adding
+    adj[b] for each b of mask, r3 |= r2 & adj[b], then r2 |= r1 & adj[b],
+    then r1 |= adj[b], so r_j holds the vertices counted j times or more.
+    For larger k, bit-sliced counters: slices[j] holds bit j of every
+    vertex's counter.  Each counter starts at 2^w - k, w the bit length of
+    k, and adding adj[b] ripples a carry up the w slices; a counter carries
+    out of its top slice, into over, iff it has counted k.  Every int stays
+    non-negative."""
+    if k <= 3:
+        r1 = r2 = r3 = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            row = adj[low.bit_length() - 1]
+            r3 |= r2 & row
+            r2 |= r1 & row
+            r1 |= row
+        return (r1, r2, r3)[k - 1]
     w = k.bit_length()
     slices = [full if ((1 << w) - k) >> j & 1 else 0 for j in range(w)]
     over = 0

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import embedding_reference as ref
+from mexlab.constructions import norm_graph
 from mexlab.graphs import (Graph, Pattern, _copies_through, _search, bits,
                            complete, count_copies, gnp, is_free, iter_copies,
                            parse_pattern_literal)
@@ -233,3 +234,31 @@ def test_search_modes_agree_on_mid_size_hosts(case):
         through_all += through
     # every copy holds e(f) host edges and is found once through each
     assert through_all == f.m * total
+
+
+# ---------------------------------------------------------------------------
+# K_{s,t} searches on norm graphs, whose tails of t <= 3 are filtered in
+# saturating registers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q,s", [(3, 3), (5, 2), (5, 3)])
+def test_bipartite_copies_on_norm_graphs_match_the_reference(q, s):
+    g = norm_graph(q, s)
+    for text in ("K1_2", "C4", "K2_3", "K3_3"):
+        f = parse_pattern_literal(text)
+        pat = Pattern(f)
+        assert count_copies(pat, g) == ref.count_copies(f, g), text
+        assert is_free(pat, g) == ref.is_free(f, g), text
+
+
+def test_norm_graphs_are_free_of_their_bipartite_pattern():
+    # H(q, s) is K_{s,(s-1)!+1}-free (Kollar, Ronyai & Szabo 1996; Alon,
+    # Ronyai & Szabo 1999): H(q, 2) holds no C4, H(5, 3) no K_{3,3}
+    c4 = Pattern(parse_pattern_literal("C4"))
+    for q in (3, 5, 7, 11, 13):
+        g = norm_graph(q, 2)
+        assert is_free(c4, g)
+        assert count_copies(c4, g) == 0
+    k33 = Pattern(parse_pattern_literal("K3_3"))
+    assert is_free(k33, norm_graph(5, 3))
+    assert count_copies(k33, norm_graph(5, 3)) == 0

@@ -147,6 +147,81 @@ def test_count_cliques_matches_networkx(nx, p, seed, data):
     assert count_cliques(g, R).counts == tuple(want)
 
 
+def _star_host(n: int, leaves: int, hub: int) -> Graph:
+    """A star with leaves leaves and its hub at label hub (0 or n - 1),
+    beside isolated vertices up to order n."""
+    others = [v for v in range(n) if v != hub][:leaves]
+    return Graph(n, [(min(hub, v), max(hub, v)) for v in others])
+
+
+def _relabel_rule_hosts():
+    """(host, top) pairs: count_cliques runs on the host's own labels at R
+    <= top, where no node of the clique tree can pivot, and relabels above.
+    A host of fewer than _PIVOT_PROBE vertices never pivots; above it, the
+    root pivots at R = _PIVOT_DEPTH + 1 iff a vertex sees at least half of
+    the vertices, and deeper nodes may pivot at any larger R."""
+    from mexlab.constructions import norm_graph
+    depth, probe = graphs._PIVOT_DEPTH, graphs._PIVOT_PROBE
+    hosts = [(Graph(0), 10), (Graph(1), 10), (gnp(probe - 1, 0.9, 1), 10),
+             (complete(probe - 1), 10)]
+    for n in (probe, probe + 1, 40):
+        half = -(-n // 2)
+        for hub in (0, n - 1):
+            hosts.append((_star_host(n, half, hub), depth))
+            hosts.append((_star_host(n, half - 1, hub), depth + 1))
+    hosts.append((gnp(200, 0.05, 7), depth + 1))
+    hosts.append((gnp(40, 0.6, 8), depth))
+    hosts += [(norm_graph(q, 2), depth + 1) for q in (5, 7, 11)]
+    return hosts
+
+
+def _nx_clique_counts(nx, g, R):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    want = [1] + [0] * R
+    for clique in nx.enumerate_all_cliques(h):
+        if len(clique) > R:
+            break
+        want[len(clique)] += 1
+    return tuple(want)
+
+
+def test_count_cliques_matches_networkx_on_both_sides_of_the_relabel_rule(nx):
+    for g, _ in _relabel_rule_hosts():
+        for R in (3, 4, 5):
+            assert count_cliques(g, R).counts == _nx_clique_counts(nx, g, R), (g, R)
+
+
+def test_norm_graph_triangles_on_both_sides_of_the_relabel_rule():
+    # H(q, 2) has C(q - 1, 3) triangles and no K4; the counts at R = 3 and
+    # 4 run on its own labels, the count at R = 5 relabels
+    from mexlab.constructions import norm_graph
+    for q in (5, 7, 11, 13):
+        g = norm_graph(q, 2)
+        for R in (3, 4, 5):
+            cv = count_cliques(g, R)
+            assert cv[3] == math.comb(q - 1, 3)
+            assert all(cv[r] == 0 for r in range(4, R + 1))
+
+
+def test_count_runs_on_the_host_labels_exactly_where_no_node_can_pivot(monkeypatch):
+    calls = []
+    kernel = graphs._clique_counts
+    monkeypatch.setattr(graphs, "_clique_counts",
+                        lambda adj, cand, R: calls.append(adj) or kernel(adj, cand, R))
+    hosts = _relabel_rule_hosts()
+    for g, top in hosts:
+        for R in range(1, graphs._PIVOT_DEPTH + 4):
+            calls.clear()
+            count_cliques(g, R)
+            # the first call is count_cliques' own; a kernel call on a cand
+            # smaller than R calls the kernel again on the same adj
+            assert (calls[0] is g.adj) == (R <= top), (g, R)
+    assert sorted({top for _, top in hosts}) == [
+        graphs._PIVOT_DEPTH, graphs._PIVOT_DEPTH + 1, 10]
+
+
 def _nx_participation(nx, g, top):
     """For each r <= top and each edge, the number of r-cliques through the
     edge, from networkx's listing of every clique in order of size."""
@@ -313,6 +388,20 @@ def test_at_least_k_neighbours_in_mask_matches_brute_force(n, p, seed, data):
     k = data.draw(st.integers(1, mask.bit_count() + 2))
     expected = sum(1 << v for v in range(n) if (g.adj[v] & mask).bit_count() >= k)
     assert _at_least(g.adj, mask, k, (1 << n) - 1) == expected
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_at_least_on_both_sides_of_the_register_cut(k):
+    # k <= 3 is counted in saturating registers, k >= 4 in bit-sliced
+    # counters
+    rng = random.Random(k)
+    for i, (n, p) in enumerate([(0, 0.5), (1, 0.5), (12, 0.9), (64, 0.5),
+                                (65, 0.3), (150, 0.1), (90, 0.9)]):
+        g = gnp(n, p, i)
+        full = (1 << n) - 1
+        for mask in [0, full] + [rng.getrandbits(n) if n else 0 for _ in range(20)]:
+            expected = sum(1 << v for v in range(n) if (g.adj[v] & mask).bit_count() >= k)
+            assert _at_least(g.adj, mask, k, full) == expected, (n, p, mask)
 
 
 def test_clique_consistency():
