@@ -17,6 +17,6 @@ from .graphs import (CliqueVector, Graph, Pattern, chromatic_number,
                      format_edge_list, gnp, is_free, load_edge_list,
                      max_avg_degree, parse_pattern_literal, pattern,
                      read_edge_list, save_edge_list, splitmix64, star)
-from .oracle import OracleResult, canonical_form, ex_exact, mex_exact
+from .oracle import OracleResult, ex_exact, mex_exact
 
 __version__ = "0.1.0"

@@ -201,13 +201,14 @@ def fit_loglog_slope(xs, ys) -> float:
         raise ValueError("need at least 3 instances to fit a slope")
     if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
         raise ValueError("log-log fit needs positive counts")
+    # on the exact xs: the float sxx of equal xs can round to a tiny nonzero
+    if len(set(xs)) < 2:
+        raise ValueError("log-log fit needs at least two distinct x values")
     lx = [math.log(x) for x in xs]
     ly = [math.log(y) for y in ys]
     mx = math.fsum(lx) / len(lx)
     my = math.fsum(ly) / len(ly)
     sxx = math.fsum((a - mx) ** 2 for a in lx)
-    if sxx == 0:
-        raise ValueError("log-log fit needs at least two distinct x values")
     return math.fsum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sxx
 
 
@@ -216,6 +217,8 @@ def tripartite_parts(n: int) -> list[int]:
     instance.  As for a K literal, an n above EDGE_LIST_MAX_VERTICES or an
     instance above LITERAL_MAX_EDGES edges is a ValueError; below the edge
     cap the instance has fewer than EDGE_LIST_MAX_VERTICES vertices."""
+    if n < 1:
+        raise ValueError(f"tripartite n = {n} must be a positive integer")
     if n > EDGE_LIST_MAX_VERTICES:  # also keeps n ** (1/3) in float range
         raise ValueError(f"tripartite n = {n} exceeds cap {EDGE_LIST_MAX_VERTICES}")
     b = math.isqrt(n)

@@ -214,7 +214,10 @@ def save_edge_list(g: Graph, path) -> None:
 # ---------------------------------------------------------------------------
 
 def complete(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    g = Graph(n)
+    full = (1 << n) - 1
+    g.adj = [full ^ 1 << v for v in range(n)]
+    return g
 
 
 def complete_multipartite(sizes) -> Graph:

@@ -27,9 +27,9 @@ A class is labeled only when something reads its labeling, the empty class
 included.  A child whose added edge is its only edge of greatest invariant
 is canonical without one.  Aut(parent) is read only to tell apart two
 children of one parent past its floor, so a parent that came unlabeled is
-labeled at its second such child.  A canonical form is read only to break a
-tie for the best value, so `_best` labels only the candidates tied at it
-and at the least order.
+labeled at its second such child.  A canonical certificate is read only in
+`_best`, to break a tie for the best value: it labels the candidates tied
+at that value and at the least order, when there are two or more.
 
 No class is searched whole.  A copy in a child that is not in its parent,
 of the forbidden pattern or of the target, holds the child's added edge uv:
@@ -48,7 +48,6 @@ from .graphs import Graph, Pattern, _copies_through, _twin_classes, bits
 
 ORACLE_MAX_EDGES = 11
 ORACLE_MAX_N = 8
-CANON_MAX_ORDER = 16
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +143,19 @@ def _orbit_closure(mask: int, gens: list[list[int]]) -> int:
     return mask
 
 
-def _canonical_order(g: Graph) -> tuple[list[int], list[list[int]], bytes]:
+def _canonical_order(g: Graph) -> tuple[list[int], list[list[int]], int]:
     """Canonical vertex order of g, generators of its automorphism group and
-    canonical form, by individualization-refinement (McKay & Piperno 2014).
+    canonical certificate, by individualization-refinement (McKay & Piperno
+    2014).
 
     The root is the one cell of all vertices, refined to be equitable, so
     that its first split is by ascending degree.  A node individualizes each
     vertex of its first non-singleton cell in turn, placing it in front of
     the rest of its cell, and refines again.  A leaf is a discrete partition, i.e. a vertex order,
     and its certificate is the packed adjacency string of that order; the
-    canonical order is the first leaf of least certificate, and the canonical
-    form is the byte n followed by that certificate in big-endian bytes.
+    canonical order is the first leaf of least certificate, and that is g's
+    certificate: two graphs of one order have equal certificates iff they
+    are isomorphic.  Only `_best` reads it.
     Two leaves with equal certificates differ by an automorphism, which is
     recorded.  A child in the orbit of an explored sibling under the
     recorded automorphisms that fix the node's individualized vertices is
@@ -214,15 +215,7 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[list[int]], bytes]:
         return depth
 
     search(root, [])
-    nbytes = (n * (n - 1) // 2 + 7) // 8
-    return best[1], gens, bytes([n]) + best[0].to_bytes(nbytes, "big")
-
-
-def canonical_form(g: Graph) -> bytes:
-    """Canonical byte string: equal for two graphs iff they are isomorphic."""
-    if g.n > CANON_MAX_ORDER:
-        raise ValueError(f"canonical form capped at {CANON_MAX_ORDER} vertices")
-    return _canonical_order(g)[2]
+    return best[1], gens, best[0]
 
 
 def _top_edges(g: Graph, edge: tuple[int, int]) -> list[tuple[int, int]] | None:
@@ -339,10 +332,10 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
             order: int | None = None) -> tuple[list, int]:
     """(levels, examined): levels[m] lists the admissible classes with m
     edges and no isolated vertex, on at most max_vertices vertices, as
-    records (graph, key, copies, contains, gens, floor): its canonical form
-    or None, T' copies, whether it contains F', Aut generators or None, and
-    degree floor.  Levels stop at max_edges or at the first empty level;
-    examined counts the children generated.
+    records (graph, copies, contains, gens, floor): T' copies, whether it
+    contains F', Aut generators or None, and degree floor.  Levels stop at
+    max_edges or at the first empty level; examined counts the children
+    generated.
 
     Write F = F' + kK1 for forbidden and T = T' + jK1 for target, F' and T'
     without isolated vertices.  A class is admissible iff it does not contain
@@ -366,8 +359,8 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
     A child is canonical iff its added edge lies in the orbit of its
     deletion edge, the last in canonical order of the edges that
     `_top_edges` returns.  When that is one edge it is the added edge, and
-    the child is kept unlabeled, with form and generators None; otherwise
-    it is labeled, and kept with its form and generators if canonical.
+    the child is kept unlabeled, with generators None; otherwise it is
+    labeled, and kept with its generators if canonical.
 
     Before its orbit is looked up, a child whose added edge's sorted degree
     pair in the child lies below the parent's floor is rejected unbuilt,
@@ -383,12 +376,12 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
         return not contains or (n if order is None else order) < forbidden.order
 
     # The empty graph holds one copy of T' and contains F' iff they are empty.
-    start = (Graph(0), None, int(not counted), not banned, [], (0, 0))
-    levels = [[start] if admissible(start[3], 0) else []]
+    start = (Graph(0), int(not counted), not banned, [], (0, 0))
+    levels = [[start] if admissible(start[2], 0) else []]
     examined = 0
     while len(levels) <= max_edges:
         nxt = []
-        for parent, _, copies, held, parent_gens, floor in levels[-1]:
+        for parent, copies, held, parent_gens, floor in levels[-1]:
             padded = parent.padded(min(parent.n + 2, max_vertices))
             fresh = list(range(parent.n, padded.n))
             deg = padded.degrees()
@@ -424,12 +417,12 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
                 if not admissible(contains, child.n):
                     continue
                 if len(top) == 1:  # edge is the deletion edge: canonical
-                    key = gens = None
+                    gens = None
                 else:
-                    perm, gens, key = _canonical_order(child)
+                    perm, gens, _ = _canonical_order(child)
                     if edge not in _edge_orbit(_last_in_order(top, perm), gens):
                         continue
-                nxt.append((child, key, copies + _copies_through(counted, child, u, v),
+                nxt.append((child, copies + _copies_through(counted, child, u, v),
                             contains, gens, pair))
         if not nxt:
             break
@@ -468,9 +461,9 @@ def _children(g: Graph):
 class OracleResult:
     """graphs_examined counts every child generated, including those skipped
     unbuilt as duplicates within an Aut(parent) orbit.  The witness is the
-    class of greatest value with the least canonical form, though only
-    classes tied at that value and at the least order are labeled to find
-    it (`_best`)."""
+    class of greatest value, then of least order, then of least canonical
+    certificate; only classes tied at that value and order are labeled to
+    find it, and only when there are two or more (`_best`)."""
 
     value: int
     witness: Graph
@@ -480,34 +473,26 @@ class OracleResult:
 
 def _best(candidates, scale: int, levels: list, examined: int,
           none_msg: str) -> OracleResult:
-    """The `_levels` record (graph, key, copies, *_) with the most target
-    copies, scale per T' copy; a tie goes to the smaller canonical form.
-    The tie-break is the only reader of a form, so a key that `_levels` left
-    as None is labeled here, and only when its candidate is tied with
-    another at the greatest scaled count and at the least order, the form's
-    first byte.  The empty class is alone at order 0, so it is never
-    labeled.  Every class examined lies in one level."""
+    """The `_levels` record (graph, copies, *_) with the most target copies,
+    scale per T' copy; a tie goes to the least order, then to the least
+    canonical certificate, which tells apart classes of one order.  The
+    tie-break is the only reader of a certificate, so the candidates tied
+    at the greatest scaled count and the least order are labeled here, and
+    only when there are two or more.  The empty class is alone at order 0,
+    so it is never labeled.  Every class examined lies in one level."""
     candidates = list(candidates)
     if not candidates:
         raise ValueError(none_msg)
-    rank = max((copies * scale, -g.n) for g, _, copies, *_ in candidates)
-    tied = [(key, g) for g, key, copies, *_ in candidates if (copies * scale, -g.n) == rank]
+    rank = max((copies * scale, -g.n) for g, copies, *_ in candidates)
+    tied = [g for g, copies, *_ in candidates if (copies * scale, -g.n) == rank]
     if len(tied) > 1:
-        tied = [(_canonical_order(g)[2] if key is None else key, g) for key, g in tied]
-    witness = min(tied, key=lambda c: c[0])[1]
-    return OracleResult(rank[0], witness, examined, sum(map(len, levels)))
+        tied.sort(key=lambda g: _canonical_order(g)[2])
+    return OracleResult(rank[0], tied[0], examined, sum(map(len, levels)))
 
 
 def _check_forbidden(forbidden: Pattern) -> None:
     if forbidden.order < 3 and forbidden.size < 1:
         raise ValueError("forbidden pattern must have >= 3 vertices or an edge")
-
-
-def _check_caps(target: Pattern, forbidden: Pattern) -> None:
-    """Refuse a pattern over the embedding-search cap before any graph is
-    enumerated, with the cap's ValueError."""
-    target._searchable()
-    forbidden._searchable()
 
 
 def mex_exact(m: int, target: Pattern, forbidden: Pattern) -> OracleResult:
@@ -522,7 +507,10 @@ def mex_exact(m: int, target: Pattern, forbidden: Pattern) -> OracleResult:
         # each added isolated vertex would add target copies
         raise ValueError("target pattern must have no isolated vertex: "
                          "mex is unbounded for it")
-    _check_caps(target, forbidden)
+    # before enumerating: `_levels` searches only the patterns without their
+    # isolated vertices, which can lie under the embedding-search cap
+    target._searchable()
+    forbidden._searchable()
     levels, examined = _levels(2 * m, m, target, forbidden)
     return _best(levels[m] if m < len(levels) else [], 1, levels, examined,
                  "no admissible graph with the requested edge count")
@@ -534,7 +522,8 @@ def ex_exact(n: int, target: Pattern, forbidden: Pattern) -> OracleResult:
     if not 0 <= n <= ORACLE_MAX_N:
         raise ValueError(f"vertex count must lie in 0..{ORACLE_MAX_N}")
     _check_forbidden(forbidden)
-    _check_caps(target, forbidden)
+    target._searchable()  # before enumerating, as in mex_exact
+    forbidden._searchable()
     if target.order == 0:
         raise ValueError("pattern must have at least one vertex")
     levels, examined = _levels(n, n * (n - 1) // 2, target, forbidden, n)

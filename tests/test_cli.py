@@ -735,6 +735,11 @@ def test_experiment_refuses_clique_sizes_its_prediction_is_not_for(
      "tripartite predicts k3 against k2 only: u = 2, r = 4"),
     ({"family": "tripartite", "n": [16, 32, 10 ** 5]},
      "tripartite n = 100000 exceeds cap 50000"),
+    # refused by their own check, before math.isqrt or the part sizes see them
+    ({"family": "tripartite", "n": [8, 9, -1]},
+     "tripartite n = -1 must be a positive integer"),
+    ({"family": "tripartite", "n": [0, 8, 9]},
+     "tripartite n = 0 must be a positive integer"),
 ])
 def test_experiment_refusal_order(spec, message, tmp_path, capsys, schema,
                                   monkeypatch):
@@ -750,6 +755,18 @@ def test_experiment_refusal_order(spec, message, tmp_path, capsys, schema,
 def test_experiment_prediction_refuses_before_any_graph_is_built(
         spec, message, tmp_path, capsys, schema, monkeypatch):
     assert refuse_experiment(spec, tmp_path, capsys, schema, monkeypatch) == message
+
+
+def test_experiment_refuses_a_fit_of_equal_counts(tmp_path, capsys, schema):
+    # three copies of K8,2,2 have 36 edges each: there is no slope to fit,
+    # though the float spread of the three logs is not zero
+    spec, csv_path = tmp_path / "spec.json", tmp_path / "rows.csv"
+    spec.write_text(json.dumps({"family": "tripartite", "n": [8, 8, 8]}))
+    code, obj = run_json(capsys, schema, "experiment", str(spec), "--csv", str(csv_path))
+    assert code == EXIT_VALIDATION and obj == {
+        "code": "invalid-params",
+        "message": "log-log fit needs at least two distinct x values"}
+    assert not csv_path.exists()
 
 
 # The report and CSV of one spec per family, byte for byte.

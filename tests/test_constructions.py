@@ -300,6 +300,10 @@ def test_tripartite_instance_parts():
     for n in (10000, 50001, 10 ** 400):  # 1,212,100 edges; the K literal cap
         with pytest.raises(ValueError):
             tripartite_parts(n)
+    for n in (0, -1, -10 ** 400):  # refused before math.isqrt sees them
+        with pytest.raises(ValueError, match=f"^tripartite n = {n} must be a "
+                                             "positive integer$"):
+            tripartite_parts(n)
 
 
 def test_fit_loglog_slope():
@@ -310,8 +314,11 @@ def test_fit_loglog_slope():
         fit_loglog_slope([1, 2], [1, 2])
     with pytest.raises(ValueError):
         fit_loglog_slope([1, 2, 3], [0, 1, 2])
-    with pytest.raises(ValueError):
-        fit_loglog_slope([5, 5, 5], [1, 2, 3])
+    # Three equal logs less their float mean need not round to 0: for x = 6,
+    # 17 and 47 the float sum of squares was a tiny nonzero and the fit 0.0.
+    for x in (5, 6, 17, 47):
+        with pytest.raises(ValueError, match="at least two distinct x values"):
+            fit_loglog_slope([x, x, x], [1, 2, 3])
 
 
 @pytest.mark.parametrize("qs", [(5, 7, 11, 13), (11, 13, 17, 19, 23),

@@ -545,6 +545,17 @@ def test_complete_multipartite_matches_networkx(nx):
             complete_multipartite(sizes)
 
 
+def test_complete_matches_networkx(nx):
+    for n in range(41):  # K0 included
+        g = complete(n)
+        want = nx.complete_graph(n)
+        assert g.n == want.number_of_nodes(), n
+        assert set(g.edges()) == {(min(e), max(e)) for e in want.edges()}, n
+        assert g == Graph(n, g.edges())
+    with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+        complete(-1)
+
+
 def test_gnp_determinism_and_bounds():
     g1 = gnp(12, 0.5, 99)
     g2 = gnp(12, 0.5, 99)

@@ -19,9 +19,9 @@ from mexlab.graphs import (Graph, Pattern, complete, complete_multipartite,
                            count_copies, cycle, format_edge_list, gnp, is_free,
                            pattern, star)
 from mexlab import graphs, oracle
-from mexlab.oracle import (CANON_MAX_ORDER, ORACLE_MAX_EDGES, _canonical_order,
-                           _children, _edge_orbit, _last_in_order, _levels, _refine,
-                           _top_edges, canonical_form, ex_exact, mex_exact)
+from mexlab.oracle import (ORACLE_MAX_EDGES, _best, _canonical_order, _children,
+                           _edge_orbit, _last_in_order, _levels, _refine,
+                           _top_edges, ex_exact, mex_exact)
 
 TWO_K2 = Pattern(Graph(4, [(0, 1), (2, 3)]), "2K2")
 
@@ -43,8 +43,14 @@ def _without_isolated(g):
     return Graph(len(verts), [(pos[u], pos[v]) for u, v in g.edges()])
 
 
+def _form(g):
+    """(order, canonical certificate): equal for two graphs iff they are
+    isomorphic, and ordered as the oracle breaks its ties."""
+    return g.n, _canonical_order(g)[2]
+
+
 def _same_class(g, h):
-    return canonical_form(g) == canonical_form(h)
+    return _form(g) == _form(h)
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +58,8 @@ def _same_class(g, h):
 # ---------------------------------------------------------------------------
 
 def test_canonical_form_examples():
-    assert canonical_form(cycle(4)) == canonical_form(complete_multipartite([2, 2]))
-    assert canonical_form(path(4)) != canonical_form(star(3))
+    assert _form(cycle(4)) == _form(complete_multipartite([2, 2]))
+    assert _form(path(4)) != _form(star(3))
 
 
 def test_all_four_vertex_classes_distinct():
@@ -61,7 +67,7 @@ def test_all_four_vertex_classes_distinct():
     forms = set()
     for k in range(7):
         for chosen in combinations(slots, k):
-            forms.add(canonical_form(Graph(4, chosen)))
+            forms.add(_form(Graph(4, chosen)))
     assert len(forms) == 11
 
 
@@ -78,7 +84,7 @@ def test_canonical_relabel_is_isomorphic_and_stable():
         h = _canonical_relabel(g)
         assert sorted(_canonical_order(g)[0]) == list(range(g.n))
         assert (h.n, h.m) == (g.n, g.m)
-        assert canonical_form(g) == canonical_form(h)
+        assert _form(g) == _form(h)
         assert _canonical_relabel(h).edges() == h.edges()
 
 
@@ -91,18 +97,13 @@ def test_canonical_form_is_isomorphism_invariant(n, data):
     g = Graph(n, chosen)
     h = Graph(n, [(min(perm[u], perm[v]), max(perm[u], perm[v]))
                   for u, v in chosen])
-    assert canonical_form(g) == canonical_form(h)
+    assert _form(g) == _form(h)
 
 
 def test_canonical_form_separates_same_degree_sequence():
     # C6 and two triangles share the degree sequence but differ
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    assert canonical_form(cycle(6)) != canonical_form(two_triangles)
-
-
-def test_canonical_cap():
-    with pytest.raises(ValueError):
-        canonical_form(Graph(17))
+    assert _form(cycle(6)) != _form(two_triangles)
 
 
 def test_canonical_form_on_the_graph_atlas():
@@ -114,24 +115,27 @@ def test_canonical_form_on_the_graph_atlas():
     for atlas_graph in atlas:
         n = atlas_graph.number_of_nodes()
         edges = list(atlas_graph.edges())
-        form = canonical_form(_relabeled(n, edges, list(range(n))))
+        form = _form(_relabeled(n, edges, list(range(n))))
         forms.add(form)
         perm = list(range(n))
         rng.shuffle(perm)
-        assert canonical_form(_relabeled(n, edges, perm)) == form
+        assert _form(_relabeled(n, edges, perm)) == form
     assert len(atlas) == 1253 and len(forms) == 1253
 
 
 def test_labeling_of_the_graph_atlas_is_pinned():
-    # Canonical keys break witness ties, so any drift in the labeling can
-    # change a report: pin the forms, orders and generators of every atlas
-    # graph, in atlas order and unrelabeled.
+    # Canonical certificates break witness ties, so any drift in the
+    # labeling can change a report: pin the certificates, orders and
+    # generators of every atlas graph, in atlas order and unrelabeled.  A
+    # certificate is hashed as the byte n and then its C(n, 2) bits in
+    # big-endian bytes.
     nx = pytest.importorskip("networkx")
     forms, labelings = hashlib.sha256(), hashlib.sha256()
     for atlas_graph in nx.graph_atlas_g():
         g = Graph(atlas_graph.number_of_nodes(), list(atlas_graph.edges()))
-        forms.update(canonical_form(g))
-        order, gens, _ = _canonical_order(g)
+        order, gens, cert = _canonical_order(g)
+        nbytes = (math.comb(g.n, 2) + 7) // 8
+        forms.update(bytes([g.n]) + cert.to_bytes(nbytes, "big"))
         labelings.update(bytes(order) + bytes([len(gens)]))
         for gamma in gens:
             labelings.update(bytes(gamma))
@@ -193,7 +197,7 @@ def test_canonical_form_on_graphs_with_many_automorphisms():
               disjoint_union(cycle(5), cycle(5))):
         perm = list(range(g.n))
         rng.shuffle(perm)
-        assert canonical_form(_relabeled(g.n, g.edges(), perm)) == canonical_form(g)
+        assert _form(_relabeled(g.n, g.edges(), perm)) == _form(g)
 
 
 def _automorphisms(nx, atlas_graph):
@@ -312,25 +316,24 @@ def test_enumerator_level_sizes_match_oeis():
 @pytest.mark.parametrize("max_edges,forbidden", [
     (8, lambda: pattern("K6")), (9, lambda: pattern("K4"))])
 def test_levels_hold_pairwise_distinct_classes(max_edges, forbidden):
-    # A class accepted without a labeling carries the key None, so the forms
-    # are computed here, past canonical_form's order cap as `_levels` labels;
-    # a key that was computed must be the form.
+    # The records carry no canonical certificate, so each class is labeled
+    # here; a level's classes share their edge count, not their order.
     levels, _ = _levels(2 * max_edges, max_edges, pattern("K2"), forbidden())
     for level in levels:
-        forms = [_canonical_order(g)[2] for g, *_ in level]
-        assert len(set(forms)) == len(level)
-        assert all(key in (None, form) for (_, key, *_), form in zip(level, forms))
+        forms = {_form(g) for g, *_ in level}
+        assert len(forms) == len(level)
 
 
 def test_mex_k3_k4_labeling_count_is_pinned(monkeypatch):
     # Labeling is on demand: a child whose added edge is its only top edge
     # is canonical unlabeled, a parent is labeled only at its second child
     # past the floor, and `_best` labels only the candidates tied at the
-    # greatest value and the least order.  The empty class is never
-    # labeled.  That is 1,322 labelings (1,317 in `_levels`, 5 in `_best`),
-    # down from 1,323 when the empty class was labeled, 2,280 when every
-    # child kept by its orbit was labeled and 3,790 when every child that
-    # passes the invariant was.  The degree floor leaves 3,969 children to
+    # greatest value and the least order, all 7 of them, though 2 came
+    # labeled from `_levels`: their certificates are not kept.  The empty
+    # class is never labeled.  That is 1,324 labelings (1,317 in `_levels`,
+    # 7 in `_best`), up from 1,322 when `_best` reused the forms `_levels`
+    # had kept, and down from 2,280 when every child kept by its orbit was
+    # labeled and 3,790 when every child that passes the invariant was.  The degree floor leaves 3,969 children to
     # build: 11,827 with no floor, while a floor one above the true pair
     # keeps 11 classes.
     calls, built = [], []
@@ -347,8 +350,32 @@ def test_mex_k3_k4_labeling_count_is_pinned(monkeypatch):
     monkeypatch.setattr(oracle, "_canonical_order", counted)
     monkeypatch.setattr(oracle, "_top_edges", counted_top)
     res = mex_exact(9, pattern("K3"), pattern("K4"))
-    assert (res.value, res.iso_classes_examined, len(calls)) == (4, 2230, 1322)
+    assert (res.value, res.iso_classes_examined, len(calls)) == (4, 2230, 1324)
     assert len(built) == 3969
+
+
+@pytest.mark.parametrize("query,size,target,forbidden,tied", [
+    ("mex", 9, "K3", "K4", 7), ("ex", 6, "K2", "C4", 4)])
+def test_best_witness_does_not_depend_on_record_order(query, size, target,
+                                                      forbidden, tied):
+    # `_best` ranks the candidates tied at the greatest value and the least
+    # order by their certificates, never by where a record sits in a level.
+    t, f = pattern(target), pattern(forbidden)
+    if query == "mex":
+        levels, examined = _levels(2 * size, size, t, f)
+    else:
+        levels, examined = _levels(size, math.comb(size, 2), t, f, size)
+
+    def best(levels):
+        records = levels[size] if query == "mex" else [r for lv in levels for r in lv]
+        rank = max((copies, -g.n) for g, copies, *_ in records)
+        assert sum((copies, -g.n) == rank for g, copies, *_ in records) == tied
+        return _best(records, 1, levels, examined, "none").witness
+
+    want = best(levels)
+    rng = random.Random(size)
+    for _ in range(5):
+        assert best([rng.sample(level, len(level)) for level in levels]) == want
 
 
 def test_ex_unfiltered_class_counts_match_oeis():
@@ -493,11 +520,9 @@ def test_mex_2k2_k3_needs_all_2m_vertices():
     res = mex_exact(7, TWO_K2, pattern("K3"))
     assert res.value == 21
     assert res.witness.n == 14
-    # 10K2 has more vertices than canonical_form accepts; the enumerator
-    # labels children without that cap.
     res = mex_exact(10, TWO_K2, pattern("K3"))
     assert res.value == math.comb(10, 2) == 45
-    assert res.witness.n == 20 > CANON_MAX_ORDER
+    assert res.witness.n == 20
 
 
 @pytest.mark.parametrize("m,value,graphs,classes", [
@@ -580,7 +605,7 @@ def test_label_ordered_edge_sets_cover_every_class():
     for m in range(7):
         graphs = list(label_ordered_edge_sets(m))
         assert all(g.m == m and all(g.adj) for g in graphs)
-        assert len({canonical_form(g) for g in graphs}) == A000664[m]
+        assert len({_form(g) for g in graphs}) == A000664[m]
 
 
 def test_cross_strategy_small():
@@ -684,7 +709,7 @@ def _check_against_brute_force(query, classes, target, forbidden, strip):
             query(Pattern(target), Pattern(forbidden))
         return
     res = query(Pattern(target), Pattern(forbidden))
-    assert (res.value, canonical_form(strip(res.witness))) == expected
+    assert (res.value, _form(strip(res.witness))) == expected
 
 
 @pytest.mark.parametrize("forb", sorted(WITH_ISOLATED))
@@ -692,7 +717,7 @@ def test_mex_with_isolated_vertices_matches_brute_force(forb):
     for m in range(1, 6):
         classes = {}
         for g in label_ordered_edge_sets(m):
-            classes.setdefault(canonical_form(g), g)
+            classes.setdefault(_form(g), g)
         for target in (complete(3), star(2), TWO_K2.graph):
             _check_against_brute_force(
                 lambda t, f: mex_exact(m, t, f), classes, target,
@@ -709,17 +734,6 @@ def test_ex_with_isolated_vertices_matches_brute_force(n):
             _check_against_brute_force(
                 lambda t, f: ex_exact(n, t, f), _labeled_classes(n), target,
                 forb, _without_isolated)
-
-
-def test_oracle_reads_no_canonical_form(monkeypatch):
-    # A class is labeled only when something reads its labeling, so no
-    # query calls the public canonical_form, not even for the empty class.
-    def form(g):
-        raise AssertionError("canonical_form ran")
-
-    monkeypatch.setattr(oracle, "canonical_form", form)
-    assert mex_exact(6, pattern("K3"), pattern("K4")).value == 2
-    assert ex_exact(5, pattern("K3"), pattern("K4")).value == 4
 
 
 def test_oracle_makes_no_whole_graph_search(monkeypatch):
@@ -761,19 +775,19 @@ def test_report_grid_is_pinned():
 
 
 # ---------------------------------------------------------------------------
-# Tie-break: the witness is the class of largest value whose canonical form
-# (of the graph without isolated vertices) is smallest.
+# Tie-break: the witness is the class of largest value whose order and
+# canonical certificate (of the graph without isolated vertices) are least.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def _labeled_classes(n):
-    """Every graph on n labeled vertices, grouped by the canonical form of
+    """Every graph on n labeled vertices, grouped by the `_form` of
     the graph without its isolated vertices; one member per group."""
     slots = list(combinations(range(n), 2))
     classes = {}
     for mask in range(1 << len(slots)):
         g = Graph(n, [e for i, e in enumerate(slots) if mask >> i & 1])
-        classes.setdefault(canonical_form(_without_isolated(g)), g)
+        classes.setdefault(_form(_without_isolated(g)), g)
     return classes
 
 
@@ -787,7 +801,7 @@ def _tie_break_winner(classes, target, forbidden):
 def _check_witness(res, classes, target, forbidden):
     value, key = _tie_break_winner(classes, target, forbidden)
     assert res.value == value
-    assert canonical_form(_without_isolated(res.witness)) == key
+    assert _form(_without_isolated(res.witness)) == key
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -806,7 +820,7 @@ def test_ex_witness_tie_break_on_seven_vertices(forb):
     for atlas_graph in nx.graph_atlas_g():
         if atlas_graph.number_of_nodes() == 7:
             g = Graph(7, list(atlas_graph.edges()))
-            classes[canonical_form(_without_isolated(g))] = g
+            classes[_form(_without_isolated(g))] = g
     assert len(classes) == 1044
     _check_witness(ex_exact(7, TWO_K2, pattern(forb)), classes, TWO_K2,
                    pattern(forb))
@@ -821,6 +835,6 @@ def test_mex_witness_is_the_least_form_of_greatest_value(m, target, forb):
     # vertex, without using the oracle's enumeration.
     classes = {}
     for g in label_ordered_edge_sets(m):
-        classes.setdefault(canonical_form(g), g)
+        classes.setdefault(_form(g), g)
     res = mex_exact(m, target, pattern(forb))
     _check_witness(res, classes, target, pattern(forb))
