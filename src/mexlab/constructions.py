@@ -196,15 +196,15 @@ def finite_number(v) -> bool:
 
 
 def fit_loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x), summed over centred logs."""
+    """Least-squares slope of log(y) against log(x), summed over centred logs;
+    degenerate, a ValueError, when the logs fitted (not the xs) are all equal."""
     if len(xs) < 3:
         raise ValueError("need at least 3 instances to fit a slope")
     if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
         raise ValueError("log-log fit needs positive counts")
-    # on the exact xs: the float sxx of equal xs can round to a tiny nonzero
-    if len(set(xs)) < 2:
-        raise ValueError("log-log fit needs at least two distinct x values")
     lx = [math.log(x) for x in xs]
+    if len(set(lx)) < 2:
+        raise ValueError("log-log fit needs at least two distinct x values")
     ly = [math.log(y) for y in ys]
     mx = math.fsum(lx) / len(lx)
     my = math.fsum(ly) / len(ly)

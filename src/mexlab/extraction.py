@@ -65,6 +65,10 @@ def extract_dense(g: Graph, r: int, alpha: float, C: float):
     C(i, r)), the density exponent alpha in (2/r, 1] and the constant C in
     (0, inf); any other value is a ValueError, raised before g is read.
 
+    A tau beyond the float range is an OverflowError, raised once tau is
+    computed; the guarantee constants are derived, and can overflow, only
+    under the hypothesis, the one case whose report reads them.
+
     Returns (subgraph, report).  The subgraph is induced by the surviving
     edge set and relabeled over its non-isolated vertices in sorted order.
     """
@@ -80,6 +84,8 @@ def extract_dense(g: Graph, r: int, alpha: float, C: float):
 
     participation = edge_clique_participation(g, r)
     tau = 0.5 * C * m ** ((alpha * r - 2) / 2)
+    if tau == math.inf:
+        raise OverflowError(f"tau = {0.5 * C} * {m} ** {(alpha * r - 2) / 2}")
     kept = [e for e, c in participation.items() if c > tau]
     e2_count = len(kept)
     e1_count = m - e2_count
@@ -94,23 +100,19 @@ def extract_dense(g: Graph, r: int, alpha: float, C: float):
     hypothesis_met = kr_input >= C * m ** (alpha * r / 2)
     cliques = count_cliques(out, r)
 
-    c2r = lemma_constant(2, r)
-    edge_const = (C / (2 * c2r)) ** (2 / r)
-    c0 = 2.0 * (math.factorial(r - 2) * C / 2.0) ** (-1.0 / (r - 2))
-    # exponent of n0 in the r-clique guarantee; the matching constant comes
-    # from eliminating m between the two proved inequalities
-    n0_exp = r * (r - 2) * alpha / ((2 - alpha) * r - 2)
-    cr = (C / 2.0) * c0 ** (-n0_exp)
-
-    if not hypothesis_met:
-        guarantees = {key: GuaranteeCheck(applicable=False) for key in "abcde"}
-    else:
-        guarantees = {
-            "a": _check(e2_count, edge_const * m ** alpha, edge_const),
-            "b": _check(cliques[r], (C / 2) * m ** (alpha * r / 2), C / 2),
-            "c": _check(n0, c0 * m ** (((2 - alpha) * r - 2) / (2 * (r - 2))),
-                        c0, at_most=True),
-        }
+    guarantees = {key: GuaranteeCheck(applicable=False) for key in "abcde"}
+    if hypothesis_met:
+        c2r = lemma_constant(2, r)
+        edge_const = (C / (2 * c2r)) ** (2 / r)
+        c0 = 2.0 * (math.factorial(r - 2) * C / 2.0) ** (-1.0 / (r - 2))
+        # exponent of n0 in the r-clique guarantee; the matching constant
+        # comes from eliminating m between the two proved inequalities
+        n0_exp = r * (r - 2) * alpha / ((2 - alpha) * r - 2)
+        cr = (C / 2.0) * c0 ** (-n0_exp)
+        guarantees["a"] = _check(e2_count, edge_const * m ** alpha, edge_const)
+        guarantees["b"] = _check(cliques[r], (C / 2) * m ** (alpha * r / 2), C / 2)
+        guarantees["c"] = _check(
+            n0, c0 * m ** (((2 - alpha) * r - 2) / (2 * (r - 2))), c0, at_most=True)
         cases = []
         for i in range(2, r + 1):
             ci = cr if i == r else (cr / lemma_constant(i, r)) ** (i / r)
@@ -120,8 +122,6 @@ def extract_dense(g: Graph, r: int, alpha: float, C: float):
         if alpha == 1.0:
             dense_const = edge_const / (c0 * c0)
             guarantees["e"] = _check(cliques[2], dense_const * n0 * n0, dense_const)
-        else:
-            guarantees["e"] = GuaranteeCheck(applicable=False)
 
     report = ExtractionReport(tau, e1_count, e2_count, n0, cliques,
                               hypothesis_met, guarantees)

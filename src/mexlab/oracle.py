@@ -328,14 +328,13 @@ def _core(p: Pattern) -> Pattern:
     return Pattern(Graph(len(keep), [(pos[x], pos[y]) for x, y in p.graph.edges()]))
 
 
-def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Pattern,
+def _levels(max_edges: int, target: Pattern, forbidden: Pattern,
             order: int | None = None) -> tuple[list, int]:
     """(levels, examined): levels[m] lists the admissible classes with m
-    edges and no isolated vertex, on at most max_vertices vertices, as
-    records (graph, copies, contains, gens, floor): T' copies, whether it
-    contains F', Aut generators or None, and degree floor.  Levels stop at
-    max_edges or at the first empty level; examined counts the children
-    generated.
+    edges and no isolated vertex, as records (graph, copies, contains, gens,
+    floor): T' copies, whether it contains F', Aut generators or None, and
+    degree floor.  Levels stop at max_edges or at the first empty level;
+    examined counts the children generated.
 
     Write F = F' + kK1 for forbidden and T = T' + jK1 for target, F' and T'
     without isolated vertices.  A class is admissible iff it does not contain
@@ -346,15 +345,17 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
     parent does or a copy goes through uv: both come from searches rooted at
     uv (`graphs._copies_through`), never from a whole-graph search.
 
-    A parent on n vertices is padded to min(n + 2, max_vertices), and its
-    generators are extended to fix the fresh vertices.  Children whose added
-    edges lie in one orbit of Aut(parent) pass or fail every test alike, and
-    two kept children in different orbits are not isomorphic (McKay 1998):
-    so only the first child of each orbit is built and tested.  The first
-    child past the floor shares an orbit with no explored child, so the
-    generators are first read at the second: they are kept from the
-    parent's own labeling, or, if it was accepted unlabeled, it is labeled
-    then, and the orbits start with the first child's.
+    A parent on n vertices is padded to n + 2, capped at order when given,
+    and its generators are extended to fix the fresh vertices; a class with
+    j edges and no isolated vertex has at most 2j vertices, so mex needs no
+    cap.  Children whose added edges lie in one orbit of Aut(parent) pass
+    or fail every test alike, and two kept children in different orbits are
+    not isomorphic (McKay 1998): so only the first child of each orbit is
+    built and tested.  The first child past the floor shares an orbit with
+    no explored child, so the generators are first read at the second: they
+    are kept from the parent's own labeling, or, if it was accepted
+    unlabeled, it is labeled then, and the orbits start with the first
+    child's.
 
     A child is canonical iff its added edge lies in the orbit of its
     deletion edge, the last in canonical order of the edges that
@@ -369,6 +370,9 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
     sorted degree pair of the parent's edges, (0, 0) for the empty graph: a
     kept child's is the pair of its added edge, which `_top_edges` has
     checked is the greatest, so each class carries it with its generators."""
+    # on the whole patterns, before enumerating: a core can lie under the cap
+    target._searchable()
+    forbidden._searchable()
     counted = _core(target).rooted_plans
     banned = _core(forbidden).rooted_plans
 
@@ -382,7 +386,8 @@ def _levels(max_vertices: int, max_edges: int, target: Pattern, forbidden: Patte
     while len(levels) <= max_edges:
         nxt = []
         for parent, copies, held, parent_gens, floor in levels[-1]:
-            padded = parent.padded(min(parent.n + 2, max_vertices))
+            padded = parent.padded(parent.n + 2 if order is None
+                                   else min(parent.n + 2, order))
             fresh = list(range(parent.n, padded.n))
             deg = padded.degrees()
             first = None  # the first child past the floor
@@ -507,11 +512,7 @@ def mex_exact(m: int, target: Pattern, forbidden: Pattern) -> OracleResult:
         # each added isolated vertex would add target copies
         raise ValueError("target pattern must have no isolated vertex: "
                          "mex is unbounded for it")
-    # before enumerating: `_levels` searches only the patterns without their
-    # isolated vertices, which can lie under the embedding-search cap
-    target._searchable()
-    forbidden._searchable()
-    levels, examined = _levels(2 * m, m, target, forbidden)
+    levels, examined = _levels(m, target, forbidden)
     return _best(levels[m] if m < len(levels) else [], 1, levels, examined,
                  "no admissible graph with the requested edge count")
 
@@ -522,11 +523,9 @@ def ex_exact(n: int, target: Pattern, forbidden: Pattern) -> OracleResult:
     if not 0 <= n <= ORACLE_MAX_N:
         raise ValueError(f"vertex count must lie in 0..{ORACLE_MAX_N}")
     _check_forbidden(forbidden)
-    target._searchable()  # before enumerating, as in mex_exact
-    forbidden._searchable()
     if target.order == 0:
         raise ValueError("pattern must have at least one vertex")
-    levels, examined = _levels(n, n * (n - 1) // 2, target, forbidden, n)
+    levels, examined = _levels(n * (n - 1) // 2, target, forbidden, n)
     # a copy of T = T' + jK1 is a copy of T' and j of the other vertices
     t_order = sum(1 for row in target.graph.adj if row)
     scale = comb(n - t_order, target.order - t_order) if n >= t_order else 0

@@ -540,6 +540,16 @@ def test_extract_cli(tmp_path, capsys, schema):
     assert load_edge_list(out_path) == g
 
 
+def test_extract_reports_an_unmet_hypothesis_whatever_its_constants(capsys, schema):
+    # tau = C sqrt(10) / 2 is finite; the guarantee constants of C = 1e200
+    # are not, but the hypothesis fails, so none is derived.
+    code, obj = run_json(capsys, schema, "extract", "--input", "K5", "--r", "3",
+                         "--alpha", "1", "--C", "1e200")
+    assert code == EXIT_OK and obj["hypothesisMet"] is False
+    assert sorted(obj["guarantees"]) == list("abcde")
+    assert all(gu["applicable"] is False for gu in obj["guarantees"].values())
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: extract decides the "
                    "hypothesis in floats, where C * 216 rounds to 84.0")
 def test_extract_near_tie_misses_the_hypothesis(capsys, schema):

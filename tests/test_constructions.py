@@ -319,6 +319,9 @@ def test_fit_loglog_slope():
     for x in (5, 6, 17, 47):
         with pytest.raises(ValueError, match="at least two distinct x values"):
             fit_loglog_slope([x, x, x], [1, 2, 3])
+    # Distinct xs can share a float log; the fit is judged on the logs.
+    with pytest.raises(ValueError, match="at least two distinct x values"):
+        fit_loglog_slope([10 ** 15, 10 ** 15 + 1, 10 ** 15 + 2], [1, 2, 3])
 
 
 @pytest.mark.parametrize("qs", [(5, 7, 11, 13), (11, 13, 17, 19, 23),

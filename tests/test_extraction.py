@@ -80,6 +80,16 @@ def test_worked_example_hypothesis_unmet():
     assert all(gu.passed is None for gu in rep.guarantees.values())
 
 
+def test_unmet_hypothesis_derives_no_guarantee_constant():
+    # C = 1e200 leaves tau finite, while a guarantee constant such as
+    # (C/2) c0^(-3) would overflow; no report reads one when the
+    # hypothesis fails, so none is derived.
+    out, rep = extract_dense(complete(5), 3, 1.0, 1e200)
+    assert not rep.hypothesis_met and rep.e2_count == 0 and out.n == 0
+    assert list(rep.guarantees) == list("abcde")
+    assert all(not gu.applicable for gu in rep.guarantees.values())
+
+
 def test_empty_graph_rejected():
     with pytest.raises(ValueError):
         extract_dense(Graph(4), 3, 1.0, 1.0)

@@ -307,10 +307,20 @@ def test_children_of_larger_padded_graphs_are_the_three_kinds():
 
 def test_enumerator_level_sizes_match_oeis():
     # K6 has 15 edges, so no graph of at most 11 edges contains it
-    levels, _ = _levels(2 * ORACLE_MAX_EDGES, ORACLE_MAX_EDGES, pattern("K2"),
-                        pattern("K6"))
+    levels, _ = _levels(ORACLE_MAX_EDGES, pattern("K2"), pattern("K6"))
     sizes = [len(level) for level in levels]
     assert sizes == A000664
+
+
+@pytest.mark.parametrize("forbidden", ["K3", "K4", "C4", "K2_3", "C5"])
+@pytest.mark.parametrize("target", ["K2", "K3", "2K2"])
+def test_levels_need_no_vertex_cap(target, forbidden):
+    # A class with j edges and no isolated vertex has at most 2j vertices,
+    # so mex pads each parent by two with no vertex cap.
+    t = TWO_K2 if target == "2K2" else pattern(target)
+    levels, _ = _levels(9, t, pattern(forbidden))
+    for j, level in enumerate(levels):
+        assert all(g.n <= 2 * j for g, *_ in level)
 
 
 @pytest.mark.parametrize("max_edges,forbidden", [
@@ -318,7 +328,7 @@ def test_enumerator_level_sizes_match_oeis():
 def test_levels_hold_pairwise_distinct_classes(max_edges, forbidden):
     # The records carry no canonical certificate, so each class is labeled
     # here; a level's classes share their edge count, not their order.
-    levels, _ = _levels(2 * max_edges, max_edges, pattern("K2"), forbidden())
+    levels, _ = _levels(max_edges, pattern("K2"), forbidden())
     for level in levels:
         forms = {_form(g) for g, *_ in level}
         assert len(forms) == len(level)
@@ -362,9 +372,9 @@ def test_best_witness_does_not_depend_on_record_order(query, size, target,
     # order by their certificates, never by where a record sits in a level.
     t, f = pattern(target), pattern(forbidden)
     if query == "mex":
-        levels, examined = _levels(2 * size, size, t, f)
+        levels, examined = _levels(size, t, f)
     else:
-        levels, examined = _levels(size, math.comb(size, 2), t, f, size)
+        levels, examined = _levels(math.comb(size, 2), t, f, size)
 
     def best(levels):
         records = levels[size] if query == "mex" else [r for lv in levels for r in lv]
@@ -548,9 +558,9 @@ def test_mex_rejects():
 
 def test_over_cap_patterns_are_refused_before_enumerating(monkeypatch):
     def enumerate_nothing(*args):
-        raise AssertionError("_levels ran")
+        raise AssertionError("_children ran")
 
-    monkeypatch.setattr(oracle, "_levels", enumerate_nothing)
+    monkeypatch.setattr(oracle, "_children", enumerate_nothing)
     for target, forbidden in (("K13", "K4"), ("K3", "K13")):
         with pytest.raises(ValueError, match="capped at 12 pattern vertices"):
             mex_exact(10, pattern(target), pattern(forbidden))

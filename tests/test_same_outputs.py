@@ -1,4 +1,5 @@
-"""scripts/same_outputs.py refuses to compare a parent with itself."""
+"""scripts/same_outputs.py refuses to compare a parent with itself, and runs
+its fixed queries alike on two sides of one source."""
 
 import shutil
 import subprocess
@@ -26,6 +27,8 @@ def test_same_outputs_refuses_a_staged_tree_equal_to_the_parent(tmp_path):
                  "perfbench/workloads.py", "perfbench/reference.py"):
         (repo / name).parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(ROOT / name, repo / name)
+    shutil.copytree(ROOT / "src" / "mexlab", repo / "src" / "mexlab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
     git(repo, "init", "-q")
     git(repo, "add", "-A")
     git(repo, "commit", "-q", "-m", "parent")
@@ -37,6 +40,7 @@ def test_same_outputs_refuses_a_staged_tree_equal_to_the_parent(tmp_path):
     assert "stage the change" in proc.stderr
 
     git(repo, "add", "-A")
-    proc = same_outputs(repo, "--seeds", "1-0")  # no seed: nothing to run
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 queries: identical exit codes, stdout, stderr and files\n"
+    proc = same_outputs(repo, "--seeds", "1-0")  # no seed: the fixed queries only
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == ("0 workload queries and 6 fixed queries: identical "
+                           "exit codes, stdout, stderr and files\n")
