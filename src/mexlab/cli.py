@@ -16,9 +16,12 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import bounds as bounds_mod
 from .bounds import ConditionError
@@ -65,8 +68,54 @@ def _encode(obj):
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
+def _json(obj, pad: str = "\n") -> str:
+    """The text of json.dumps(obj, indent=2, allow_nan=False, default=_encode)
+    for a report, whose dict keys are all str; pad is the newline and indent
+    of obj's own line.  With an indent, json falls back to a pure-Python
+    encoder whose closures leave reference cycles, so the text is joined
+    here: a list of plain ints in one join, and a list of equal-length lists
+    of plain ints, such as the participation triples, through one %d
+    template per row."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = {*map(type, obj)}
+        if kinds == {int}:
+            body = sep.join(map(int.__repr__, obj))
+        elif (kinds <= {list, tuple} and obj[0] and len({*map(len, obj)}) == 1
+              and {*map(type, chain.from_iterable(obj))} == {int}):
+            cell = "," + inner + "  "
+            row = "[" + cell[1:] + cell.join(["%d"] * len(obj[0])) + inner + "]"
+            body = sep.join([row] * len(obj)) % tuple(chain.from_iterable(obj))
+        else:
+            body = sep.join([_json(x, inner) for x in obj])
+        return "[" + inner + body + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + sep.join([encode_basestring_ascii(k) + ": " + _json(v, inner)
+                                       for k, v in obj.items()]) + pad + "}"
+    return _json(_encode(obj), pad)
+
+
 def _emit(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, allow_nan=False, default=_encode) + "\n"
+    text = _json(obj) + "\n"
     if out:
         with open(out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)

@@ -44,6 +44,11 @@ last chunk to C(n, 2).  A threshold added to every lane leaves one flag bit
 per slot; the flags come out as b"0"/b"1" bytes, laid out as an n x n grid
 from which each vertex's upper and lower neighbours are each read as one
 base-2 numeral.
+
+A kernel whose nested function calls itself deletes that function before
+it returns or raises: the function and its closure cell form a reference
+cycle, which would keep the call's state alive until the cyclic collector
+ran, and set that collector running inside the queries.
 """
 
 from __future__ import annotations
@@ -445,46 +450,49 @@ def _clique_counts(adj, cand: int, R: int) -> list:
         else:
             enum(cand, held, rows[piv])
 
-    branch(cand, 0, 0)
-    while stack:
-        cand, held, piv = stack.pop()
-        first = piv
-        while cand:
-            s = cand.bit_count()
-            best = -1
-            univ = 0
-            rest = cand
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                v = low.bit_length() - 1
-                d = (adj[v] & cand).bit_count()
-                if d > best:
-                    best, p = d, v
-                if d == s - 1:
-                    univ |= low
-            if univ:  # pivot on every vertex that sees all of cand at once
-                piv += univ.bit_count()
-                cand ^= univ
-                continue
-            pivot = 2 * best >= s
-            rest = cand
-            nonnbr = cand & ~adj[p] ^ (1 << p) if pivot else cand
-            rows[piv][held + 1] += nonnbr.bit_count()
-            while nonnbr:
-                low = nonnbr & -nonnbr
-                nonnbr ^= low
-                rest ^= low
-                sub = rest & adj[low.bit_length() - 1]
-                if sub:
-                    branch(sub, held + 1, piv)
-            if not pivot:
-                break
-            cand &= adj[p]
-            piv += 1
-        if piv != first:  # the chain's own cliques, with first..piv pivots
-            rows[piv][held] += 1
-            rows[first][held] -= 1
+    try:
+        branch(cand, 0, 0)
+        while stack:
+            cand, held, piv = stack.pop()
+            first = piv
+            while cand:
+                s = cand.bit_count()
+                best = -1
+                univ = 0
+                rest = cand
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    v = low.bit_length() - 1
+                    d = (adj[v] & cand).bit_count()
+                    if d > best:
+                        best, p = d, v
+                    if d == s - 1:
+                        univ |= low
+                if univ:  # pivot on every vertex that sees all of cand at once
+                    piv += univ.bit_count()
+                    cand ^= univ
+                    continue
+                pivot = 2 * best >= s
+                rest = cand
+                nonnbr = cand & ~adj[p] ^ (1 << p) if pivot else cand
+                rows[piv][held + 1] += nonnbr.bit_count()
+                while nonnbr:
+                    low = nonnbr & -nonnbr
+                    nonnbr ^= low
+                    rest ^= low
+                    sub = rest & adj[low.bit_length() - 1]
+                    if sub:
+                        branch(sub, held + 1, piv)
+                if not pivot:
+                    break
+                cand &= adj[p]
+                piv += 1
+            if piv != first:  # the chain's own cliques, with first..piv pivots
+                rows[piv][held] += 1
+                rows[first][held] -= 1
+    finally:
+        del enum
     if len(rows) == 1:
         return rows[0]
     counts = [0] * (R + 1)
@@ -619,7 +627,10 @@ def _packed_participation(g: Graph, r: int) -> dict:
             for e in combinations(clique, 2):
                 part[e] += total
 
-    grow([], full, -1)
+    try:
+        grow([], full, -1)
+    finally:
+        del grow
     if k > 2:
         d = comb(k, 2)
         for e in part:
@@ -835,15 +846,18 @@ def _search(plan: _Plan, g: Graph, root: tuple = (), first: bool = False,
                 break
         return total
 
-    if not root:
-        return rec(0, 0, full)
-    u, v = images[0], images[1] = root
-    mask = full
-    if feeds[0]:
-        mask &= gadj[u]
-    if feeds[1]:
-        mask &= gadj[v]
-    return rec(2, 1 << u | 1 << v, mask) if mask.bit_count() >= size else 0
+    try:
+        if not root:
+            return rec(0, 0, full)
+        u, v = images[0], images[1] = root
+        mask = full
+        if feeds[0]:
+            mask &= gadj[u]
+        if feeds[1]:
+            mask &= gadj[v]
+        return rec(2, 1 << u | 1 << v, mask) if mask.bit_count() >= size else 0
+    finally:
+        del rec
 
 
 class Pattern:
@@ -921,7 +935,10 @@ def _copies_through(plans, g: Graph, u: int, v: int, first: bool = False) -> int
 
 
 def is_free(f: Pattern, g: Graph) -> bool:
-    """True iff g contains no copy of f; exits on the first copy found."""
+    """True iff g contains no copy of f; exits on the first copy found.
+    The empty pattern is refused, as count_copies refuses it."""
+    if f.order == 0:
+        raise ValueError("pattern must have at least one vertex")
     return not _search(f.plan, g, first=True)
 
 
@@ -982,8 +999,11 @@ def chromatic_number(g: Graph) -> int:
         return False
 
     k = 1  # a failed search leaves every colour at -1
-    while not colorable(0, 0, k):
-        k += 1
+    try:
+        while not colorable(0, 0, k):
+            k += 1
+    finally:
+        del colorable
     return k
 
 

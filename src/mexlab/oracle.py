@@ -37,6 +37,10 @@ so each class carries its target-copy count and whether it contains the
 forbidden pattern, each its parent's value plus the searches rooted at uv
 (`graphs._copies_through`).  Isolated vertices of a pattern are left to a
 binomial and to the host order, so edgeless patterns take the same path.
+
+`_canonical_order` deletes its recursive search before it returns or
+raises, as the graph kernels do theirs, so that no labeling leaves a
+reference cycle holding its leaves for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -214,7 +218,10 @@ def _canonical_order(g: Graph) -> tuple[list[int], list[list[int]], int]:
                 return back
         return depth
 
-    search(root, [])
+    try:
+        search(root, [])
+    finally:
+        del search
     return best[1], gens, best[0]
 
 

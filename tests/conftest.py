@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
@@ -113,3 +114,23 @@ def recursion_headroom(frames: int):
         yield
     finally:
         sys.setrecursionlimit(old)
+
+
+def cyclic_garbage(call) -> int:
+    """The number of objects that only the cyclic collector could free after
+    one call(), made with the collector off, once an earlier call has
+    filled any cached plans.  A ValueError from a call ends that call."""
+    def once():
+        try:
+            call()
+        except ValueError:
+            pass
+
+    once()
+    gc.collect()
+    gc.disable()
+    try:
+        once()
+        return gc.collect()
+    finally:
+        gc.enable()

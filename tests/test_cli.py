@@ -23,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mexlab
-from conftest import recursion_headroom
+from conftest import cyclic_garbage, recursion_headroom
 from mexlab import bounds as bounds_mod
 from mexlab.bounds import (Condition, ExponentReport, cor12_exponent,
                            cor14_kst, cor17_classifier, cor44_tripartite_lower,
@@ -31,12 +31,12 @@ from mexlab.bounds import (Condition, ExponentReport, cor12_exponent,
                            thm15_general, thm41_kst_lower, thm43_multipartite,
                            thm46_join_cycle)
 from mexlab.cli import (_COMMANDS, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
-                        _build_parser, _encode, _Parser, main)
+                        _build_parser, _encode, _json, _Parser, main)
 from mexlab.constructions import (EXPERIMENT_MAX_INSTANCES,
                                   NORM_GRAPH_MAX_VERTICES, DeletionRun,
                                   norm_graph)
 from mexlab.extraction import ExtractionReport, GuaranteeCases, GuaranteeCheck
-from mexlab.graphs import (LITERAL_MAX_EDGES, Pattern, complete,
+from mexlab.graphs import (LITERAL_MAX_EDGES, CliqueVector, Pattern, complete,
                            format_edge_list, gnp, load_edge_list,
                            parse_pattern_literal, pattern, read_edge_list,
                            save_edge_list)
@@ -1528,3 +1528,90 @@ def test_oracle_argv_fuzz(case, fuzz_dir, schema):
         assert code in (EXIT_VALIDATION, EXIT_IO), argv
     if size > _ORACLE_FAST[mode]:
         assert code != EXIT_OK, argv
+
+
+def test_free_check_refuses_the_empty_pattern_as_pattern_count_does(capsys, schema):
+    for command in "pattern-count", "free-check":
+        code, obj = run_json(capsys, schema, command, "--pattern", "K0", "--input", "K3")
+        assert code == EXIT_VALIDATION and obj == {
+            "code": "invalid-params", "message": "pattern must have at least one vertex"}
+
+
+def dumps(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False, default=_encode)
+
+
+_SCALARS = (st.none() | st.booleans()
+            | st.integers(-10 ** 40, 10 ** 40) | st.sampled_from([2 ** 200, -3 ** 150])
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([0.0, -0.0, 1e300, -1e-300, 5e-324])
+            | st.text(max_size=6) | st.sampled_from(["é", "日本", "\x00\"\\\n", "\U0001f600"]))
+_INTS = st.integers(-10 ** 20, 10 ** 20)
+# Lists of int lists of one length (the participation rows), of ragged
+# lengths, and with a bool among the ints; and the objects _encode writes.
+_ROWS = (st.integers(0, 3).flatmap(lambda k: st.lists(
+    st.lists(_INTS, min_size=k, max_size=k) | st.tuples(*[_INTS] * k), max_size=4))
+    | st.lists(st.lists(_INTS | st.booleans(), max_size=3), max_size=4))
+_OBJECTS = (st.fractions(max_denominator=10 ** 6)
+            | st.builds(gnp, st.integers(0, 6), st.just(0.5), st.integers(0, 99))
+            | st.builds(lambda c: CliqueVector(len(c), (0, *c)), st.lists(_INTS, max_size=3)))
+_JSONISH = st.recursive(
+    _SCALARS | _ROWS | _OBJECTS,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.lists(_INTS, max_size=5)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=_JSONISH)
+def test_json_writer_matches_json_dumps(obj):
+    assert _json(obj) == dumps(obj)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_json_writer_refuses_non_finite_floats_as_json_does(value):
+    for obj in value, [1, value], {"a": [value]}:
+        with pytest.raises(ValueError) as mine:
+            _json(obj)
+        with pytest.raises(ValueError) as theirs:
+            dumps(obj)
+        assert str(mine.value) == str(theirs.value)
+
+
+def test_a_non_finite_report_value_exits_invalid_params(capsys, schema, monkeypatch):
+    monkeypatch.setattr("mexlab.cli.count_cliques", lambda g, R: {"k1": math.inf})
+    code, obj = run_json(capsys, schema, "count", "--input", "K3", "--max-clique", "1")
+    assert code == EXIT_VALIDATION and obj == {
+        "code": "invalid-params",
+        "message": "Out of range float values are not JSON compliant: inf"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--input", "G60", "--max-clique", "8"],
+    ["participation", "--input", "G60", "--r", "4"],
+    ["pattern-count", "--pattern", "C4", "--input", "G60"],
+    ["free-check", "--pattern", "K4", "--input", "G60"],
+    ["extract", "--input", "G60", "--r", "3", "--alpha", "1", "--C", "0.1",
+     "--out", "OUT"],
+    ["bounds", "--formula", "thm15_general", "--params", "u=2,r=3,f=K3_4"],
+    ["construct", "norm-graph", "--q", "5", "--s", "3", "--out", "OUT"],
+    ["construct", "deletion", "--pattern", "K3_4", "--u", "2", "--r", "3",
+     "--n", "40", "--seed", "1", "--out", "OUT"],
+    ["oracle", "mex", "--m", "6", "--target", "K3", "--forbidden", "K4"],
+    ["oracle", "ex", "--n", "6", "--target", "K3", "--forbidden", "C4"],
+    ["experiment", "SPEC", "--csv", "OUT"],
+], ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("-")))
+def test_each_subcommand_leaves_no_cyclic_garbage(argv, tmp_path):
+    host = tmp_path / "g60.el"
+    save_edge_list(gnp(60, 0.5, 1), host)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"family": "tripartite", "n": [8, 16, 32]}))
+    paths = {"G60": str(host), "SPEC": str(spec), "OUT": str(tmp_path / "out")}
+    argv = [paths.get(a, a) for a in argv]
+
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == EXIT_OK
+
+    assert cyclic_garbage(call) == 0

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bowtie, disjoint_union, hom_brute_force, path,
-                      petersen, recursion_headroom)
+from conftest import (bowtie, cyclic_garbage, disjoint_union,
+                      hom_brute_force, path, petersen, recursion_headroom)
 from mexlab import graphs
 from mexlab.bounds import lemma_constant
+from mexlab.constructions import deletion_method
 from mexlab.graphs import (EdgeListError, Graph, Pattern, _at_least,
                            _twin_classes, chromatic_number, complete,
                            complete_multipartite, count_cliques, count_copies,
@@ -354,6 +355,31 @@ def test_iter_copies_refuses_a_large_tail_before_listing_it():
 def test_count_copies_rejects_empty_pattern():
     with pytest.raises(ValueError):
         count_copies(Pattern(Graph(0)), complete(3))
+
+
+def test_is_free_rejects_empty_pattern_as_count_copies_does():
+    with pytest.raises(ValueError, match="^pattern must have at least one vertex$"):
+        is_free(Pattern(Graph(0)), complete(3))
+
+
+_SPARSE = gnp(30, 0.3, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: count_cliques(gnp(40, 0.7, 2), 8),  # the root pivots
+    lambda: edge_clique_participation(gnp(120, 0.5, 3), 4),  # packed matrices
+    lambda: edge_clique_participation(gnp(40, 0.6, 3), 6),  # kernel per edge
+    lambda: count_copies(pattern("C4"), _SPARSE),
+    lambda: is_free(pattern("K4"), _SPARSE),
+    lambda: iter_copies(pattern("C4"), _SPARSE, 10 ** 6),
+    lambda: iter_copies(pattern("C4"), _SPARSE, 3),  # over the limit
+    lambda: chromatic_number(gnp(12, 0.5, 4)),
+    lambda: deletion_method(pattern("K3_4"), 2, 3, 40, 1),
+], ids=["count_cliques", "participation-packed", "participation-kernel",
+        "count_copies", "is_free", "iter_copies", "iter_copies-over-limit",
+        "chromatic_number", "deletion_method"])
+def test_kernels_leave_no_cyclic_garbage(call):
+    assert cyclic_garbage(call) == 0
 
 
 def test_star_identity():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import embedding_reference as ref
-from conftest import (bowtie, disjoint_union, k4_minus_edge,
+from conftest import (bowtie, cyclic_garbage, disjoint_union, k4_minus_edge,
                       label_ordered_edge_sets, mex_exhaustive_reference, path,
                       petersen)
 from mexlab.bounds import lemma_constant
@@ -848,3 +848,11 @@ def test_mex_witness_is_the_least_form_of_greatest_value(m, target, forb):
         classes.setdefault(_form(g), g)
     res = mex_exact(m, target, pattern(forb))
     _check_witness(res, classes, target, pattern(forb))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mex_exact(6, pattern("K3"), pattern("K4")),
+    lambda: ex_exact(7, TWO_K2, pattern("K4")),
+], ids=["mex_exact", "ex_exact"])
+def test_queries_leave_no_cyclic_garbage(call):
+    assert cyclic_garbage(call) == 0
