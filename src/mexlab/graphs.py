@@ -949,7 +949,10 @@ def iter_copies(f: Pattern, g: Graph, limit: int) -> list:
 
     The search visits each copy once.  More than limit copies is a
     ValueError, raised before a tail that would pass the limit is listed.
+    The empty pattern is refused, as count_copies refuses it.
     """
+    if f.order == 0:
+        raise ValueError("pattern must have at least one vertex")
     plan = f.plan
     stop, size = plan.stop, plan.size
     key_edges = [(j, i) for i, js in enumerate(plan.prev) for j in js]

@@ -25,11 +25,16 @@ non-free children keeps the search exact.
 
 A class is labeled only when something reads its labeling, the empty class
 included.  A child whose added edge is its only edge of greatest invariant
-is canonical without one.  Aut(parent) is read only to tell apart two
-children of one parent past its floor, so a parent that came unlabeled is
-labeled at its second such child.  A canonical certificate is read only in
-`_best`, to break a tie for the best value: it labels the candidates tied
-at that value and at the least order, when there are two or more.
+is canonical without one, and so is a child whose edges of greatest
+invariant all join the same two twin classes as its added edge: swapping
+twins is an automorphism, so they all lie in the added edge's orbit.  Such
+a class carries no generators, not the twin transpositions, which generate
+only a subgroup of its automorphism group.  Aut(parent) is read only to
+tell apart two children of one parent past its floor, so a parent that came
+unlabeled is labeled at its second such child.  A canonical certificate is
+read only in `_best`, to break a tie for the best value: it labels the
+candidates tied at that value and at the least order, when there are two or
+more.
 
 No class is searched whole.  A copy in a child that is not in its parent,
 of the forbidden pattern or of the target, holds the child's added edge uv:
@@ -309,6 +314,17 @@ def _last_in_order(edges: list[tuple[int, int]], perm: list[int]) -> tuple[int, 
                                      min(pos[e[0]], pos[e[1]])))
 
 
+def _twins_settle(g: Graph, edge: tuple[int, int],
+                  top: list[tuple[int, int]]) -> bool:
+    """Whether every edge of top joins the same unordered pair of twin
+    classes of g as edge.  A permutation within a twin class is an
+    automorphism, so two twin transpositions then map each edge of top onto
+    edge, and top lies in edge's Aut(g)-orbit."""
+    cls = _twin_classes(g)
+    pair = {cls[edge[0]], cls[edge[1]]}
+    return all({cls[a], cls[b]} == pair for a, b in top)
+
+
 def _edge_orbit(start: tuple[int, int], gens: list[list[int]]) -> set[tuple[int, int]]:
     """The orbit of the edge start under the group gens generate."""
     orbit = {start}
@@ -367,8 +383,15 @@ def _levels(max_edges: int, target: Pattern, forbidden: Pattern,
     A child is canonical iff its added edge lies in the orbit of its
     deletion edge, the last in canonical order of the edges that
     `_top_edges` returns.  When that is one edge it is the added edge, and
-    the child is kept unlabeled, with generators None; otherwise it is
-    labeled, and kept with its generators if canonical.
+    the child is kept unlabeled, with generators None.  When the edges all
+    join the added edge's two twin classes (`_twins_settle`), twin swaps map
+    the deletion edge, whichever it is, onto the added edge, and the child
+    is kept unlabeled too.  Its generators are None rather than the twin
+    transpositions: those may generate a proper subgroup of Aut(child), and
+    the orbits of its children must be full orbits, or two isomorphic
+    children would both be kept; so it is labeled, as any unlabeled class,
+    at its second child past the floor.  Otherwise the child is labeled,
+    and kept with its generators if canonical.
 
     Before its orbit is looked up, a child whose added edge's sorted degree
     pair in the child lies below the parent's floor is rejected unbuilt,
@@ -428,8 +451,8 @@ def _levels(max_edges: int, target: Pattern, forbidden: Pattern,
                 contains = held or _copies_through(banned, child, u, v, True) > 0
                 if not admissible(contains, child.n):
                     continue
-                if len(top) == 1:  # edge is the deletion edge: canonical
-                    gens = None
+                if len(top) == 1 or _twins_settle(child, edge, top):
+                    gens = None  # edge is in the deletion edge's orbit: canonical
                 else:
                     perm, gens, _ = _canonical_order(child)
                     if edge not in _edge_orbit(_last_in_order(top, perm), gens):

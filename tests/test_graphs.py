@@ -362,6 +362,11 @@ def test_is_free_rejects_empty_pattern_as_count_copies_does():
         is_free(Pattern(Graph(0)), complete(3))
 
 
+def test_iter_copies_rejects_empty_pattern_as_count_copies_does():
+    with pytest.raises(ValueError, match="^pattern must have at least one vertex$"):
+        iter_copies(pattern("K0"), complete(3), 10)
+
+
 _SPARSE = gnp(30, 0.3, 1)
 
 

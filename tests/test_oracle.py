@@ -324,26 +324,60 @@ def test_levels_need_no_vertex_cap(target, forbidden):
 
 
 @pytest.mark.parametrize("max_edges,forbidden", [
-    (8, lambda: pattern("K6")), (9, lambda: pattern("K4"))])
+    (8, lambda: pattern("K6")), (9, lambda: pattern("K4")),
+    pytest.param(10, lambda: pattern("C4"), id="10-C4"),
+    pytest.param(9, lambda: pattern("K2_3"), id="9-K2_3")])
 def test_levels_hold_pairwise_distinct_classes(max_edges, forbidden):
     # The records carry no canonical certificate, so each class is labeled
     # here; a level's classes share their edge count, not their order.
+    # C4- and K2_3-free graphs, windmills and stars among them, are rich in
+    # twins, so many of their classes are kept by `_twins_settle` unlabeled.
     levels, _ = _levels(max_edges, pattern("K2"), forbidden())
     for level in levels:
         forms = {_form(g) for g, *_ in level}
         assert len(forms) == len(level)
 
 
+@pytest.mark.parametrize("query", ["mex", "ex"])
+@pytest.mark.parametrize("forbidden", ["K3", "K4", "C4", "K2_3", "C5"])
+@pytest.mark.parametrize("target", ["K2", "K3", "2K2"])
+def test_twins_settle_only_children_the_labeling_keeps(monkeypatch, target,
+                                                       forbidden, query):
+    # A child that `_twins_settle` keeps unlabeled must be one the full
+    # labeling would keep: its added edge lies in the Aut(child)-orbit of
+    # its deletion edge, the last of its top edges in canonical order.
+    settled, settle = [], oracle._twins_settle
+
+    def recorded(g, edge, top):
+        ok = settle(g, edge, top)
+        if ok:
+            settled.append((g, edge, top))
+        return ok
+
+    monkeypatch.setattr(oracle, "_twins_settle", recorded)
+    t = TWO_K2 if target == "2K2" else pattern(target)
+    if query == "mex":
+        _levels(7, t, pattern(forbidden))
+    else:
+        _levels(21, t, pattern(forbidden), 7)
+    assert settled  # the rule was exercised
+    for g, edge, top in settled:
+        perm, gens, _ = _canonical_order(g)
+        assert edge in _edge_orbit(_last_in_order(top, perm), gens), (g.edges(), edge)
+
+
 def test_mex_k3_k4_labeling_count_is_pinned(monkeypatch):
     # Labeling is on demand: a child whose added edge is its only top edge
-    # is canonical unlabeled, a parent is labeled only at its second child
-    # past the floor, and `_best` labels only the candidates tied at the
-    # greatest value and the least order, all 7 of them, though 2 came
-    # labeled from `_levels`: their certificates are not kept.  The empty
-    # class is never labeled.  That is 1,324 labelings (1,317 in `_levels`,
-    # 7 in `_best`), up from 1,322 when `_best` reused the forms `_levels`
-    # had kept, and down from 2,280 when every child kept by its orbit was
-    # labeled and 3,790 when every child that passes the invariant was.  The degree floor leaves 3,969 children to
+    # is canonical unlabeled, and so is one whose top edges all join the
+    # same two twin classes as its added edge; a parent is labeled only at
+    # its second child past the floor, and `_best` labels only the
+    # candidates tied at the greatest value and the least order, all 7 of
+    # them: certificates are not kept.  The empty class is never labeled.
+    # That is 1,030 labelings (1,023 in `_levels`, 7 in `_best`), down from
+    # 1,324 before the twin rule, which was up from 1,322 when `_best`
+    # reused the forms `_levels` had kept, and down from 2,280 when every
+    # child kept by its orbit was labeled and 3,790 when every child that
+    # passes the invariant was.  The degree floor leaves 3,969 children to
     # build: 11,827 with no floor, while a floor one above the true pair
     # keeps 11 classes.
     calls, built = [], []
@@ -360,7 +394,7 @@ def test_mex_k3_k4_labeling_count_is_pinned(monkeypatch):
     monkeypatch.setattr(oracle, "_canonical_order", counted)
     monkeypatch.setattr(oracle, "_top_edges", counted_top)
     res = mex_exact(9, pattern("K3"), pattern("K4"))
-    assert (res.value, res.iso_classes_examined, len(calls)) == (4, 2230, 1324)
+    assert (res.value, res.iso_classes_examined, len(calls)) == (4, 2230, 1030)
     assert len(built) == 3969
 
 
