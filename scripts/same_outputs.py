@@ -56,6 +56,10 @@ FIXED_QUERIES = [
      "--out", f"{FIXED_DIR}/participation.json"],
     ["bounds", "--formula", "lemma21_constant", "--params", "u=2,r=5"],
     ["bounds", "--formula", "cor17_classifier", "--params", "f=K2_2_2,t=2"],
+    # bounds parameters given as a/b, as '+'-joined sizes and as a pattern
+    ["bounds", "--formula", "thm13_f", "--params", "alpha=3/2,beta=5/4"],
+    ["bounds", "--formula", "thm43_multipartite", "--params", "r=3,s=1+2+2"],
+    ["bounds", "--formula", "thm15_general", "--params", "u=2,r=3,f=K3_4"],
     ["experiment", f"{FIXED_DIR}/deletion.json", "--csv", f"{FIXED_DIR}/deletion.csv"],
 ]
 

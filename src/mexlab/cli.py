@@ -25,9 +25,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import bounds as bounds_mod
 from .bounds import ConditionError
-from .constructions import (deletion_method, finite_number, norm_graph,
-                            run_experiment)
-from .constructions import integral as _int
+from .constructions import deletion_method, integral, norm_graph, run_experiment
 from .extraction import extract_dense
 from .graphs import (CliqueVector, EdgeListError, Graph, Pattern,
                      count_cliques, count_copies, edge_clique_participation,
@@ -123,64 +121,29 @@ def _emit(obj, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_params(text: str, kinds: dict) -> dict:
-    """k=v pairs, comma separated; '+'-joined integers make a list, 'a/b'
-    makes an exact rational.  A pattern parameter keeps its raw text, which
-    may be a path holding '/'.  A key given twice is refused."""
-    out: dict = {}
-    if not text:
-        return out
-    for chunk in text.split(","):
-        if "=" not in chunk:
-            raise _CliError("invalid-params", f"expected k=v, got {chunk!r}")
-        key, val = chunk.split("=", 1)
-        key, val = key.strip(), val.strip()
-        if key in out:
-            raise _CliError("invalid-params", f"parameter {key!r} is given twice")
-        if kinds.get(key) is Pattern:
-            out[key] = val
-            continue
-        try:
-            out[key] = _parse_value(val)
-        except (ValueError, ZeroDivisionError):
-            raise _CliError("invalid-params", f"parameter {key!r} has an invalid value {val!r}")
-    return out
+def _number(text: str):
+    """The exact value of text as Fraction reads it (3, -3/2, 1.5 or 1e5), as
+    an int when it is integral.  A decimal exponent of four or more digits is
+    refused first: Fraction would expand it into an integer that long."""
+    if re.search(r"[eE][+-]?\d{4}", text.replace("_", "")):
+        raise ValueError(f"the exponent of {text!r} has over three digits")
+    value = Fraction(text)
+    return value.numerator if value.denominator == 1 else value
 
 
-def _parse_value(val: str):
-    if "+" in val:
-        try:
-            return [int(x) for x in val.split("+")]
-        except ValueError:
-            pass  # not a list of integers: '1e+5' is a float
-    if "/" in val:
-        num, den = val.split("/", 1)
-        return Fraction(int(num), int(den))
-    try:
-        return int(val)
-    except ValueError:
-        pass
-    try:
-        return float(val)
-    except ValueError:
-        return val
+def _int(text: str) -> int:
+    return integral(_number(text))
 
 
-def _number(v):
-    """A finite int, Fraction or float, passed through as parsed."""
-    if finite_number(v):
-        return v
-    raise ValueError(f"must be a finite number, got {v}")
-
-
-def _sizes(v) -> list[int]:
-    """An int or a '+'-list of ints."""
-    return v if isinstance(v, list) else [_int(v)]
+def _sizes(text: str) -> list[int]:
+    """'+'-joined integers: 1+2+2, or 5 alone."""
+    return [_int(x) for x in text.split("+")]
 
 
 # Formula id -> (name of its `bounds` function, looked up at call time, and
-# its parameters in call order with their kinds).  A Pattern parameter is
-# read from its raw text by `pattern`, also looked up at call time.
+# its parameters in call order, each with the kind that reads its text).  A
+# Pattern parameter is read by `pattern`, also looked up at call time, from
+# its raw text, which may be a path holding '/' or '+'.
 _FORMULAS = {
     "lemma21_constant": ("lemma_constant", {"u": _int, "r": _int}),
     "cor12": ("cor12_exponent", {"r": _int, "s": _number}),
@@ -197,30 +160,43 @@ _FORMULAS = {
 
 
 def _run_bounds(args) -> bounds_mod.ExponentReport:
+    """The report of --formula on --params, comma-separated k=v pairs, each
+    value read from its text by the kind its formula declares for k."""
     fid = args.formula
     if fid not in _FORMULAS:
-        raise _CliError("invalid-params", f"unknown formula id {fid!r}")
+        raise ValueError(f"unknown formula id {fid!r}")
     name, kinds = _FORMULAS[fid]
-    params = _parse_params(args.params or "", kinds)
-    values = []
-    for key, kind in kinds.items():
-        if key not in params:
-            raise _CliError("invalid-params", f"missing parameter {key!r} for {fid}")
+    values = {}
+    for chunk in args.params.split(",") if args.params else ():
+        key, eq, text = map(str.strip, chunk.partition("="))
+        if not eq:
+            raise ValueError(f"expected k=v, got {chunk!r}")
+        if key in values:
+            raise ValueError(f"parameter {key!r} is given twice")
+        if key not in kinds:
+            raise ValueError(f"{fid} takes no parameter {key!r}")
         try:
-            values.append(pattern(params[key]) if kind is Pattern else kind(params[key]))
+            values[key] = pattern(text) if kinds[key] is Pattern else kinds[key](text)
         except EdgeListError:
             raise  # reported as the file's fault, not the parameter's
-        except ValueError as exc:
-            raise _CliError("invalid-params", f"parameter {key!r} of {fid}: {exc}")
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"parameter {key!r} of {fid}: {exc}")
     try:
-        result = getattr(bounds_mod, name)(*values)
+        values = {key: values[key] for key in kinds}  # in call order
+    except KeyError as exc:
+        raise ValueError(f"missing parameter {exc.args[0]!r} for {fid}")
+    try:
+        result = getattr(bounds_mod, name)(*values.values())
         if not isinstance(result, bounds_mod.ExponentReport):
-            # A scalar formula; its report echoes every given parameter.
+            # A scalar formula; its report echoes the values it was called
+            # with, a pattern by its text (its name).
+            params = {k: v.name if isinstance(v, Pattern) else v
+                      for k, v in values.items()}
             result = bounds_mod.ExponentReport(
                 fid, params, result if isinstance(result, bool) else float(result),
                 result if isinstance(result, Fraction) else None)
     except OverflowError as exc:
-        raise _CliError("invalid-params", f"{fid}: {exc}")
+        raise ValueError(f"{fid}: {exc}")
     return result
 
 
@@ -260,7 +236,9 @@ def _build_parser() -> tuple[_Parser, dict]:
 
     p = sub.add_parser("bounds", help="closed-form exponent reports")
     p.add_argument("--formula", required=True)
-    p.add_argument("--params", default="")
+    p.add_argument("--params", default="",
+                   help="comma-separated k=v pairs; numbers are read exactly: "
+                   "1.5 is 3/2, 6/2 is 3")
     p.add_argument("--out")
 
     p = sub.add_parser("construct", help="lower-bound witness generators")
@@ -328,9 +306,8 @@ def _dispatch(args) -> tuple[object, str | None]:
         try:
             out_graph, report = extract_dense(g, args.r, args.alpha, args.C)
         except (OverflowError, ZeroDivisionError) as exc:
-            raise _CliError("invalid-params",
-                            f"extract: r, alpha and C put a threshold or guarantee "
-                            f"constant out of float range ({exc})")
+            raise ValueError(f"extract: r, alpha and C put a threshold or guarantee "
+                             f"constant out of float range ({exc})")
         if args.out:
             save_edge_list(out_graph, args.out)
         return report, args.report

@@ -27,6 +27,9 @@ def norm_graph(q: int, s: int) -> Graph:
     N is the field norm down to GF(q) (identity when s = 2).  Vertex (A, a)
     gets index A_idx*(q-1) + (a-1) where A_idx enumerates GF(q^(s-1)) in
     base-q counting order of coefficient vectors.
+
+    H(2, s) is the complete graph on 2^(s-1) vertices: GF(2)* = {1} and the
+    norm of a nonzero A + B is 1, so every two vertices are adjacent.
     """
     # q^(s-1) (q-1) is at least q - 1 and 2^(s-1): bound q and s before the
     # trial-division primality test and the power

@@ -885,6 +885,10 @@ class Pattern:
 
     @cached_property
     def plan(self) -> _Plan:
+        """The embedding plan of the whole pattern; the empty pattern, which
+        has no copy to search for, is refused."""
+        if self.order == 0:
+            raise ValueError("pattern must have at least one vertex")
         return _embedding_plan(self._searchable())
 
     @cached_property
@@ -916,9 +920,8 @@ def pattern(text: str) -> Pattern:
 
 
 def count_copies(f: Pattern, g: Graph) -> int:
-    """Number of subgraphs of g isomorphic to f (copies, not induced)."""
-    if f.order == 0:
-        raise ValueError("pattern must have at least one vertex")
+    """Number of subgraphs of g isomorphic to f (copies, not induced).  The
+    empty pattern is refused, by f.plan."""
     return _search(f.plan, g)
 
 
@@ -936,9 +939,7 @@ def _copies_through(plans, g: Graph, u: int, v: int, first: bool = False) -> int
 
 def is_free(f: Pattern, g: Graph) -> bool:
     """True iff g contains no copy of f; exits on the first copy found.
-    The empty pattern is refused, as count_copies refuses it."""
-    if f.order == 0:
-        raise ValueError("pattern must have at least one vertex")
+    The empty pattern is refused, by f.plan."""
     return not _search(f.plan, g, first=True)
 
 
@@ -949,10 +950,8 @@ def iter_copies(f: Pattern, g: Graph, limit: int) -> list:
 
     The search visits each copy once.  More than limit copies is a
     ValueError, raised before a tail that would pass the limit is listed.
-    The empty pattern is refused, as count_copies refuses it.
+    The empty pattern is refused, by f.plan.
     """
-    if f.order == 0:
-        raise ValueError("pattern must have at least one vertex")
     plan = f.plan
     stop, size = plan.stop, plan.size
     key_edges = [(j, i) for i, js in enumerate(plan.prev) for j in js]

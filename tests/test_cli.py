@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -31,7 +32,7 @@ from mexlab.bounds import (Condition, ExponentReport, cor12_exponent,
                            thm15_general, thm41_kst_lower, thm43_multipartite,
                            thm46_join_cycle)
 from mexlab.cli import (_COMMANDS, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
-                        _build_parser, _encode, _json, _Parser, main)
+                        _build_parser, _encode, _json, _number, _Parser, main)
 from mexlab.constructions import (EXPERIMENT_MAX_INSTANCES,
                                   NORM_GRAPH_MAX_VERTICES, DeletionRun,
                                   norm_graph)
@@ -185,13 +186,12 @@ def scalar_report(fid, params, value, rational=None):
 
 # (formula id, --params, the report the direct library call gives).  The
 # lemma21_constant, cor14_kst and thm15_general cases include the benchmark's
-# queries; scalar formulas echo every given parameter as parsed, extra keys
-# included.
+# queries; scalar formulas echo the exact values they were called with.
 BOUNDS_CASES = [
     ("lemma21_constant", "u=2,r=3",
      lambda: scalar_report("lemma21_constant", {"u": 2, "r": 3}, lemma_constant(2, 3))),
     ("lemma21_constant", "u=2.0,r=6/2", lambda: scalar_report(
-        "lemma21_constant", {"u": 2.0, "r": "3"}, lemma_constant(2, 3))),
+        "lemma21_constant", {"u": 2, "r": 3}, lemma_constant(2, 3))),
     ("cor14_kst", "r=3,s=2", lambda: encoded(cor14_kst(3, 2))),
     ("cor14_kst", "r=3,s=3", lambda: encoded(cor14_kst(3, 3))),
     ("cor14_kst", "r=4,s=6.0", lambda: encoded(cor14_kst(4, 6))),
@@ -201,20 +201,20 @@ BOUNDS_CASES = [
      lambda: encoded(thm15_general(2, 3, pattern("K3_5")))),
     ("thm15_general", "u=2,r=3,f=K4_4",
      lambda: encoded(thm15_general(2, 3, pattern("K4_4")))),
-    ("cor12", "r=4,s=1.5",
-     lambda: scalar_report("cor12", {"r": 4, "s": 1.5}, cor12_exponent(4, 1.5))),
+    ("cor12", "r=4,s=1.5", lambda: scalar_report(
+        "cor12", {"r": 4, "s": "3/2"}, float(cor12_exponent(4, Fraction(3, 2))),
+        str(cor12_exponent(4, Fraction(3, 2))))),
     ("cor12", "r=4,s=3/2", lambda: scalar_report(
         "cor12", {"r": 4, "s": "3/2"}, float(cor12_exponent(4, Fraction(3, 2))),
         str(cor12_exponent(4, Fraction(3, 2))))),
-    ("cor12", "r=3,s=2,note=abc", lambda: scalar_report(
-        "cor12", {"r": 3, "s": 2, "note": "abc"}, float(cor12_exponent(3, 2)),
-        str(cor12_exponent(3, 2)))),
     ("thm13_f", "alpha=2,beta=3", lambda: scalar_report(
         "thm13_f", {"alpha": 2, "beta": 3}, float(thm13_f(2, 3)), str(thm13_f(2, 3)))),
-    ("thm13_f", "alpha=1e5,beta=2",
-     lambda: scalar_report("thm13_f", {"alpha": 1e5, "beta": 2}, thm13_f(1e5, 2))),
-    ("thm13_f", "alpha=1e+5,beta=2",  # a float, as in repr(1e16) == "1e+16"
-     lambda: scalar_report("thm13_f", {"alpha": 1e5, "beta": 2}, thm13_f(1e5, 2))),
+    ("thm13_f", "alpha=1e5,beta=2", lambda: scalar_report(
+        "thm13_f", {"alpha": 100000, "beta": 2}, float(thm13_f(100000, 2)),
+        str(thm13_f(100000, 2)))),
+    ("thm13_f", "alpha=1e+5,beta=2",  # a signed exponent, as in repr(1e16) == "1e+16"
+     lambda: scalar_report("thm13_f", {"alpha": 100000, "beta": 2},
+                           float(thm13_f(100000, 2)), str(thm13_f(100000, 2)))),
     ("thm13_f", "alpha=3/2,beta=5/4", lambda: scalar_report(
         "thm13_f", {"alpha": "3/2", "beta": "5/4"},
         float(thm13_f(Fraction(3, 2), Fraction(5, 4))),
@@ -441,9 +441,16 @@ def test_only_guarantee_d_has_cases():
     # a repeated key, whose last value was used
     ("lemma21_constant", "u=2,r=3,r=4", "r"),
     ("cor14_kst", "r=3,s=2,s=9", "s"),
+    # a key the formula does not take, which was dropped or echoed
+    ("cor12", "r=3,s=2,note=abc", "note"),
+    ("cor14_kst", "r=3,s=3,t=2", "t"),
+    # an exponent Fraction would expand into ten million digits
+    ("thm13_f", "alpha=1e10000000,beta=2", "alpha"),
 ])
 def test_bounds_rejects_malformed_params(fid, params, key, capsys, schema):
+    start = time.perf_counter()
     code, out = run_cli(capsys, "bounds", "--formula", fid, "--params", params)
+    assert time.perf_counter() - start < 1
     obj = json.loads(out, parse_constant=pytest.fail)
     jsonschema.validate(obj, schema)
     assert code == EXIT_VALIDATION and obj["code"] == "invalid-params"
@@ -481,7 +488,7 @@ def test_bounds_pattern_param_is_read_by_the_pattern_bound_at_call_time(
 
 @pytest.mark.parametrize("fid,params", [
     ("thm13_f", f"alpha=2,beta={10 ** 400}"),  # int too large to convert to float
-    ("cor12", f"r={10 ** 308},s=1.9"),  # the float value is inf
+    ("cor12", f"r={10 ** 400},s={10 ** 400}"),  # the exact value r/2
 ])
 def test_bounds_rejects_values_beyond_float_range(fid, params, capsys, schema):
     code, out = run_cli(capsys, "bounds", "--formula", fid, "--params", params)
@@ -490,10 +497,31 @@ def test_bounds_rejects_values_beyond_float_range(fid, params, capsys, schema):
     assert code == EXIT_VALIDATION and obj["code"] == "invalid-params"
 
 
+@settings(max_examples=300, deadline=None)
+@given(text=st.from_regex(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]{1,3})?",
+                          fullmatch=True))
+def test_number_reads_decimal_text_exactly(text):
+    # decimal, a reader that shares no code with _number, is the reference
+    expected = Fraction(Decimal(text))
+    value = _number(text)
+    assert value == expected
+    assert isinstance(value, int) == (expected.denominator == 1)
+
+
+def test_bounds_reads_a_decimal_parameter_exactly(capsys, schema):
+    code, obj = run_json(capsys, schema, "bounds", "--formula", "cor12",
+                         "--params", "r=4,s=1.5")
+    assert code == EXIT_OK
+    assert obj["params"] == {"r": 4, "s": "3/2"}
+    assert obj["valueRational"] == "9/7"
+    assert obj["value"] == float(Fraction(9, 7))
+
+
 _PARAM_KEYS = sorted({"u", "r", "s", "t", "l", "s1", "s2", "s3", "alpha", "beta", "x"})
 _PARAM_TOKENS = ["0", "1", "2", "3", "4", "5", "-1", "3.0", "1.5", "2.5", "6/2",
                  "7/2", "1/0", "-3/2", "nan", "inf", "-inf", "1e400", str(10 ** 400),
-                 "abc", "", "1+2", "1+2+2", "2+2+2", "1+1+1+1", "2+x"]
+                 "abc", "", "1+2", "1+2+2", "2+2+2", "1+1+1+1", "2+x", "0.1",
+                 "1e999", "1e-999", "1e1000", "1e99999999", "3/-2", "1_0"]
 _PATTERN_LITERALS = ["K3", "K4", "K3_3", "K3_4", "K2_2_2", "C5", "S3"]
 
 

@@ -12,7 +12,7 @@ from mexlab.cli import EXIT_OK, main
 from mexlab.constructions import (EXPERIMENT_MAX_INSTANCES, deletion_method,
                                   fit_loglog_slope, norm_graph, run_experiment,
                                   tripartite_parts)
-from mexlab.graphs import (Graph, Pattern, bits, count_cliques, count_copies,
+from mexlab.graphs import (Graph, Pattern, bits, complete, count_cliques, count_copies,
                            format_edge_list, gnp, is_free, iter_copies, pattern)
 
 
@@ -28,6 +28,11 @@ def test_norm_graph_params_validation():
         norm_graph(3, 1)
     with pytest.raises(ValueError):
         norm_graph(97, 4)          # vertex cap
+
+
+def test_norm_graph_at_q_2_is_complete():
+    for s in range(2, 6):
+        assert norm_graph(2, s) == complete(2 ** (s - 1))
 
 
 def test_norm_graph_past_the_field_prime_cap():
