@@ -61,6 +61,9 @@ FIXED_QUERIES = [
     ["bounds", "--formula", "thm43_multipartite", "--params", "r=3,s=1+2+2"],
     ["bounds", "--formula", "thm15_general", "--params", "u=2,r=3,f=K3_4"],
     ["experiment", f"{FIXED_DIR}/deletion.json", "--csv", f"{FIXED_DIR}/deletion.csv"],
+    # the oracle at n = 8 and m = 10, past every workload's sizes of 7
+    ["oracle", "ex", "--n", "8", "--target", "K3", "--forbidden", "K4"],
+    ["oracle", "mex", "--m", "10", "--target", "K3", "--forbidden", "K4"],
 ]
 
 

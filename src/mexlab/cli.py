@@ -27,10 +27,11 @@ from . import bounds as bounds_mod
 from .bounds import ConditionError
 from .constructions import deletion_method, integral, norm_graph, run_experiment
 from .extraction import extract_dense
-from .graphs import (CliqueVector, EdgeListError, Graph, Pattern,
-                     count_cliques, count_copies, edge_clique_participation,
-                     is_free, load_graph, pattern, save_edge_list)
-from .oracle import ORACLE_MAX_EDGES, ORACLE_MAX_N, ex_exact, mex_exact
+from .graphs import (EDGE_LIST_MAX_VERTICES, CliqueVector, EdgeListError, Graph,
+                     Pattern, count_cliques, count_copies,
+                     edge_clique_participation, is_free, load_graph, pattern,
+                     save_edge_list)
+from .oracle import ORACLE_MAX_GRAPHS, ex_exact, mex_exact
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -127,7 +128,10 @@ def _number(text: str):
     refused first: Fraction would expand it into an integer that long."""
     if re.search(r"[eE][+-]?\d{4}", text.replace("_", "")):
         raise ValueError(f"the exponent of {text!r} has over three digits")
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"the denominator of {text!r} is zero") from None
     return value.numerator if value.denominator == 1 else value
 
 
@@ -179,7 +183,7 @@ def _run_bounds(args) -> bounds_mod.ExponentReport:
             values[key] = pattern(text) if kinds[key] is Pattern else kinds[key](text)
         except EdgeListError:
             raise  # reported as the file's fault, not the parameter's
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise ValueError(f"parameter {key!r} of {fid}: {exc}")
     try:
         values = {key: values[key] for key in kinds}  # in call order
@@ -259,15 +263,17 @@ def _build_parser() -> tuple[_Parser, dict]:
 
     p = sub.add_parser("oracle", help="exhaustive small-case maxima")
     osub = p.add_subparsers(dest="oracle_mode")
-    pm = osub.add_parser("mex")
-    pm.add_argument("--m", type=int, required=True,
-                    help=f"edge count, 0..{ORACLE_MAX_EDGES}")
+    budget = (f"A query is answered iff it examines at most {ORACLE_MAX_GRAPHS:,} "
+              "graphs (its graphsExamined); a refused query has spent about "
+              "3-5 s of CPU on a 2-core host.")
+    pm = osub.add_parser("mex", description=budget)
+    pm.add_argument("--m", type=int, required=True, help="edge count, at least 0")
     pm.add_argument("--target", required=True)
     pm.add_argument("--forbidden", required=True)
     pm.add_argument("--report")
-    pe = osub.add_parser("ex")
+    pe = osub.add_parser("ex", description=budget)
     pe.add_argument("--n", type=int, required=True,
-                    help=f"vertex count, 0..{ORACLE_MAX_N}")
+                    help=f"vertex count, 0..{EDGE_LIST_MAX_VERTICES}")
     pe.add_argument("--target", required=True)
     pe.add_argument("--forbidden", required=True)
     pe.add_argument("--report")
@@ -362,7 +368,15 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
         if args.command is None:
             raise _CliError("usage", "a subcommand is required")
-        _emit(*_dispatch(args))
+        report, out = _dispatch(args)
+        try:
+            _emit(report, out)
+        except ValueError as exc:  # Python refuses to print an int that long
+            if "integer string conversion" not in str(exc):
+                raise
+            who = f"{args.formula}: " if args.command == "bounds" else ""
+            raise ValueError(f"{who}a report value has over "
+                             f"{sys.get_int_max_str_digits():,} digits") from None
         return EXIT_OK
     except _CliError as exc:
         _emit({"code": exc.code, "message": str(exc)}, None)

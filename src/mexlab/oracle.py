@@ -46,6 +46,15 @@ binomial and to the host order, so edgeless patterns take the same path.
 `_canonical_order` deletes its recursive search before it returns or
 raises, as the graph kernels do theirs, so that no labeling leaves a
 reference cycle holding its leaves for the cyclic collector.
+
+A query's one size limit is a budget, `ORACLE_MAX_GRAPHS` = 2^19 =
+524,288, on the children it generates (its `graphs_examined`): it is
+answered iff that count is at most the budget, and refused otherwise.  The
+cost of a child varies little from query to query (about 6-13
+microseconds of CPU on a 2-core host), so an answer takes at most about
+5 s, and a refusal has spent 3-5 s before it is made.  Each level but the
+last generates a child, so the budget also bounds the number of levels,
+and m needs no cap of its own.
 """
 
 from __future__ import annotations
@@ -53,10 +62,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import Graph, Pattern, _copies_through, _twin_classes, bits
+from .graphs import (EDGE_LIST_MAX_VERTICES, Graph, Pattern, _copies_through,
+                     _twin_classes, bits)
 
-ORACLE_MAX_EDGES = 11
-ORACLE_MAX_N = 8
+ORACLE_MAX_GRAPHS = 2 ** 19
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +366,9 @@ def _levels(max_edges: int, target: Pattern, forbidden: Pattern,
     edges and no isolated vertex, as records (graph, copies, contains, gens,
     floor): T' copies, whether it contains F', Aut generators or None, and
     degree floor.  Levels stop at max_edges or at the first empty level;
-    examined counts the children generated.
+    examined counts the children generated.  After each parent's children
+    it is checked against `ORACLE_MAX_GRAPHS`, read at call time, and a
+    ValueError that names the budget is raised once it is exceeded.
 
     Write F = F' + kK1 for forbidden and T = T' + jK1 for target, F' and T'
     without isolated vertices.  A class is admissible iff it does not contain
@@ -459,6 +470,9 @@ def _levels(max_edges: int, target: Pattern, forbidden: Pattern,
                         continue
                 nxt.append((child, copies + _copies_through(counted, child, u, v),
                             contains, gens, pair))
+            if examined > ORACLE_MAX_GRAPHS:
+                raise ValueError(f"over the oracle's budget: the query examines more "
+                                 f"than {ORACLE_MAX_GRAPHS:,} graphs")
         if not nxt:
             break
         levels.append(nxt)
@@ -532,10 +546,12 @@ def _check_forbidden(forbidden: Pattern) -> None:
 
 def mex_exact(m: int, target: Pattern, forbidden: Pattern) -> OracleResult:
     """Exact maximum of target-copy counts over forbidden-free graphs with
-    exactly m edges and no isolated vertices."""
+    exactly m edges and no isolated vertices.  Any m >= 0 is taken; the
+    query is refused with a ValueError, after about 3-5 s of CPU on a
+    2-core host, once it examines more than `ORACLE_MAX_GRAPHS` graphs."""
     _check_forbidden(forbidden)
-    if m < 0 or m > ORACLE_MAX_EDGES:
-        raise ValueError(f"edge count must lie in 0..{ORACLE_MAX_EDGES}")
+    if m < 0:
+        raise ValueError("edge count must be non-negative")
     if target.size == 0:
         raise ValueError("target pattern must have at least one edge")
     if not all(target.graph.adj):
@@ -549,9 +565,14 @@ def mex_exact(m: int, target: Pattern, forbidden: Pattern) -> OracleResult:
 
 def ex_exact(n: int, target: Pattern, forbidden: Pattern) -> OracleResult:
     """Exact maximum of target-copy counts over forbidden-free graphs on
-    exactly n vertices."""
-    if not 0 <= n <= ORACLE_MAX_N:
-        raise ValueError(f"vertex count must lie in 0..{ORACLE_MAX_N}")
+    exactly n vertices.  n may lie in 0..EDGE_LIST_MAX_VERTICES, as the
+    witness is padded to n vertices; the query is refused with a
+    ValueError, after about 3-5 s of CPU on a 2-core host, once it examines
+    more than `ORACLE_MAX_GRAPHS` graphs."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if n > EDGE_LIST_MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds cap {EDGE_LIST_MAX_VERTICES}")
     _check_forbidden(forbidden)
     if target.order == 0:
         raise ValueError("pattern must have at least one vertex")

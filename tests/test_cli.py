@@ -41,7 +41,7 @@ from mexlab.graphs import (LITERAL_MAX_EDGES, CliqueVector, Pattern, complete,
                            format_edge_list, gnp, load_edge_list,
                            parse_pattern_literal, pattern, read_edge_list,
                            save_edge_list)
-from mexlab.oracle import ORACLE_MAX_EDGES, ORACLE_MAX_N, OracleResult
+from mexlab.oracle import ORACLE_MAX_GRAPHS, OracleResult
 from test_embeddings import LITERALS
 
 
@@ -427,6 +427,7 @@ def test_only_guarantee_d_has_cases():
 
 @pytest.mark.parametrize("fid,params,key", [
     ("cor12", "r=3,s=1/0", "s"),
+    ("cor12", "r=4,s=1/0", "s"),
     ("cor12", "r=3,s=abc", "s"),
     ("cor14_kst", "r=7/2,s=3", "r"),
     ("cor14_kst", "r=3.9,s=3", "r"),
@@ -495,6 +496,24 @@ def test_bounds_rejects_values_beyond_float_range(fid, params, capsys, schema):
     obj = json.loads(out, parse_constant=pytest.fail)
     jsonschema.validate(obj, schema)
     assert code == EXIT_VALIDATION and obj["code"] == "invalid-params"
+
+
+def test_bounds_says_a_denominator_is_zero(capsys, schema):
+    code, obj = run_json(capsys, schema, "bounds", "--formula", "cor12",
+                         "--params", "r=4,s=1/0")
+    assert code == EXIT_VALIDATION and obj == {
+        "code": "invalid-params",
+        "message": "parameter 's' of cor12: the denominator of '1/0' is zero"}
+
+
+def test_bounds_names_a_report_value_too_long_to_print(capsys, schema):
+    # each part is a 4,999-digit integer, which Python will not print
+    part = "9" * 4000 + "e999"
+    code, obj = run_json(capsys, schema, "bounds", "--formula", "cor44_tripartite_lower",
+                         "--params", f"s1={part},s2={part},s3={part}")
+    assert code == EXIT_VALIDATION and obj == {
+        "code": "invalid-params",
+        "message": "cor44_tripartite_lower: a report value has over 4,300 digits"}
 
 
 @settings(max_examples=300, deadline=None)
@@ -672,10 +691,46 @@ def test_oracle_reports_past_the_benchmark_are_pinned(mode, size, target, forbid
 
 def test_oracle_mex_returns_a_value_at_the_edge_cap(capsys, schema):
     # m = 11 was refused with exit 2 while the cap was 10
-    assert ORACLE_MAX_EDGES == 11
     code, obj = run_json(capsys, schema, "oracle", "mex", "--m", "11",
                          "--target", "K3", "--forbidden", "K4")
     assert code == EXIT_OK and obj["value"] == 6
+
+
+def test_oracle_answers_iff_it_examines_at_most_its_budget(capsys, schema, monkeypatch):
+    # tests/test_oracle.py pins mex(8, K3, K4) at 4,714 graphs and 778 classes
+    argv = ["oracle", "mex", "--m", "8", "--target", "K3", "--forbidden", "K4"]
+    monkeypatch.setattr("mexlab.oracle.ORACLE_MAX_GRAPHS", 4714)
+    code, obj = run_json(capsys, schema, *argv)
+    assert code == EXIT_OK
+    assert (obj["value"], obj["graphsExamined"], obj["isoClassesExamined"]) == (4, 4714, 778)
+    monkeypatch.setattr("mexlab.oracle.ORACLE_MAX_GRAPHS", 4713)
+    code, obj = run_json(capsys, schema, *argv)
+    assert code == EXIT_VALIDATION and obj == {
+        "code": "invalid-params",
+        "message": "over the oracle's budget: the query examines more than 4,713 graphs"}
+
+
+def test_oracle_refuses_ex_past_the_edge_list_cap_before_enumerating(capsys, schema,
+                                                                     monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("_children ran")
+
+    monkeypatch.setattr("mexlab.oracle._children", enumerate_nothing)
+    code, obj = run_json(capsys, schema, "oracle", "ex", "--n", "50001",
+                         "--target", "K2", "--forbidden", "K3")
+    assert code == EXIT_VALIDATION and obj == {
+        "code": "invalid-params", "message": "vertex count 50001 exceeds cap 50000"}
+
+
+def test_oracle_mex_needs_no_cap_on_m(capsys, schema):
+    # only the empty graph is K2-free, so the levels stop at the first
+    start = time.perf_counter()
+    code, obj = run_json(capsys, schema, "oracle", "mex", "--m", "1000000",
+                         "--target", "K2", "--forbidden", "K2")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_VALIDATION and obj == {
+        "code": "invalid-params",
+        "message": "no admissible graph with the requested edge count"}
 
 
 def test_experiment_cli(tmp_path, capsys, schema):
@@ -1248,12 +1303,11 @@ def test_extract_rejects_r_beyond_the_lemma_constants_at_once(tmp_path, capsys,
     assert code == EXIT_VALIDATION and obj["code"] == "invalid-params"
 
 
-@pytest.mark.parametrize("mode,flag,cap", [("mex", "--m", ORACLE_MAX_EDGES),
-                                           ("ex", "--n", ORACLE_MAX_N)])
-def test_oracle_help_names_the_accepted_range(mode, flag, cap, capsys):
+@pytest.mark.parametrize("mode", ["mex", "ex"])
+def test_oracle_help_names_the_accepted_range(mode, capsys):
     with pytest.raises(SystemExit):
         main(["oracle", mode, "--help"])
-    assert f"0..{cap}" in capsys.readouterr().out
+    assert f"at most {ORACLE_MAX_GRAPHS:,} graphs" in capsys.readouterr().out
 
 
 def _limit_address_space():
@@ -1537,7 +1591,7 @@ def oracle_argvs(draw):
     mode = draw(st.sampled_from(sorted(_ORACLE_FAST)))
     size = draw(st.integers(-3, 12) if mode == "mex" else st.integers(-3, 10))
     target = draw(_ORACLE_PATTERNS)
-    if _ORACLE_FAST[mode] < size <= (ORACLE_MAX_EDGES if mode == "mex" else ORACLE_MAX_N):
+    if size > _ORACLE_FAST[mode]:
         forbidden = draw(st.sampled_from(["K0", "S0", "no-such.el"]))
     else:
         forbidden = draw(_ORACLE_PATTERNS)

@@ -1,10 +1,12 @@
 """Canonical labeling and the exhaustive small-case maxima."""
 
 import hashlib
+import importlib.util
 import math
 import random
 from functools import lru_cache
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,9 @@ from mexlab.graphs import (Graph, Pattern, complete, complete_multipartite,
                            count_copies, cycle, format_edge_list, gnp, is_free,
                            pattern, star)
 from mexlab import graphs, oracle
-from mexlab.oracle import (ORACLE_MAX_EDGES, _best, _canonical_order, _children,
-                           _edge_orbit, _last_in_order, _levels, _refine,
-                           _top_edges, ex_exact, mex_exact)
+from mexlab.oracle import (_best, _canonical_order, _children, _edge_orbit,
+                           _last_in_order, _levels, _refine, _top_edges, ex_exact,
+                           mex_exact)
 
 TWO_K2 = Pattern(Graph(4, [(0, 1), (2, 3)]), "2K2")
 
@@ -307,7 +309,7 @@ def test_children_of_larger_padded_graphs_are_the_three_kinds():
 
 def test_enumerator_level_sizes_match_oeis():
     # K6 has 15 edges, so no graph of at most 11 edges contains it
-    levels, _ = _levels(ORACLE_MAX_EDGES, pattern("K2"), pattern("K6"))
+    levels, _ = _levels(11, pattern("K2"), pattern("K6"))
     sizes = [len(level) for level in levels]
     assert sizes == A000664
 
@@ -581,8 +583,6 @@ def test_mex_k3_k4_counters_are_pinned(m, value, graphs, classes):
 
 def test_mex_rejects():
     with pytest.raises(ValueError):
-        mex_exact(ORACLE_MAX_EDGES + 1, pattern("K3"), pattern("K4"))
-    with pytest.raises(ValueError):
         mex_exact(3, Pattern(Graph(2)), pattern("K4"))
     with pytest.raises(ValueError):  # K2 + K1: unbounded, one isolated vertex
         mex_exact(3, Pattern(Graph(3, [(0, 1)])), pattern("K3"))
@@ -694,9 +694,28 @@ def test_ex_counters_are_pinned(n, target, forb, value, graphs, classes):
         value, graphs, classes)
 
 
+def _perfbench_reference():
+    """perfbench/reference.py, which imports nothing of mexlab, loaded as a
+    module of its own (perfbench/ is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n,target,forbidden,value", [
+    (9, "K2", "K3", 20),  # Mantel
+    (9, "K2", "C4", 13),  # OEIS A006855
+    (10, "K2", "C4", 16),
+])
+def test_ex_past_n_8_matches_the_closed_forms(n, target, forbidden, value):
+    assert _perfbench_reference().ex_closed_form(n, target, forbidden) == value
+    assert ex_exact(n, pattern(target), pattern(forbidden)).value == value
+
+
 def test_ex_rejects():
-    with pytest.raises(ValueError):
-        ex_exact(9, pattern("K2"), pattern("K3"))
+    assert ex_exact(9, pattern("K2"), pattern("K3")).value == 20
     with pytest.raises(ValueError):
         ex_exact(3, pattern("K3"), Pattern(Graph(2)))
     # every graph on 3 vertices, the edgeless one too, contains 3K1

@@ -42,5 +42,5 @@ def test_same_outputs_refuses_a_staged_tree_equal_to_the_parent(tmp_path):
     git(repo, "add", "-A")
     proc = same_outputs(repo, "--seeds", "1-0")  # no seed: the fixed queries only
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == ("0 workload queries and 9 fixed queries: identical "
+    assert proc.stdout == ("0 workload queries and 11 fixed queries: identical "
                            "exit codes, stdout, stderr and files\n")
