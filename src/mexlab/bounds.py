@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .graphs import Pattern, chromatic_number
+if TYPE_CHECKING:  # an annotation only: cor17_classifier imports graphs as it runs
+    from .graphs import Pattern
 
 LEMMA_CONSTANT_MAX_R = 20
 COR14_MAX_S = 1000  # keeps the reported (s-1)! + 1 under 2600 digits
@@ -70,6 +72,16 @@ def lemma_constant(u: int, r: int) -> float:
 
 def _exact(*xs) -> bool:
     return all(isinstance(x, (int, Fraction)) for x in xs)
+
+
+def integral(v) -> int:
+    """An integral finite value: 3, 3.0 or 6/2 (a Fraction); anything else,
+    3.9, "3" or True included, is a ValueError rather than a truncation."""
+    if (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, Fraction) and v.denominator == 1
+            or isinstance(v, float) and v.is_integer()):
+        return int(v)
+    raise ValueError(f"must be an integer, got {v}")
 
 
 def cor12_exponent(r: int, s):
@@ -243,4 +255,5 @@ def cor17_classifier(f: Pattern, t: int) -> bool:
     exponent t/2, which happens exactly when chi(f) > t."""
     if t < 2:
         raise ValueError("t must be >= 2")
+    from .graphs import chromatic_number
     return chromatic_number(f.graph) > t

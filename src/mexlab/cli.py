@@ -6,14 +6,16 @@ failure.  Every randomized run records its seed in its report.
 
 The parser is built once, at import, and holds no per-call state (each
 parse returns a fresh namespace), so `main` may be called many times in one
-process, as perfbench's worker does.  Library names are looked up at call
-time, so a rebound module attribute (a tracing wrapper, say) is what runs.
+process, as perfbench's worker does.  Importing this module loads only
+`mexlab` and `bounds`: each subcommand imports the modules it runs when it
+runs, so a cold `bounds` call compiles none of the others.  Library names
+are read from their modules at call time, so a rebound module attribute (a
+tracing wrapper, say) is what runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -23,15 +25,9 @@ from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
+from . import EDGE_LIST_MAX_VERTICES, ORACLE_MAX_GRAPHS
 from . import bounds as bounds_mod
-from .bounds import ConditionError
-from .constructions import deletion_method, integral, norm_graph, run_experiment
-from .extraction import extract_dense
-from .graphs import (EDGE_LIST_MAX_VERTICES, CliqueVector, EdgeListError, Graph,
-                     Pattern, count_cliques, count_copies,
-                     edge_clique_participation, is_free, load_graph, pattern,
-                     save_edge_list)
-from .oracle import ORACLE_MAX_GRAPHS, ex_exact, mex_exact
+from .bounds import ConditionError, integral
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -50,14 +46,22 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError("usage", message)
 
 
+def _from_graphs(obj, name: str) -> bool:
+    """Whether obj is an instance of mexlab.graphs' class name.  No instance
+    can exist before a subcommand has imported graphs, so this looks graphs
+    up among the loaded modules rather than importing it."""
+    graphs = sys.modules.get("mexlab.graphs")
+    return graphs is not None and isinstance(obj, getattr(graphs, name))
+
+
 def _encode(obj):
     """The JSON form of a report object that json cannot write itself: a
     CliqueVector as k1..kR, a Graph as its order and edge list, a Fraction
     as exact text, and any other dataclass as its fields in declaration
     order under camelCase names."""
-    if isinstance(obj, CliqueVector):
+    if _from_graphs(obj, "CliqueVector"):
         return {f"k{r}": obj[r] for r in range(1, obj.R + 1)}
-    if isinstance(obj, Graph):
+    if _from_graphs(obj, "Graph"):
         return {"n": obj.n, "edges": obj.edges()}
     if isinstance(obj, Fraction):
         return str(obj)
@@ -132,6 +136,11 @@ def _number(text: str):
         value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"the denominator of {text!r} is zero") from None
+    except ValueError as exc:  # Python refuses to read an int that long
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ValueError(f"its text has over {sys.get_int_max_str_digits():,} "
+                         "digits") from None
     return value.numerator if value.denominator == 1 else value
 
 
@@ -144,22 +153,27 @@ def _sizes(text: str) -> list[int]:
     return [_int(x) for x in text.split("+")]
 
 
+def _pattern(text: str):
+    """The Pattern that graphs.pattern, read at call time, makes of the raw
+    text, which may be a path holding '/' or '+'."""
+    from . import graphs
+    return graphs.pattern(text)
+
+
 # Formula id -> (name of its `bounds` function, looked up at call time, and
-# its parameters in call order, each with the kind that reads its text).  A
-# Pattern parameter is read by `pattern`, also looked up at call time, from
-# its raw text, which may be a path holding '/' or '+'.
+# its parameters in call order, each with the kind that reads its text).
 _FORMULAS = {
     "lemma21_constant": ("lemma_constant", {"u": _int, "r": _int}),
     "cor12": ("cor12_exponent", {"r": _int, "s": _number}),
     "thm13_f": ("thm13_f", {"alpha": _number, "beta": _number}),
     "cor14_kst": ("cor14_kst", {"r": _int, "s": _int}),
-    "thm15_general": ("thm15_general", {"u": _int, "r": _int, "f": Pattern}),
+    "thm15_general": ("thm15_general", {"u": _int, "r": _int, "f": _pattern}),
     "thm41_kst_lower": ("thm41_kst_lower", {"u": _int, "r": _int, "s": _int, "t": _int}),
     "thm43_multipartite": ("thm43_multipartite", {"r": _int, "s": _sizes}),
     "remark42_one_part": ("remark42_one_part", {"r": _int, "s": _sizes}),
     "cor44_tripartite_lower": ("cor44_tripartite_lower", {"s1": _int, "s2": _int, "s3": _int}),
     "thm46_join_cycle": ("thm46_join_cycle", {"r": _int, "s": _int, "l": _int}),
-    "cor17_classifier": ("cor17_classifier", {"f": Pattern, "t": _int}),
+    "cor17_classifier": ("cor17_classifier", {"f": _pattern, "t": _int}),
 }
 
 
@@ -180,10 +194,10 @@ def _run_bounds(args) -> bounds_mod.ExponentReport:
         if key not in kinds:
             raise ValueError(f"{fid} takes no parameter {key!r}")
         try:
-            values[key] = pattern(text) if kinds[key] is Pattern else kinds[key](text)
-        except EdgeListError:
-            raise  # reported as the file's fault, not the parameter's
+            values[key] = kinds[key](text)
         except ValueError as exc:
+            if _from_graphs(exc, "EdgeListError"):
+                raise  # reported as the file's fault, not the parameter's
             raise ValueError(f"parameter {key!r} of {fid}: {exc}")
     try:
         values = {key: values[key] for key in kinds}  # in call order
@@ -194,7 +208,7 @@ def _run_bounds(args) -> bounds_mod.ExponentReport:
         if not isinstance(result, bounds_mod.ExponentReport):
             # A scalar formula; its report echoes the values it was called
             # with, a pattern by its text (its name).
-            params = {k: v.name if isinstance(v, Pattern) else v
+            params = {k: v.name if kinds[k] is _pattern else v
                       for k, v in values.items()}
             result = bounds_mod.ExponentReport(
                 fid, params, result if isinstance(result, bool) else float(result),
@@ -293,54 +307,66 @@ def _dispatch(args) -> tuple[object, str | None]:
     """The subcommand's report and the path to write it to (None for
     stdout)."""
     cmd = args.command
+    if cmd == "bounds":
+        return _run_bounds(args), args.out
+    from . import graphs  # every other subcommand reads or builds a graph
+
     if cmd == "count":
-        return count_cliques(load_graph(args.input), args.max_clique), args.out
+        return graphs.count_cliques(graphs.load_graph(args.input),
+                                    args.max_clique), args.out
     if cmd == "participation":
-        part = edge_clique_participation(load_graph(args.input), args.r)
+        part = graphs.edge_clique_participation(graphs.load_graph(args.input), args.r)
         return {"r": args.r, "participation": [
             [u, v, c] for (u, v), c in part.items()]}, args.out
     if cmd == "pattern-count":
-        f = pattern(args.pattern)
-        g = load_graph(args.input)
-        return {"pattern": args.pattern, "count": count_copies(f, g)}, args.out
+        f = graphs.pattern(args.pattern)
+        g = graphs.load_graph(args.input)
+        return {"pattern": args.pattern, "count": graphs.count_copies(f, g)}, args.out
     if cmd == "free-check":
-        f = pattern(args.pattern)
-        g = load_graph(args.input)
-        return {"pattern": args.pattern, "free": is_free(f, g)}, args.out
+        f = graphs.pattern(args.pattern)
+        g = graphs.load_graph(args.input)
+        return {"pattern": args.pattern, "free": graphs.is_free(f, g)}, args.out
     if cmd == "extract":
-        g = load_graph(args.input)
+        from . import extraction
+        g = graphs.load_graph(args.input)
         try:
-            out_graph, report = extract_dense(g, args.r, args.alpha, args.C)
+            out_graph, report = extraction.extract_dense(g, args.r, args.alpha, args.C)
         except (OverflowError, ZeroDivisionError) as exc:
             raise ValueError(f"extract: r, alpha and C put a threshold or guarantee "
                              f"constant out of float range ({exc})")
         if args.out:
-            save_edge_list(out_graph, args.out)
+            graphs.save_edge_list(out_graph, args.out)
         return report, args.report
-    if cmd == "bounds":
-        return _run_bounds(args), args.out
     if cmd == "construct":
+        from . import constructions
         if args.construct_kind == "norm-graph":
-            g = norm_graph(args.q, args.s)
-            save_edge_list(g, args.out)
+            g = constructions.norm_graph(args.q, args.s)
+            graphs.save_edge_list(g, args.out)
             return {"family": "norm_graph", "q": args.q, "s": args.s,
                     "n": g.n, "m": g.m, "out": args.out}, None
         if args.construct_kind == "deletion":
-            f = pattern(args.pattern)
-            g, run = deletion_method(f, args.u, args.r, args.n, args.seed, args.c)
+            f = graphs.pattern(args.pattern)
+            g, run = constructions.deletion_method(f, args.u, args.r, args.n,
+                                                   args.seed, args.c)
             if args.out:
-                save_edge_list(g, args.out)
+                graphs.save_edge_list(g, args.out)
             return run, args.report
         raise _CliError("usage", "construct needs a subcommand: norm-graph | deletion")
     if cmd == "oracle":
+        from . import oracle
         if args.oracle_mode == "mex":
-            res = mex_exact(args.m, pattern(args.target), pattern(args.forbidden))
+            res = oracle.mex_exact(args.m, graphs.pattern(args.target),
+                                   graphs.pattern(args.forbidden))
         elif args.oracle_mode == "ex":
-            res = ex_exact(args.n, pattern(args.target), pattern(args.forbidden))
+            res = oracle.ex_exact(args.n, graphs.pattern(args.target),
+                                  graphs.pattern(args.forbidden))
         else:
             raise _CliError("usage", "oracle needs a subcommand: mex | ex")
         return res, args.report
     # experiment, the last subcommand
+    import csv
+
+    from . import constructions
     with open(args.spec, "r", encoding="ascii") as fh:
         try:
             obj = json.load(fh)
@@ -348,7 +374,7 @@ def _dispatch(args) -> tuple[object, str | None]:
             raise _CliError("invalid-input", f"{args.spec}: JSON nested too deeply")
         except ValueError as exc:  # not JSON, or not ASCII
             raise _CliError("invalid-input", f"{args.spec}: {exc}")
-    rows, predicted, slope = run_experiment(obj)
+    rows, predicted, slope = constructions.run_experiment(obj)
     with open(args.csv, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([*rows[0], "predicted_exponent", "fitted_slope"])
@@ -386,7 +412,7 @@ def main(argv=None) -> int:
                "failedCondition": exc.condition}, None)
         return EXIT_VALIDATION
     except ValueError as exc:  # a malformed edge-list file is the input's fault
-        code = "invalid-input" if isinstance(exc, EdgeListError) else "invalid-params"
+        code = "invalid-input" if _from_graphs(exc, "EdgeListError") else "invalid-params"
         _emit({"code": code, "message": str(exc)}, None)
         return EXIT_VALIDATION
     except OSError as exc:

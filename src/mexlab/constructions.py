@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import ConditionError, cor14_kst, thm15_general
+from .bounds import ConditionError, cor14_kst, integral, thm15_general
 from .fields import FiniteField, is_prime
 from .graphs import (EDGE_LIST_MAX_VERTICES, LITERAL_MAX_EDGES, Graph,
                      Pattern, _clique_counts, complete_multipartite,
@@ -180,16 +180,6 @@ def deletion_method(f: Pattern, u: int, r: int, n: int, seed: int,
 # ---------------------------------------------------------------------------
 
 TRIPARTITE_TRIANGLE_EXPONENT = Fraction(11, 9)
-
-
-def integral(v) -> int:
-    """An integral finite value: 3, 3.0 or 6/2 (a Fraction); anything else,
-    3.9, "3" or True included, is a ValueError rather than a truncation."""
-    if (isinstance(v, int) and not isinstance(v, bool)
-            or isinstance(v, Fraction) and v.denominator == 1
-            or isinstance(v, float) and v.is_integer()):
-        return int(v)
-    raise ValueError(f"must be an integer, got {v}")
 
 
 def finite_number(v) -> bool:

@@ -61,10 +61,11 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
+from . import EDGE_LIST_MAX_VERTICES
+
 PATTERN_MAX_ORDER = 16
 COUNTING_MAX_ORDER = 12
 CHROMATIC_MAX_ORDER = 16
-EDGE_LIST_MAX_VERTICES = 50000
 LITERAL_MAX_EDGES = 1000000
 
 _MASK64 = (1 << 64) - 1

@@ -62,10 +62,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import (EDGE_LIST_MAX_VERTICES, Graph, Pattern, _copies_through,
-                     _twin_classes, bits)
-
-ORACLE_MAX_GRAPHS = 2 ** 19
+from . import EDGE_LIST_MAX_VERTICES, ORACLE_MAX_GRAPHS
+from .graphs import Graph, Pattern, _copies_through, _twin_classes, bits
 
 
 # ---------------------------------------------------------------------------

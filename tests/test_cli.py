@@ -447,6 +447,12 @@ def test_only_guarantee_d_has_cases():
     ("cor14_kst", "r=3,s=3,t=2", "t"),
     # an exponent Fraction would expand into ten million digits
     ("thm13_f", "alpha=1e10000000,beta=2", "alpha"),
+    # a number with more digits than Python will read
+    pytest.param("cor12", "r=4,s=" + "9" * 5000, "s", id="cor12-s-int-5000-digits"),
+    pytest.param("cor12", "r=4,s=1/" + "9" * 5000, "s",
+                 id="cor12-s-denominator-5000-digits"),
+    pytest.param("cor12", "r=4,s=0." + "9" * 5000, "s",
+                 id="cor12-s-decimal-5000-digits"),
 ])
 def test_bounds_rejects_malformed_params(fid, params, key, capsys, schema):
     start = time.perf_counter()
@@ -482,7 +488,7 @@ def test_bounds_pattern_param_is_read_by_the_pattern_bound_at_call_time(
     argv = ["bounds", "--formula", "thm15_general", "--params", f"u=2,r=3,f={path}"]
     plain = run_cli(capsys, *argv)
     calls = []
-    monkeypatch.setattr("mexlab.cli.pattern", lambda text: calls.append(text) or pattern(text))
+    monkeypatch.setattr("mexlab.graphs.pattern", lambda text: calls.append(text) or pattern(text))
     assert run_cli(capsys, *argv) == plain and plain[0] == EXIT_OK
     assert calls == [path]
 
@@ -504,6 +510,16 @@ def test_bounds_says_a_denominator_is_zero(capsys, schema):
     assert code == EXIT_VALIDATION and obj == {
         "code": "invalid-params",
         "message": "parameter 's' of cor12: the denominator of '1/0' is zero"}
+
+
+@pytest.mark.parametrize("text", ["9" * 5000, "1/" + "9" * 5000, "0." + "9" * 5000],
+                         ids=["int", "denominator", "decimal"])
+def test_bounds_names_a_parameter_too_long_to_read(text, capsys, schema):
+    code, obj = run_json(capsys, schema, "bounds", "--formula", "cor12",
+                         "--params", f"r=4,s={text}")
+    assert code == EXIT_VALIDATION and obj == {
+        "code": "invalid-params",
+        "message": "parameter 's' of cor12: its text has over 4,300 digits"}
 
 
 def test_bounds_names_a_report_value_too_long_to_print(capsys, schema):
@@ -562,13 +578,35 @@ def test_bounds_params_fuzz(fid, pairs, schema):
     validator.validate(json.loads(buf.getvalue(), parse_constant=pytest.fail))
 
 
-def test_cli_import_leaves_numpy_unloaded():
+@pytest.mark.parametrize("argv,modules", [
+    (["bounds", "--formula", "lemma21_constant", "--params", "u=2,r=3"], set()),
+    (["bounds", "--formula", "thm15_general", "--params", "u=2,r=3,f=K3_4"],
+     {"graphs"}),
+    (["count", "--input", "K3", "--max-clique", "3"], {"graphs"}),
+    (["oracle", "mex", "--m", "3", "--target", "K3", "--forbidden", "K4"],
+     {"graphs", "oracle"}),
+    (["construct", "norm-graph", "--q", "3", "--s", "2", "--out", "OUT"],
+     {"constructions", "fields", "graphs"}),
+], ids=["bounds", "bounds-pattern", "count", "oracle-mex", "construct-norm-graph"])
+def test_each_subcommand_loads_only_its_modules(argv, modules, tmp_path):
+    # Each CLI call is a fresh interpreter, which compiles every module it
+    # imports: past mexlab, cli and bounds only the modules the subcommand
+    # runs are loaded, and numpy never is.
     src = Path(mexlab.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, mexlab.cli; sys.exit('numpy' in sys.modules)"],
-        env=env, timeout=60)
-    assert proc.returncode == 0
+    argv = [str(tmp_path / "out.el") if a == "OUT" else a for a in argv]
+    code = ("import sys\n"
+            "from mexlab.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, *sorted(m for m in sys.modules\n"
+            "                    if m.partition('.')[0] in ('mexlab', 'numpy')),\n"
+            "      file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=60)
+    exit_code, *loaded = proc.stderr.split()
+    assert int(exit_code) == EXIT_OK
+    assert set(loaded) == {"mexlab", "mexlab.cli", "mexlab.bounds",
+                           *(f"mexlab.{m}" for m in modules)}
 
 
 def test_extract_cli(tmp_path, capsys, schema):
@@ -1662,7 +1700,7 @@ def test_json_writer_refuses_non_finite_floats_as_json_does(value):
 
 
 def test_a_non_finite_report_value_exits_invalid_params(capsys, schema, monkeypatch):
-    monkeypatch.setattr("mexlab.cli.count_cliques", lambda g, R: {"k1": math.inf})
+    monkeypatch.setattr("mexlab.graphs.count_cliques", lambda g, R: {"k1": math.inf})
     code, obj = run_json(capsys, schema, "count", "--input", "K3", "--max-clique", "1")
     assert code == EXIT_VALIDATION and obj == {
         "code": "invalid-params",
