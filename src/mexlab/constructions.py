@@ -21,16 +21,9 @@ DELETION_MAX_COPIES = 10000
 EXPERIMENT_MAX_INSTANCES = 32
 
 
-def norm_graph(q: int, s: int) -> Graph:
-    """Graph on GF(q^(s-1)) x GF(q)* with (A,a) ~ (B,b) iff N(A+B) = a*b.
-
-    N is the field norm down to GF(q) (identity when s = 2).  Vertex (A, a)
-    gets index A_idx*(q-1) + (a-1) where A_idx enumerates GF(q^(s-1)) in
-    base-q counting order of coefficient vectors.
-
-    H(2, s) is the complete graph on 2^(s-1) vertices: GF(2)* = {1} and the
-    norm of a nonzero A + B is 1, so every two vertices are adjacent.
-    """
+def _norm_graph_order(q: int, s: int) -> int:
+    """The vertex count of H(q, s), once q, s, the vertex count and the
+    edge bound pass their checks; a ValueError names the first that fails."""
     # q^(s-1) (q-1) is at least q - 1 and 2^(s-1): bound q and s before the
     # trial-division primality test and the power
     if q - 1 > NORM_GRAPH_MAX_VERTICES or s > NORM_GRAPH_MAX_VERTICES.bit_length():
@@ -48,6 +41,20 @@ def norm_graph(q: int, s: int) -> Graph:
     if edges > LITERAL_MAX_EDGES:
         raise ValueError(f"(q, s) = ({q}, {s}) has up to {edges} "
                          f"edges, above cap {LITERAL_MAX_EDGES}")
+    return n
+
+
+def norm_graph(q: int, s: int) -> Graph:
+    """Graph on GF(q^(s-1)) x GF(q)* with (A,a) ~ (B,b) iff N(A+B) = a*b.
+
+    N is the field norm down to GF(q) (identity when s = 2).  Vertex (A, a)
+    gets index A_idx*(q-1) + (a-1) where A_idx enumerates GF(q^(s-1)) in
+    base-q counting order of coefficient vectors.
+
+    H(2, s) is the complete graph on 2^(s-1) vertices: GF(2)* = {1} and the
+    norm of a nonzero A + B is 1, so every two vertices are adjacent.
+    """
+    n = _norm_graph_order(q, s)
     F = FiniteField(q, s - 1)
     elems = [F.from_index(i) for i in range(F.order)]
     index = {a: i for i, a in enumerate(elems)}
@@ -207,7 +214,7 @@ def fit_loglog_slope(xs, ys) -> float:
 
 def tripartite_parts(n: int) -> list[int]:
     """Parts n, floor(sqrt(n)), floor(n^(1/3)) of the complete tripartite
-    instance.  As for a K literal, an n above EDGE_LIST_MAX_VERTICES or an
+    instance.  As for a literal, an n above EDGE_LIST_MAX_VERTICES or an
     instance above LITERAL_MAX_EDGES edges is a ValueError; below the edge
     cap the instance has fewer than EDGE_LIST_MAX_VERTICES vertices."""
     if n < 1:
@@ -281,6 +288,8 @@ def run_experiment(obj):
     # Each graph is built only when the loop below reaches it.
     if family == "norm_graph":
         predicted = cor14_kst(r, s).value
+        for q in qs:  # caps first
+            _norm_graph_order(q, s)
         graphs = ((f"q={q}", norm_graph(q, s)) for q in qs)
     elif family == "tripartite":
         predicted = float(TRIPARTITE_TRIANGLE_EXPONENT)

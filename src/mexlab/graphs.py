@@ -330,8 +330,9 @@ def parse_pattern_literal(text: str) -> Graph | None:
     """Expand shorthand literals: K5, K3_4, K2_2_2, C5, S4 (star with 4 leaves).
 
     Returns None when the text is not a literal (load_graph reads it as a path).
-    A literal with more than LITERAL_MAX_EDGES edges is a ValueError, raised
-    before any edge is generated.
+    A literal with more than LITERAL_MAX_EDGES edges, or else more than
+    EDGE_LIST_MAX_VERTICES vertices, is a ValueError, raised before any edge
+    is generated.
     """
     m = _LITERAL_RE.match(text.strip())
     if not m:
@@ -347,6 +348,10 @@ def parse_pattern_literal(text: str) -> Graph | None:
         edges = (sum(nums) ** 2 - sum(x * x for x in nums)) // 2
     if edges > LITERAL_MAX_EDGES:
         raise ValueError(f"{text.strip()} has {edges} edges, above cap {LITERAL_MAX_EDGES}")
+    vertices = nums[0] + 1 if kind == "S" else sum(nums)
+    if vertices > EDGE_LIST_MAX_VERTICES:
+        raise ValueError(f"{text.strip()} has {vertices} vertices, above cap "
+                         f"{EDGE_LIST_MAX_VERTICES}")
     if kind == "C":
         return cycle(nums[0])
     if kind == "S":

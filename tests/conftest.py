@@ -4,11 +4,22 @@ from __future__ import annotations
 
 import gc
 import sys
+import types
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
-from mexlab.graphs import Graph, Pattern, complete, count_copies, is_free
+from mexlab.graphs import Graph, Pattern, complete
+
+# perfbench/reference.py imports nothing of mexlab.  Every brute-force check
+# of the suite calls it, so none shares code with what it checks.  It runs
+# once, from its source: perfbench/ is not a package, and no bytecode is
+# written beside it.
+REFERENCE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+ref = types.ModuleType("perfbench_reference")
+exec(compile(REFERENCE_PATH.read_text(encoding="utf-8"), REFERENCE_PATH, "exec"),
+     ref.__dict__)
 
 
 def petersen() -> Graph:
@@ -42,6 +53,14 @@ def path(length: int) -> Graph:
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     edges = g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()]
     return Graph(g.n + h.n, edges)
+
+
+def complete_plus_matching(n: int, extra: int) -> Graph:
+    """K_n plus `extra` disjoint edges."""
+    g = complete(n)
+    for _ in range(extra):
+        g = disjoint_union(g, complete(2))
+    return g
 
 
 def hom_brute_force(f: Graph, t: Graph) -> bool:
@@ -91,13 +110,13 @@ def label_ordered_edge_sets(m: int):
 
 def mex_exhaustive_reference(m: int, target: Pattern, forbidden: Pattern) -> int:
     """Scan every label-ordered m-edge graph with no isomorph rejection at
-    all, filter, maximize."""
+    all, filter and maximize by the reference's brute force."""
     if m < 1:
         return 0
     best = 0
     for g in label_ordered_edge_sets(m):
-        if is_free(forbidden, g):
-            best = max(best, count_copies(target, g))
+        if not ref.contains(forbidden.graph.adj, g.adj):
+            best = max(best, ref.count_copies(target.graph.adj, g.adj))
     return best
 
 

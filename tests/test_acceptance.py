@@ -18,9 +18,9 @@ import time
 from fractions import Fraction
 from math import comb
 
-from conftest import (bowtie, diamond, disjoint_union, hom_brute_force,
+from conftest import (bowtie, complete_plus_matching, diamond, hom_brute_force,
                       lemma_constant_recursive, mex_exhaustive_reference, path,
-                      paw, petersen)
+                      paw, petersen, ref)
 from mexlab.bounds import (COND_EDGE_COUNT, COND_MADC, cor14_kst,
                            cor17_classifier, lemma_constant, thm13_f,
                            thm15_general, thm41_kst_lower)
@@ -64,19 +64,12 @@ def test_criterion_2_constant_recursion():
               f"C(1,2)=0.5, C(2,3)=sqrt(2)/3")
 
 
-def _complete_plus_matching(n, extra):
-    g = complete(n)
-    for _ in range(extra):
-        g = disjoint_union(g, complete(2))
-    return g
-
-
 def test_criterion_3_extraction_guarantees():
     t0 = time.time()
     met = []
     for n in range(6, 17):
         for extra in range(0, 15, 2):
-            out, rep = extract_dense(_complete_plus_matching(n, extra), 3, 1.0, 0.2)
+            out, rep = extract_dense(complete_plus_matching(n, extra), 3, 1.0, 0.2)
             if rep.hypothesis_met:
                 met.append(rep)
             if len(met) == 50:
@@ -84,7 +77,7 @@ def test_criterion_3_extraction_guarantees():
         if len(met) == 50:
             break
     flags_ok = all(rep.all_guarantees_pass() for rep in met)
-    out, rep = extract_dense(_complete_plus_matching(10, 20), 3, 1.0, 0.2)
+    out, rep = extract_dense(complete_plus_matching(10, 20), 3, 1.0, 0.2)
     exact_ok = out == complete(10)
     elapsed = time.time() - t0
     criterion("3", len(met) == 50 and flags_ok and exact_ok and elapsed < 5,
@@ -110,14 +103,6 @@ def test_criterion_5a_norm_graph_triangle_ratio():
               f"k_3(H(5,3)) / (n^2/6) = {ratio:.4f} in [0.5, 1.5]")
 
 
-def _least_squares_slope(xs, ys):
-    lx = [math.log(x) for x in xs]
-    ly = [math.log(y) for y in ys]
-    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
-    return (sum((a - mx) * (b - my) for a, b in zip(lx, ly))
-            / sum((a - mx) ** 2 for a in lx))
-
-
 def test_criterion_5b_norm_graph_slope():
     qs = [5, 7, 11, 13]
     r, s = 3, 2
@@ -132,7 +117,7 @@ def test_criterion_5b_norm_graph_slope():
     exponent_ok = predicted == 1 and predicted_exponent == predicted
     # One edge or one triangle more or fewer at any q moves this slope by
     # more than 3.1e-4, so 1e-9 leaves no room for a miscount.
-    exact_slope = _least_squares_slope(edges, triangles)
+    exact_slope = ref.loglog_slope(edges, triangles)
     slope_ok = abs(slope - exact_slope) <= 1e-9
     ratios = [Fraction(k3, m) for m, k3 in zip(edges, triangles)]
     ratios_ok = (all(a < b for a, b in zip(ratios, ratios[1:]))

@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from conftest import bowtie, lemma_constant_recursive, petersen
+from conftest import bowtie, lemma_constant_recursive, petersen, ref
 from mexlab.bounds import (COND_EDGE_COUNT, COND_MADC, COR14_MAX_S,
                            cor12_exponent, cor14_kst, cor17_classifier,
                            cor44_tripartite_lower, lemma_constant,
@@ -115,20 +115,16 @@ def test_specialization_identity():
                 assert abs(a - b) < 1e-12
 
 
-def _thm41_closed_form(u, r, s, t):
-    """Thm 4.1's exponent as the paper states it; None at a zero denominator."""
-    num = 2 * r * s * t - r * (r - 1) * (s + t) - r * (r - 1) * (r - 2)
-    den = 2 * u * s * t - u * (u - 1) * (s + t) - u * r * (r - 1) + 2 * u * (u - 1)
-    return Fraction(num, den) if den != 0 else None
-
-
 def test_thm41_is_its_closed_form_exactly():
     zero_denominators = 0
     for r in range(3, 7):
         for u in range(2, r):
             for s in range(1, 9):
                 for t in range(s, 9):
-                    want = _thm41_closed_form(u, r, s, t)
+                    try:  # Thm 4.1's exponent as the paper states it
+                        want = ref.kst_exponent(u, r, s, t)
+                    except ZeroDivisionError:
+                        want = None
                     rep = thm41_kst_lower(u, r, s, t)
                     assert rep.value_rational == want
                     assert rep.value == (None if want is None else float(want))

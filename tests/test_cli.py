@@ -24,7 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mexlab
-from conftest import cyclic_garbage, recursion_headroom
+from conftest import cyclic_garbage, recursion_headroom, ref
 from mexlab import bounds as bounds_mod
 from mexlab.bounds import (Condition, ExponentReport, cor12_exponent,
                            cor14_kst, cor17_classifier, cor44_tripartite_lower,
@@ -725,6 +725,16 @@ def test_oracle_reports_past_the_benchmark_are_pinned(mode, size, target, forbid
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_REPORT_SHA256[
         mode, size, target, forbidden]
+    # the report's claims, re-checked by the reference
+    obj = json.loads(out)
+    n, edges = obj["witness"]["n"], obj["witness"]["edges"]
+    witness = ref.adj_from_edges(n, edges)
+    assert ref.count_copies(ref.literal(target)[1], witness) == obj["value"]
+    assert not ref.contains(ref.literal(forbidden)[1], witness)
+    if mode == "mex":
+        assert len(edges) == size and all(witness)
+    else:
+        assert n == size
 
 
 def test_oracle_mex_returns_a_value_at_the_edge_cap(capsys, schema):
@@ -871,6 +881,8 @@ def test_experiment_refuses_clique_sizes_its_prediction_is_not_for(
      "tripartite n = -1 must be a positive integer"),
     ({"family": "tripartite", "n": [0, 8, 9]},
      "tripartite n = 0 must be a positive integer"),
+    ({"family": "norm_graph", "q": [3, 5, 37], "s": 3},
+     "(q, s) = (37, 3) has up to 33710256 edges, above cap 1000000"),
 ])
 def test_experiment_refusal_order(spec, message, tmp_path, capsys, schema,
                                   monkeypatch):
@@ -1283,6 +1295,10 @@ def test_construct_deletion_stops_at_copy_cap(tmp_path, schema):
     ["bounds", "--formula", "cor14_kst", "--params", "r=3,s=1001"],
     ["bounds", "--formula", "cor14_kst", "--params", "r=3,s=2000"],
     ["bounds", "--formula", "cor14_kst", "--params", "r=3,s=100000000"],
+    # under the edge cap, one vertex over the vertex cap
+    ["count", "--input", "C50001", "--max-clique", "2"],
+    ["count", "--input", "S50000", "--max-clique", "2"],
+    ["count", "--input", "K1_50000", "--max-clique", "2"],
 ])
 def test_cli_rejects_out_of_range_parameters(argv, tmp_path, capsys, schema):
     out = tmp_path / "g.el"

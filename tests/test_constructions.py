@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ref
 from mexlab import constructions
 from mexlab.bounds import COND_MADC, ConditionError
 from mexlab.cli import EXIT_OK, main
@@ -88,26 +89,16 @@ def test_bipartite_counts_on_a_norm_graph_match_codegree_sums():
 
 
 def test_norm_graph_triangle_count_closed_form():
-    # H(q,2) built here from its definition, (A,a) ~ (B,b) iff A+B = ab mod q,
-    # with (A, a) at index A*(q-1) + (a-1) as norm_graph documents.
-    from itertools import combinations
-    from math import comb
+    # H(q,2) as the reference builds it from its definition, (A,a) ~ (B,b)
+    # iff A+B = ab mod q, with (A, a) at index A*(q-1) + (a-1) as norm_graph
+    # documents.
     for q in (3, 5, 7, 11, 13):
-        verts = [(A, a) for A in range(q) for a in range(1, q)]
-        edges = {(i, j) for (i, (A, a)), (j, (B, b))
-                 in combinations(enumerate(verts), 2)
-                 if (A + B - a * b) % q == 0}
+        n, edges = ref.norm_graph_edges(q, 2)
         g = norm_graph(q, 2)
-        assert set(g.edges()) == edges
+        assert (g.n, g.edges()) == (n, edges)
         assert len(edges) == (q - 1) * (q * q - q - 1) // 2
-        nbrs = [set() for _ in verts]
-        for i, j in edges:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        triangles = sum(1 for i, j, k in combinations(range(len(verts)), 3)
-                        if j in nbrs[i] and k in nbrs[i] and k in nbrs[j])
-        assert triangles == comb(q - 1, 3)
-        assert count_cliques(g, 3)[3] == comb(q - 1, 3)
+        assert ref.clique_counts(ref.adj_from_edges(n, edges), 3)[3] == math.comb(q - 1, 3)
+        assert count_cliques(g, 3)[3] == math.comb(q - 1, 3)
 
 
 # sha256 of format_edge_list(norm_graph(q, s)) for s = 3, 4, 5, whose norms

@@ -2,17 +2,10 @@
 
 import pytest
 
-from conftest import disjoint_union
+from conftest import complete_plus_matching
 from mexlab.extraction import extract_dense
 from mexlab.graphs import (Graph, complete, count_cliques,
                            edge_clique_participation, gnp, star)
-
-
-def complete_plus_matching(n, extra):
-    g = complete(n)
-    for _ in range(extra):
-        g = disjoint_union(g, complete(2))
-    return g
 
 
 def test_params_validation():

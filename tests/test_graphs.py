@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (bowtie, cyclic_garbage, disjoint_union,
-                      hom_brute_force, path, petersen, recursion_headroom)
+                      hom_brute_force, path, petersen, recursion_headroom, ref)
 from mexlab import graphs
 from mexlab.bounds import lemma_constant
 from mexlab.constructions import deletion_method
@@ -81,26 +81,16 @@ def test_participation_sums_to_clique_count():
 
 
 def test_participation_matches_brute_force():
-    # r-cliques through uv are the (r-2)-subsets of N(u) & N(v) that span a
-    # clique.  The G(18, 0.9) hosts give common neighbourhoods of about 13
-    # vertices, where r = 6 and 7 take the clique tree's pivot path.
+    # r-cliques through uv are the (r-2)-cliques inside N(u) & N(v).  The
+    # G(18, 0.9) hosts give common neighbourhoods of about 13 vertices,
+    # where r = 6 and 7 take the clique tree's pivot path.
     hosts = list(seeded_graphs(30, max_n=10, ps=(0.5, 0.7, 0.9)))
     hosts += [gnp(18, 0.9, seed) for seed in (1, 2)]
     for i, g in enumerate(hosts):
         if g.m == 0:
             continue
-        edges = set(g.edges())
-
-        def adjacent(a, b):
-            return (min(a, b), max(a, b)) in edges
-
         for r in (3, 4, 5, 6, 7):
-            part = edge_clique_participation(g, r)
-            for u, v in edges:
-                common = [w for w in range(g.n) if adjacent(u, w) and adjacent(v, w)]
-                expect = sum(all(adjacent(a, b) for a, b in combinations(c, 2))
-                             for c in combinations(common, r - 2))
-                assert part[(u, v)] == expect, (i, r, (u, v))
+            assert edge_clique_participation(g, r) == ref.participation(g.adj, r), (i, r)
 
 
 def test_complete_graph_counts_are_binomials():
@@ -114,11 +104,8 @@ def test_multipartite_counts_are_elementary_symmetric():
     # coefficient of x^r in the product of (1 + a x) over the parts
     for i in range(40):
         sizes = [1 + (7 * i + 3 * j) % 9 for j in range(1 + i % 6)]
-        poly = [1]
-        for a in sizes:
-            poly = [c + a * b for c, b in zip(poly + [0], [0] + poly)]
         R = len(sizes) + 2
-        want = tuple(poly + [0] * (R + 1 - len(poly)))
+        want = tuple(ref.elementary_symmetric(sizes, k) for k in range(R + 1))
         assert count_cliques(complete_multipartite(sizes), R).counts == want, sizes
 
 
@@ -604,14 +591,6 @@ def test_splitmix64_reference_vector():
     assert splitmix64(0, 2) == 0x06C45D188009454F
 
 
-def per_slot_gnp(n, p, seed):
-    """slot i, the i-th pair (u, v) in lexicographic order, is an edge iff
-    splitmix64(seed, i) < round(p * 2^64)"""
-    threshold = round(p * 2.0 ** 64)
-    slots = combinations(range(n), 2)
-    return Graph(n, [e for i, e in enumerate(slots) if splitmix64(seed, i) < threshold])
-
-
 # p at the ends of the threshold range: 0, a subnormal, one draw in 2^64,
 # a half, the largest double below 1, and 1
 _EDGE_PS = {0.0: 0, 5e-324: 0, 2.0 ** -64: 1, 0.5: 2 ** 63,
@@ -622,7 +601,7 @@ _EDGE_SEEDS = (0, -1, 2 ** 64 - 1, 2 ** 70 + 5)
 def test_gnp_is_the_splitmix64_slot_definition():
     for n, p, seed in [(0, 0.5, 1), (1, 0.5, 1), (2, 0.5, 3), (17, 0.3, 0),
                        (30, 0.5, 12345), (40, 0.05, 2 ** 64 - 1), (25, 0.9, 2 ** 70 + 5)]:
-        assert gnp(n, p, seed) == per_slot_gnp(n, p, seed), (n, p, seed)
+        assert gnp(n, p, seed) == Graph(n, ref.splitmix_gnp(n, p, seed)), (n, p, seed)
     # no C(n, 2) is one of these chunk ends, so n and n + 1 bracket each;
     # test_slot_flags_across_chunk_ends takes the counts themselves
     lanes = graphs._LANES
@@ -635,11 +614,11 @@ def test_gnp_is_the_splitmix64_slot_definition():
             for seed in _EDGE_SEEDS:
                 if n == 500 and p not in (0.5, 1 - 2.0 ** -53):
                     continue
-                assert gnp(n, p, seed) == per_slot_gnp(n, p, seed), (n, p, seed)
+                assert gnp(n, p, seed) == Graph(n, ref.splitmix_gnp(n, p, seed)), (n, p, seed)
     # n = 512 fills the grid with n^2 = 2^18 flag bytes; 511 and 513 bracket it
     for n, p, seed in [(511, 0.5, -1), (512, 2.0 ** -64, 0), (512, 0.5, 2 ** 70 + 5),
                        (513, 1 - 2.0 ** -53, 2 ** 64 - 1)]:
-        assert gnp(n, p, seed) == per_slot_gnp(n, p, seed), (n, p, seed)
+        assert gnp(n, p, seed) == Graph(n, ref.splitmix_gnp(n, p, seed)), (n, p, seed)
 
 
 def test_slot_flags_across_chunk_ends():
@@ -667,7 +646,7 @@ def test_gnp_transient_memory_at_the_largest_deletion_host():
 @given(st.integers(0, 120), st.floats(0.0, 1.0), st.integers(-2 ** 70, 2 ** 70))
 @settings(max_examples=60, deadline=None)
 def test_gnp_matches_the_per_slot_definition(n, p, seed):
-    assert gnp(n, p, seed) == per_slot_gnp(n, p, seed)
+    assert gnp(n, p, seed) == Graph(n, ref.splitmix_gnp(n, p, seed))
 
 
 @given(st.integers(2, 10), st.data())

@@ -1,25 +1,21 @@
 """Canonical labeling and the exhaustive small-case maxima."""
 
 import hashlib
-import importlib.util
 import math
 import random
 from functools import lru_cache
 from itertools import combinations, permutations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import embedding_reference as ref
 from conftest import (bowtie, cyclic_garbage, disjoint_union, k4_minus_edge,
                       label_ordered_edge_sets, mex_exhaustive_reference, path,
-                      petersen)
+                      petersen, ref)
 from mexlab.bounds import lemma_constant
-from mexlab.graphs import (Graph, Pattern, complete, complete_multipartite,
-                           count_copies, cycle, format_edge_list, gnp, is_free,
-                           pattern, star)
+from mexlab.graphs import (Graph, Pattern, complete, complete_multipartite, cycle,
+                           format_edge_list, gnp, pattern, star)
 from mexlab import graphs, oracle
 from mexlab.oracle import (_best, _canonical_order, _children, _edge_orbit,
                            _last_in_order, _levels, _refine, _top_edges, ex_exact,
@@ -31,6 +27,10 @@ TWO_K2 = Pattern(Graph(4, [(0, 1), (2, 3)]), "2K2")
 A000664 = [1, 1, 2, 5, 11, 26, 68, 177, 497, 1476, 4613, 15216]
 # OEIS A000088: graphs on n vertices, n = 0..7.
 A000088 = [1, 1, 2, 4, 11, 34, 156, 1044]
+# OEIS A006785 and A006786: triangle-free and C4-free graphs on n vertices,
+# n = 0..9.
+A006785 = [1, 1, 2, 3, 7, 14, 38, 107, 410, 1897]
+A006786 = [1, 1, 2, 4, 8, 18, 44, 117, 351, 1230]
 
 
 def _relabeled(n, edges, perm):
@@ -432,6 +432,22 @@ def test_ex_unfiltered_class_counts_match_oeis():
         assert res.iso_classes_examined == A000088[n]
 
 
+@pytest.mark.parametrize("forbidden,counts", [("K3", A006785), ("C4", A006786)])
+def test_ex_filtered_class_counts_match_oeis(forbidden, counts):
+    # F-freeness passes to subgraphs, so ex examines exactly the F-free
+    # classes: one per F-free graph on n vertices
+    for n, count in enumerate(counts):
+        assert ex_exact(n, pattern("K2"), pattern(forbidden)).iso_classes_examined == count
+    # the atlas, which holds each graph on at most 7 vertices once, agrees
+    nx = pytest.importorskip("networkx")
+    f = ref.literal(forbidden)[1]
+    free = [0] * 8
+    for a in nx.graph_atlas_g():
+        n = a.number_of_nodes()
+        free[n] += not ref.contains(f, ref.adj_from_edges(n, a.edges()))
+    assert free == counts[:8]
+
+
 # ---------------------------------------------------------------------------
 # Canonical deletion edge: greatest invariant first, then canonical order
 # ---------------------------------------------------------------------------
@@ -555,8 +571,8 @@ def test_mex_witness_contract():
     for m in range(1, 7):
         res = mex_exact(m, pattern("K3"), pattern("K2_2"))
         assert res.witness.m == m
-        assert is_free(pattern("K2_2"), res.witness)
-        assert count_copies(pattern("K3"), res.witness) == res.value
+        assert not ref.contains(ref.literal("K2_2")[1], res.witness.adj)
+        assert ref.count_copies(ref.literal("K3")[1], res.witness.adj) == res.value
         assert all(res.witness.adj[v] for v in range(res.witness.n))
 
 
@@ -631,9 +647,9 @@ def _full_scan_reference(m, target, forbidden):
     slots = list(combinations(range(2 * m), 2))
     best = 0
     for chosen in combinations(slots, m):
-        g = Graph(2 * m, chosen)
-        if is_free(forbidden, g):
-            best = max(best, count_copies(target, g))
+        g = ref.adj_from_edges(2 * m, chosen)
+        if not ref.contains(forbidden.graph.adj, g):
+            best = max(best, ref.count_copies(target.graph.adj, g))
     return best
 
 
@@ -680,7 +696,7 @@ def test_ex_mantel():
         res = ex_exact(n, pattern("K2"), pattern("K3"))
         assert res.value == n * n // 4
         assert res.witness.n == n
-        assert is_free(pattern("K3"), res.witness)
+        assert not ref.contains(ref.literal("K3")[1], res.witness.adj)
 
 
 @pytest.mark.parametrize("n,target,forb,value,graphs,classes", [
@@ -694,23 +710,13 @@ def test_ex_counters_are_pinned(n, target, forb, value, graphs, classes):
         value, graphs, classes)
 
 
-def _perfbench_reference():
-    """perfbench/reference.py, which imports nothing of mexlab, loaded as a
-    module of its own (perfbench/ is not a package)."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("n,target,forbidden,value", [
     (9, "K2", "K3", 20),  # Mantel
     (9, "K2", "C4", 13),  # OEIS A006855
     (10, "K2", "C4", 16),
 ])
 def test_ex_past_n_8_matches_the_closed_forms(n, target, forbidden, value):
-    assert _perfbench_reference().ex_closed_form(n, target, forbidden) == value
+    assert ref.ex_closed_form(n, target, forbidden) == value
     assert ex_exact(n, pattern(target), pattern(forbidden)).value == value
 
 
@@ -726,7 +732,7 @@ def test_ex_rejects():
 def test_ex_witness_has_exact_order():
     res = ex_exact(6, pattern("K3"), pattern("K2_2"))
     assert res.witness.n == 6
-    assert count_copies(pattern("K3"), res.witness) == res.value
+    assert ref.count_copies(ref.literal("K3")[1], res.witness.adj) == res.value
 
 
 def test_forbidden_pattern_with_isolated_vertex():
@@ -745,7 +751,7 @@ def test_forbidden_pattern_with_isolated_vertex():
 
 
 # Patterns with isolated vertices, against brute force over labeled graphs
-# with the unpruned reference search (tests/embedding_reference.py).
+# with the unpruned search of perfbench/reference.py.
 WITH_ISOLATED = {
     "K3+K1": Graph(4, [(0, 1), (1, 2), (0, 2)]),
     "K2+K1": Graph(3, [(0, 1)]),
@@ -757,8 +763,8 @@ WITH_ISOLATED = {
 def _brute_force_best(classes, target, forbidden):
     """(value, least key of that value) over the classes free of forbidden,
     or None when none is."""
-    scored = [(ref.count_copies(target, g), key) for key, g in classes.items()
-              if ref.is_free(forbidden, g)]
+    scored = [(ref.count_copies(target.adj, g.adj), key) for key, g in classes.items()
+              if not ref.contains(forbidden.adj, g.adj)]
     if not scored:
         return None
     best = max(value for value, _ in scored)
@@ -854,15 +860,8 @@ def _labeled_classes(n):
     return classes
 
 
-def _tie_break_winner(classes, target, forbidden):
-    scored = [(count_copies(target, g), key) for key, g in classes.items()
-              if is_free(forbidden, g)]
-    best = max(value for value, _ in scored)
-    return best, min(key for value, key in scored if value == best)
-
-
 def _check_witness(res, classes, target, forbidden):
-    value, key = _tie_break_winner(classes, target, forbidden)
+    value, key = _brute_force_best(classes, target.graph, forbidden.graph)
     assert res.value == value
     assert _form(_without_isolated(res.witness)) == key
 

@@ -1,9 +1,13 @@
-"""Every private top-level name of the package is used by the package."""
+"""Source checks by ast: every private top-level name of the package is
+used by the package, and the tests' reference imports only the standard
+library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import mexlab
+from conftest import REFERENCE_PATH
 
 SRC = Path(mexlab.__file__).resolve().parent
 
@@ -48,3 +52,17 @@ def test_every_private_top_level_name_is_referenced():
                     if counts.get(name, 0) - own.count(name) == 0:
                         unused.append(f"{module}: {name}")
     assert not unused, f"private names the package never uses: {unused}"
+
+
+def test_the_reference_imports_only_the_standard_library():
+    # so no check that calls it shares code with mexlab
+    tree = ast.parse(REFERENCE_PATH.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported
+    assert [name for name in imported
+            if name.split(".")[0] not in sys.stdlib_module_names] == []
