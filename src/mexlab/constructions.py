@@ -14,9 +14,7 @@ from .graphs import (EDGE_LIST_MAX_VERTICES, LITERAL_MAX_EDGES, Graph,
                      Pattern, _clique_counts, complete_multipartite,
                      count_cliques, gnp, iter_copies, pattern)
 
-NORM_GRAPH_MAX_VERTICES = EDGE_LIST_MAX_VERTICES  # a built graph must load back
 DELETION_MAX_N = 500
-DELETION_MAX_R = 5
 DELETION_MAX_COPIES = 10000
 EXPERIMENT_MAX_INSTANCES = 32
 
@@ -26,16 +24,16 @@ def _norm_graph_order(q: int, s: int) -> int:
     edge bound pass their checks; a ValueError names the first that fails."""
     # q^(s-1) (q-1) is at least q - 1 and 2^(s-1): bound q and s before the
     # trial-division primality test and the power
-    if q - 1 > NORM_GRAPH_MAX_VERTICES or s > NORM_GRAPH_MAX_VERTICES.bit_length():
+    if q - 1 > EDGE_LIST_MAX_VERTICES or s > EDGE_LIST_MAX_VERTICES.bit_length():
         raise ValueError(f"(q, s) = ({q}, {s}) has over "
-                         f"{NORM_GRAPH_MAX_VERTICES} vertices")
+                         f"{EDGE_LIST_MAX_VERTICES} vertices")
     if not is_prime(q):
         raise ValueError(f"q = {q} is not prime")
     if s < 2:
         raise ValueError("s must be >= 2")
     n = q ** (s - 1) * (q - 1)
-    if n > NORM_GRAPH_MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds cap {NORM_GRAPH_MAX_VERTICES}")
+    if n > EDGE_LIST_MAX_VERTICES:  # a built graph must load back
+        raise ValueError(f"vertex count {n} exceeds cap {EDGE_LIST_MAX_VERTICES}")
     # every vertex has degree at most q^(s-1) - 1
     edges = n * (q ** (s - 1) - 1) // 2
     if edges > LITERAL_MAX_EDGES:
@@ -122,8 +120,6 @@ def deletion_method(f: Pattern, u: int, r: int, n: int, seed: int,
         raise ConditionError(failed[0].text)
     if not 1 <= n <= DELETION_MAX_N:
         raise ValueError(f"n must lie in 1..{DELETION_MAX_N}")
-    if r > DELETION_MAX_R:
-        raise ValueError(f"r exceeds cap {DELETION_MAX_R}")
     if not (finite_number(c) and c > 0):
         raise ValueError(f"c must be a finite positive number, got {c}")
 

@@ -78,11 +78,8 @@ def extract_dense(g: Graph, r: int, alpha: float, C: float):
         raise ValueError("alpha must lie in (2/r, 1]")
     if not (math.isfinite(C) and C > 0):
         raise ValueError(f"C must be a finite positive number, got {C}")
+    participation = edge_clique_participation(g, r)  # refuses an edgeless g
     m = g.m
-    if m == 0:
-        raise ValueError("input graph has no edges")
-
-    participation = edge_clique_participation(g, r)
     tau = 0.5 * C * m ** ((alpha * r - 2) / 2)
     if tau == math.inf:
         raise OverflowError(f"tau = {0.5 * C} * {m} ** {(alpha * r - 2) / 2}")

@@ -3,15 +3,13 @@
 Elements are length-k coefficient tuples over GF(p), low degree first.  The
 modulus is the lexicographically smallest monic irreducible of degree k
 (comparing coefficient tuples low-to-high), so a field is fully determined
-by (p, k).
+by (p, k).  Fields have no cap of their own: ``norm_graph``, which builds
+each one, bounds p and k by its vertex and edge caps first.
 """
 
 from __future__ import annotations
 
 from itertools import product
-
-MAX_PRIME = 97
-MAX_DEGREE = 4
 
 
 def is_prime(n: int) -> bool:
@@ -62,10 +60,8 @@ class FiniteField:
     def __init__(self, p: int, k: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if p > MAX_PRIME and k > 1:  # bounds the irreducible-polynomial search
-            raise ValueError(f"prime cap is {MAX_PRIME}")
-        if not 1 <= k <= MAX_DEGREE:
-            raise ValueError(f"extension degree must be in 1..{MAX_DEGREE}")
+        if k < 1:
+            raise ValueError(f"extension degree {k} must be at least 1")
         self.p = p
         self.k = k
         self.modulus = _smallest_irreducible(p, k)

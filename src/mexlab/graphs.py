@@ -37,13 +37,13 @@ and b pinned to the ends of a host edge (``_copies_through``): one rooted
 plan per automorphism orbit of arcs finds each copy through that edge
 exactly once.
 
-``gnp`` draws slot i of G(n, p) from ``splitmix64(seed, i)``, but computes
-whole chunks of 1024 slots, one slot per 128-bit lane of one Python int, so
-each step of the mix is one big-int operation, and cuts the flags of the
-last chunk to C(n, 2).  A threshold added to every lane leaves one flag bit
-per slot; the flags come out as b"0"/b"1" bytes, laid out as an n x n grid
-from which each vertex's upper and lower neighbours are each read as one
-base-2 numeral.
+``gnp`` draws slot i of G(n, p) from output i of a SplitMix64 stream, but
+computes whole chunks of 1024 slots, one slot per 128-bit lane of one
+Python int, so each step of the mix is one big-int operation, and cuts the
+flags of the last chunk to C(n, 2).  A threshold added to every lane leaves
+one flag bit per slot; the flags come out as b"0"/b"1" bytes, laid out as
+an n x n grid from which each vertex's upper and lower neighbours are each
+read as one base-2 numeral.
 
 A kernel whose nested function calls itself deletes that function before
 it returns or raises: the function and its closure cell form a reference
@@ -65,26 +65,10 @@ from . import EDGE_LIST_MAX_VERTICES
 
 PATTERN_MAX_ORDER = 16
 COUNTING_MAX_ORDER = 12
-CHROMATIC_MAX_ORDER = 16
 LITERAL_MAX_EDGES = 1000000
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-
-def splitmix64(seed: int, index: int) -> int:
-    """Return the index-th 64-bit output of a SplitMix64 stream.
-
-    SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) is counter-based:
-    output(i) depends only on (seed, i), so individual draws are addressable
-    without sequential state.  This is the only randomness source in the
-    package, and the definition of every draw: ``gnp`` computes the same
-    outputs many slots at a time.
-    """
-    z = (seed + (index + 1) * _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
 
 
 def bits(mask: int):
@@ -263,8 +247,8 @@ _EDGE_FLAG = bytes.maketrans(b"\x00\x01", b"10")
 
 
 def _slot_flags(seed: int, threshold: int, count: int) -> bytes:
-    """One byte per slot 0..count-1: b"1" iff splitmix64(seed, slot) <
-    threshold, else b"0".
+    """One byte per slot 0..count-1: b"1" iff gnp's draw for the slot is
+    below threshold, else b"0".
 
     Each chunk of _LANES slots is one int, and each step of the mix is one
     operation on it, masked back to 64 bits per lane.  The counters of the
@@ -294,8 +278,11 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p) sampled with SplitMix64.
 
     Edge slots are visited in lexicographic (u, v) order; slot i is present
-    iff splitmix64(seed, i) < round(p * 2**64).  Identical (n, p, seed)
-    always produce the identical labeled graph on every platform.
+    iff output i of the SplitMix64 stream seeded with seed (Steele, Lea &
+    Flood, OOPSLA 2014) is below round(p * 2**64).  That output is the
+    SplitMix64 mix of seed + (i + 1) * _GOLDEN mod 2^64, so it depends only
+    on (seed, i), and identical (n, p, seed) always produce the identical
+    labeled graph on every platform.  This is the package's only randomness.
 
     All C(n, 2) draws come from one ``_slot_flags`` call.  Each row u is
     padded with u + 1 b"0" to n flag bytes, and the n x n grid is reversed
@@ -979,9 +966,10 @@ def iter_copies(f: Pattern, g: Graph, limit: int) -> list:
 # ---------------------------------------------------------------------------
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number by incremental k-colorability backtracking."""
-    if g.n > CHROMATIC_MAX_ORDER:
-        raise ValueError(f"order {g.n} exceeds cap {CHROMATIC_MAX_ORDER}")
+    """Exact chromatic number by incremental k-colorability backtracking.
+
+    The search is exponential in g.n; its one caller passes a Pattern's
+    graph, of at most PATTERN_MAX_ORDER vertices."""
     if g.n == 0:
         return 0
     n = g.n

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 import mexlab
 from conftest import cyclic_garbage, recursion_headroom, ref
+from mexlab import EDGE_LIST_MAX_VERTICES
 from mexlab import bounds as bounds_mod
 from mexlab.bounds import (Condition, ExponentReport, cor12_exponent,
                            cor14_kst, cor17_classifier, cor44_tripartite_lower,
@@ -33,14 +34,11 @@ from mexlab.bounds import (Condition, ExponentReport, cor12_exponent,
                            thm46_join_cycle)
 from mexlab.cli import (_COMMANDS, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                         _build_parser, _encode, _json, _number, _Parser, main)
-from mexlab.constructions import (EXPERIMENT_MAX_INSTANCES,
-                                  NORM_GRAPH_MAX_VERTICES, DeletionRun,
-                                  norm_graph)
+from mexlab.constructions import EXPERIMENT_MAX_INSTANCES, DeletionRun, norm_graph
 from mexlab.extraction import ExtractionReport, GuaranteeCases, GuaranteeCheck
 from mexlab.graphs import (LITERAL_MAX_EDGES, CliqueVector, Pattern, complete,
-                           format_edge_list, gnp, load_edge_list,
-                           parse_pattern_literal, pattern, read_edge_list,
-                           save_edge_list)
+                           gnp, load_edge_list, parse_pattern_literal, pattern,
+                           read_edge_list, save_edge_list)
 from mexlab.oracle import ORACLE_MAX_GRAPHS, OracleResult
 from test_embeddings import LITERALS
 
@@ -1522,12 +1520,14 @@ def test_extract_argv_fuzz(argv, schema):
     run_fuzz_case(argv, schema)
 
 
-@pytest.mark.parametrize("q, s", [(127, 2), (37, 3), (11, 4), (7, 5)])
+@pytest.mark.parametrize("q, s", [(127, 2), (37, 3), (11, 4), (7, 5), (3, 8),
+                                  (2, 12)])
 def test_construct_norm_graph_refuses_over_the_edge_cap_at_once(q, s, tmp_path,
                                                                 schema):
-    # Each pair has under NORM_GRAPH_MAX_VERTICES vertices but from 1.0 to
+    # Each pair has under EDGE_LIST_MAX_VERTICES vertices but from 1.0 to
     # 33.7 million edges; it is refused before the field is built.  (127, 2)
-    # is the first prime past the field's prime cap that s = 2 refuses.
+    # is the smallest prime that s = 2 refuses, and (3, 8) and (2, 12) are
+    # the first s past the largest H(3, s) and H(2, s) that build.
     out = tmp_path / "norm.el"
     src = Path(mexlab.__file__).resolve().parent.parent
     proc = subprocess.run(
@@ -1615,11 +1615,11 @@ def norm_graph_qs(draw):
     s = _spoilt(draw, st.just(s), st.integers(-2, 8) | odd_text | st.sampled_from(
         [16, 17, 100, 10 ** 9]))
     if (isinstance(q, int) and isinstance(s, int)
-            and 2 <= q <= NORM_GRAPH_MAX_VERTICES + 1 and 2 <= s <= 16):
+            and 2 <= q <= EDGE_LIST_MAX_VERTICES + 1 and 2 <= s <= 16):
         # a valid instance under both caps but past 1500 vertices takes
         # seconds to build; one over either cap is refused at once
         n = q ** (s - 1) * (q - 1)
-        assume(not (1500 < n <= NORM_GRAPH_MAX_VERTICES
+        assume(not (1500 < n <= EDGE_LIST_MAX_VERTICES
                     and n * (q ** (s - 1) - 1) // 2 <= LITERAL_MAX_EDGES))
     return str(q), str(s)
 

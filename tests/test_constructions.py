@@ -5,16 +5,19 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import ref
 from mexlab import constructions
-from mexlab.bounds import COND_MADC, ConditionError
+from mexlab.bounds import COND_MADC, ConditionError, thm15_general
 from mexlab.cli import EXIT_OK, main
 from mexlab.constructions import (EXPERIMENT_MAX_INSTANCES, deletion_method,
                                   fit_loglog_slope, norm_graph, run_experiment,
                                   tripartite_parts)
-from mexlab.graphs import (Graph, Pattern, bits, complete, count_cliques, count_copies,
-                           format_edge_list, gnp, is_free, iter_copies, pattern)
+from mexlab.graphs import (PATTERN_MAX_ORDER, Graph, Pattern, bits, complete,
+                           count_cliques, count_copies, format_edge_list, gnp,
+                           is_free, iter_copies, pattern)
 
 
 def test_norm_graph_small():
@@ -32,26 +35,29 @@ def test_norm_graph_params_validation():
 
 
 def test_norm_graph_at_q_2_is_complete():
-    for s in range(2, 6):
+    for s in range(2, 9):
         assert norm_graph(2, s) == complete(2 ** (s - 1))
 
 
 def test_norm_graph_past_the_field_prime_cap():
-    # the prime cap bounds the irreducible-polynomial search, which s = 2
-    # does not make
+    # s = 2 builds the prime field GF(q), whose modulus needs no search, for
+    # every prime q the vertex and edge caps admit, up to q = 113
     q = 101
     g = norm_graph(q, 2)
     assert (g.n, g.m) == (10100, (q - 1) * (q * q - q - 1) // 2)
 
 
 def test_norm_graph_shape():
-    for q, s in [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3)]:
+    for q, s in [(3, 2), (5, 2), (7, 2), (3, 3), (5, 3), (3, 6)]:
         g = norm_graph(q, s)
         assert g.n == q ** (s - 1) * (q - 1)
         for v in range(g.n):
             assert not g.adj[v] >> v & 1
         assert all(g.adj[u] >> v & 1 == g.adj[v] >> u & 1
                    for u in range(g.n) for v in bits(g.adj[u]))
+    # g is H(3, 6), Cor. 1.4's smallest witness at r = 4 (s >= 2r - 2 = 6)
+    want = [1, 486, 58685, 2332880, 34129260]
+    assert ref.clique_counts(g.adj, 4) == list(count_cliques(g, 4).counts) == want
 
 
 def test_norm_graph_bipartite_freeness_small():
@@ -101,14 +107,16 @@ def test_norm_graph_triangle_count_closed_form():
         assert count_cliques(g, 3)[3] == math.comb(q - 1, 3)
 
 
-# sha256 of format_edge_list(norm_graph(q, s)) for s = 3, 4, 5, whose norms
-# are products in GF(q^2), GF(q^3) and GF(q^4)
+# sha256 of format_edge_list(norm_graph(q, s)) for s = 3, 4, 5, 6, whose
+# norms are products in GF(q^2), GF(q^3), GF(q^4) and GF(q^5); (3, 6) is
+# also the file that `construct norm-graph --q 3 --s 6` writes
 @pytest.mark.parametrize("q,s,sha", [
     (5, 3, "6557e8884e238e4fa945a261b0d27d4961b71e8b4a28000f606b3c0d7f81e016"),
     (7, 3, "4f6ea8db3dd67f676a02ab44eb7a4476f184585d8c05427497294947f4e9ac79"),
     (3, 4, "ebfb08de443384ffca1ebb87b157c25bbe7ac082eeefb9549487f975bdfd19c9"),
     (5, 4, "3cc6b4a1d76be00944f112ad5615b1297caba8c2d2f13b0db69d35f3e1f1215a"),
-    (3, 5, "736ced73078652d30e6e926ebaf05df7eab717b1bde9482f8fb751f861a97ea6")])
+    (3, 5, "736ced73078652d30e6e926ebaf05df7eab717b1bde9482f8fb751f861a97ea6"),
+    (3, 6, "67bcb0e8c9e1f356ffe503d2fe0ae889a0ee4f4f288343fb5b70176e23a3315d")])
 def test_norm_graph_edge_lists_are_pinned(q, s, sha):
     text = format_edge_list(norm_graph(q, s))
     assert hashlib.sha256(text.encode()).hexdigest() == sha
@@ -123,6 +131,25 @@ def test_deletion_rejects_bad_patterns():
     for c in (float("nan"), float("inf"), 0.0, -1.0, True):
         with pytest.raises(ValueError):
             deletion_method(pattern("K3_4"), 2, 3, 10, seed=1, c=c)
+
+
+# MADC >= 2e/v, so the MADC condition, MADC < (2e - r(r-1))/(v-2), needs
+# e > v r(r-1)/4; with e <= v(v-1)/2 that needs r(r-1) < 2(v-1).  Past
+# r = 5 no pattern of order at most PATTERN_MAX_ORDER meets it, so
+# deletion_method needs no cap on r.
+@settings(max_examples=40, deadline=None)
+@given(v=st.integers(3, PATTERN_MAX_ORDER), mask=st.integers(0, 2 ** 120 - 1),
+       u=st.integers(2, 7), r=st.integers(6, 8))
+@example(v=PATTERN_MAX_ORDER, mask=2 ** 120 - 1, u=2, r=6)
+@example(v=PATTERN_MAX_ORDER, mask=2 ** 120 - 1, u=5, r=6)
+def test_deletion_conditions_fail_past_r_5(v, mask, u, r):
+    assert 6 * 5 >= 2 * (PATTERN_MAX_ORDER - 1)
+    assume(u < r)
+    pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
+    f = Pattern(Graph(v, [e for i, e in enumerate(pairs) if mask >> i & 1]))
+    assert thm15_general(u, r, f).failed_conditions()
+    with pytest.raises(ConditionError):
+        deletion_method(f, u, r, 10, seed=0)
 
 
 def test_deletion_run_small():

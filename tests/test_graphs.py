@@ -1,12 +1,13 @@
 """Graph core: generators, exact counting, invariants."""
 
+import json
 import math
 import random
 import re
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from conftest import (bowtie, cyclic_garbage, disjoint_union,
                       hom_brute_force, path, petersen, recursion_headroom, ref)
 from mexlab import graphs
 from mexlab.bounds import lemma_constant
+from mexlab.cli import EXIT_VALIDATION, main
 from mexlab.constructions import deletion_method
 from mexlab.graphs import (EdgeListError, Graph, Pattern, _at_least,
                            _twin_classes, chromatic_number, complete,
@@ -23,7 +25,7 @@ from mexlab.graphs import (EdgeListError, Graph, Pattern, _at_least,
                            cycle, edge_clique_participation, format_edge_list, gnp,
                            is_free, iter_copies, load_graph, max_avg_degree,
                            parse_pattern_literal, pattern, read_edge_list,
-                           save_edge_list, splitmix64, star)
+                           save_edge_list, star)
 
 
 def seeded_graphs(count, max_n=12, ps=(0.3, 0.5, 0.8)):
@@ -465,9 +467,14 @@ def test_chromatic_examples():
     assert chromatic_number(Graph(5)) == 1
 
 
-def test_chromatic_cap():
-    with pytest.raises(ValueError):
-        chromatic_number(Graph(17))
+def test_chromatic_cap(capsys):
+    # chromatic_number has no cap of its own: its one caller,
+    # cor17_classifier, reads a Pattern, whose order cap refuses K17 first
+    code = main(["bounds", "--formula", "cor17_classifier", "--params", "f=K17,t=3"])
+    obj = json.loads(capsys.readouterr().out)
+    assert code == EXIT_VALIDATION and obj["code"] == "invalid-params"
+    assert obj["message"].endswith(
+        f"pattern order 17 exceeds cap {graphs.PATTERN_MAX_ORDER}")
 
 
 def test_max_avg_degree_examples():
@@ -585,10 +592,10 @@ def test_gnp_determinism_and_bounds():
 
 
 def test_splitmix64_reference_vector():
-    # first outputs of the stream seeded with 0, as published for SplitMix64
-    assert splitmix64(0, 0) == 0xE220A8397B1DCDAF
-    assert splitmix64(0, 1) == 0x6E789E6AA1B965F4
-    assert splitmix64(0, 2) == 0x06C45D188009454F
+    # first outputs of the stream seeded with 0, as published for SplitMix64;
+    # gnp's draws are checked against this stream below
+    assert list(islice(ref.splitmix64_stream(0), 3)) == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
 # p at the ends of the threshold range: 0, a subnormal, one draw in 2^64,
@@ -626,8 +633,8 @@ def test_slot_flags_across_chunk_ends():
     for count in (0, 1, lanes - 1, lanes, lanes + 1, 2 * lanes + 1):
         for threshold in (0, 1, 2 ** 63, 2 ** 64 - 2 ** 11, 2 ** 64):
             for seed in _EDGE_SEEDS:
-                want = bytes(48 + (splitmix64(seed, i) < threshold)
-                             for i in range(count))
+                want = bytes(48 + (draw < threshold)
+                             for draw in islice(ref.splitmix64_stream(seed), count))
                 assert graphs._slot_flags(seed, threshold, count) == want
 
 

@@ -4,7 +4,7 @@ import hashlib
 import math
 import random
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings

@@ -1,6 +1,6 @@
 """Source checks by ast: every private top-level name of the package is
-used by the package, and the tests' reference imports only the standard
-library."""
+used by the package, every imported name is read where it is imported,
+and the tests' reference imports only the standard library."""
 
 import ast
 import sys
@@ -10,6 +10,7 @@ import mexlab
 from conftest import REFERENCE_PATH
 
 SRC = Path(mexlab.__file__).resolve().parent
+ROOT = SRC.parent.parent
 
 
 def _defined(node) -> list[str]:
@@ -52,6 +53,27 @@ def test_every_private_top_level_name_is_referenced():
                     if counts.get(name, 0) - own.count(name) == 0:
                         unused.append(f"{module}: {name}")
     assert not unused, f"private names the package never uses: {unused}"
+
+
+def test_every_imported_name_is_read():
+    # the package, the tests and the scripts; a __future__ import binds no name
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")) + sorted(
+        (ROOT / "scripts").glob("*.py"))
+    assert len(paths) > 20
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name != "*" and name not in read:
+                        unread.append(f"{path.relative_to(ROOT)}: {name}")
+    assert not unread, f"imported names never read: {unread}"
 
 
 def test_the_reference_imports_only_the_standard_library():
