@@ -60,6 +60,14 @@ FIXED_QUERIES = [
     ["bounds", "--formula", "thm13_f", "--params", "alpha=3/2,beta=5/4"],
     ["bounds", "--formula", "thm43_multipartite", "--params", "r=3,s=1+2+2"],
     ["bounds", "--formula", "thm15_general", "--params", "u=2,r=3,f=K3_4"],
+    # the formula rows that no other query writes, cor44's Fraction aux and
+    # thm46's tight branch among them
+    ["bounds", "--formula", "cor12", "--params", "r=4,s=3/2"],
+    ["bounds", "--formula", "thm41_kst_lower", "--params", "u=2,r=3,s=3,t=5"],
+    ["bounds", "--formula", "remark42_one_part", "--params", "r=3,s=1+2+3"],
+    ["bounds", "--formula", "cor44_tripartite_lower", "--params", "s1=2,s2=3,s3=4"],
+    ["bounds", "--formula", "thm46_join_cycle", "--params", "r=4,s=1,l=5"],
+    ["bounds", "--formula", "thm46_join_cycle", "--params", "r=3,s=2,l=4"],
     ["experiment", f"{FIXED_DIR}/deletion.json", "--csv", f"{FIXED_DIR}/deletion.csv"],
     # the oracle at n = 8 and m = 10, past every workload's sizes of 7
     ["oracle", "ex", "--n", "8", "--target", "K3", "--forbidden", "K4"],

@@ -8,7 +8,6 @@ on float noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -31,25 +30,34 @@ COND_EDGE_COUNT = "e > (r-1)/2*v + r(r-1)/2 - (r-1)"
 COND_MADC = "madc < (2e-r(r-1))/(v-2)"
 
 
-@dataclass
-class Condition:
-    text: str
-    passed: bool | None  # None: recorded hypothesis, not checkable here
+class Report:
+    """A report of the CLI.  The CLI writes one as the JSON object of its
+    attributes, in the order __init__ sets them, under camelCase names; two
+    reports are equal when they are of one class with equal attributes."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
 
-@dataclass
-class ExponentReport:
-    formula_id: str
-    params: dict
-    value: float | bool | None = None  # float(value_rational) when unset
-    value_rational: Fraction | None = None
-    conditions: list = field(default_factory=list)
-    tight: bool = False
-    aux: dict = field(default_factory=dict)
+class Condition(Report):
+    def __init__(self, text: str, passed: bool | None):
+        self.text = text
+        self.passed = passed  # None: recorded hypothesis, not checkable here
 
-    def __post_init__(self):
-        if self.value is None and self.value_rational is not None:
-            self.value = float(self.value_rational)
+
+class ExponentReport(Report):
+    def __init__(self, formula_id: str, params: dict, value: float | bool | None = None,
+                 value_rational: Fraction | None = None, conditions: list | None = None,
+                 tight: bool = False, aux: dict | None = None):
+        self.formula_id = formula_id
+        self.params = params
+        if value is None and value_rational is not None:
+            value = float(value_rational)
+        self.value = value
+        self.value_rational = value_rational
+        self.conditions = [] if conditions is None else conditions
+        self.tight = tight
+        self.aux = {} if aux is None else aux
 
     def failed_conditions(self) -> list:
         return [c for c in self.conditions if c.passed is False]

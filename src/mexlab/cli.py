@@ -10,13 +10,14 @@ process, as perfbench's worker does.  Importing this module loads only
 `mexlab` and `bounds`: each subcommand imports the modules it runs when it
 runs, so a cold `bounds` call compiles none of the others.  Library names
 are read from their modules at call time, so a rebound module attribute (a
-tracing wrapper, say) is what runs.
+tracing wrapper, say) is what runs.  A report object is a `bounds.Report`,
+written as its attributes in the order its __init__ sets them, under
+camelCase names; `_encode` names the few other objects a report may hold.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import re
@@ -57,17 +58,16 @@ def _from_graphs(obj, name: str) -> bool:
 def _encode(obj):
     """The JSON form of a report object that json cannot write itself: a
     CliqueVector as k1..kR, a Graph as its order and edge list, a Fraction
-    as exact text, and any other dataclass as its fields in declaration
-    order under camelCase names."""
+    as exact text, and a `bounds.Report` as its attributes in the order
+    its __init__ sets them, under camelCase names."""
     if _from_graphs(obj, "CliqueVector"):
         return {f"k{r}": obj[r] for r in range(1, obj.R + 1)}
     if _from_graphs(obj, "Graph"):
         return {"n": obj.n, "edges": obj.edges()}
     if isinstance(obj, Fraction):
         return str(obj)
-    if dataclasses.is_dataclass(obj):
-        return {re.sub(r"_(.)", lambda m: m[1].upper(), f.name): getattr(obj, f.name)
-                for f in dataclasses.fields(obj)}
+    if isinstance(obj, bounds_mod.Report):
+        return {re.sub(r"_(.)", lambda m: m[1].upper(), k): v for k, v in vars(obj).items()}
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import ConditionError, cor14_kst, integral, thm15_general
+from .bounds import ConditionError, Report, cor14_kst, integral, thm15_general
 from .fields import FiniteField, is_prime
 from .graphs import (EDGE_LIST_MAX_VERTICES, LITERAL_MAX_EDGES, Graph,
                      Pattern, _clique_counts, complete_multipartite,
@@ -54,23 +53,16 @@ def norm_graph(q: int, s: int) -> Graph:
     """
     n = _norm_graph_order(q, s)
     F = FiniteField(q, s - 1)
-    elems = [F.from_index(i) for i in range(F.order)]
-    index = {a: i for i, a in enumerate(elems)}
-    norm_of = [None if a == F.zero else F.norm_to_base(a) for a in elems]
-    inv_mod_q = [0] + [pow(a, q - 2, q) for a in range(1, q)]
+    norm_of = [0] + [F.norm_to_base(F.from_index(i)) for i in range(1, F.order)]
+    # Row (A, a) holds (B, b) iff b = N(A+B)/a: one bit, b - 1, in B's block
+    # of q - 1 bits (little-endian), none where A + B = 0, and no loop.
+    unit = ["0" * (q - 1)] + ["0" * (b - 1) + "1" + "0" * (q - 1 - b) for b in range(1, q)]
+    blocks = [[unit[c * pow(a, q - 2, q) % q] for c in range(q)] for a in range(1, q)]
     g = Graph(n)
-    adj = g.adj
-    for ai, A in enumerate(elems):
-        for bi, B in enumerate(elems):
-            c = norm_of[index[F.add(A, B)]]
-            if c is None:  # A + B = 0; a nonzero element has a nonzero norm
-                continue
-            for a in range(1, q):
-                b = c * inv_mod_q[a] % q
-                i = ai * (q - 1) + (a - 1)
-                j = bi * (q - 1) + (b - 1)
-                if i != j:  # the edge is found again from j
-                    adj[i] |= 1 << j
+    for ai in range(F.order):
+        norms = [*map(norm_of.__getitem__, F.add_indices(ai))]
+        for i, block in enumerate(blocks, ai * (q - 1)):
+            g.adj[i] = int("".join(map(block.__getitem__, norms))[::-1], 2) & ~(1 << i)
     return g
 
 
@@ -78,23 +70,26 @@ def norm_graph(q: int, s: int) -> Graph:
 # Deletion method
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DeletionRun:
-    pattern: str
-    u: int
-    r: int
-    n: int
-    seed: int
-    c: float
-    p: float
-    clamped: bool
-    ku_before: int
-    kr_before: int
-    ku_after: int
-    kr_after: int
-    copies_found: int
-    edges_deleted: int
-    f_free: bool
+class DeletionRun(Report):
+    def __init__(self, pattern: str, u: int, r: int, n: int, seed: int, c: float,
+                 p: float, clamped: bool, ku_before: int, kr_before: int,
+                 ku_after: int, kr_after: int, copies_found: int,
+                 edges_deleted: int, f_free: bool):
+        self.pattern = pattern
+        self.u = u
+        self.r = r
+        self.n = n
+        self.seed = seed
+        self.c = c
+        self.p = p
+        self.clamped = clamped
+        self.ku_before = ku_before
+        self.kr_before = kr_before
+        self.ku_after = ku_after
+        self.kr_after = kr_after
+        self.copies_found = copies_found
+        self.edges_deleted = edges_deleted
+        self.f_free = f_free
 
 
 def deletion_method(f: Pattern, u: int, r: int, n: int, seed: int,

@@ -11,40 +11,43 @@ argument itself, so a failed flag always means an implementation bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .bounds import LEMMA_CONSTANT_MAX_R, lemma_constant
+from .bounds import LEMMA_CONSTANT_MAX_R, Report, lemma_constant
 from .graphs import CliqueVector, Graph, count_cliques, edge_clique_participation
 
 REL_SLACK = 1e-9  # absorbs float rounding of m**alpha in the flag checks
 
 
-@dataclass
-class GuaranteeCheck:
-    applicable: bool
-    passed: bool | None = None
-    lhs: float | None = None
-    rhs: float | None = None
-    constant: float | None = None
+class GuaranteeCheck(Report):
+    def __init__(self, applicable: bool, passed: bool | None = None,
+                 lhs: float | None = None, rhs: float | None = None,
+                 constant: float | None = None):
+        self.applicable = applicable
+        self.passed = passed
+        self.lhs = lhs
+        self.rhs = rhs
+        self.constant = constant
 
 
-@dataclass
 class GuaranteeCases(GuaranteeCheck):
     """Guarantee (d): one check per clique size 2..r, and it passes when
     every case does."""
 
-    cases: list = field(default_factory=list)
+    def __init__(self, passed: bool, cases: list):
+        super().__init__(True, passed)
+        self.cases = cases
 
 
-@dataclass
-class ExtractionReport:
-    threshold: float
-    e1_count: int
-    e2_count: int
-    n0: int
-    cliques: CliqueVector
-    hypothesis_met: bool
-    guarantees: dict = field(default_factory=dict)
+class ExtractionReport(Report):
+    def __init__(self, threshold: float, e1_count: int, e2_count: int, n0: int,
+                 cliques: CliqueVector, hypothesis_met: bool, guarantees: dict):
+        self.threshold = threshold
+        self.e1_count = e1_count
+        self.e2_count = e2_count
+        self.n0 = n0
+        self.cliques = cliques
+        self.hypothesis_met = hypothesis_met
+        self.guarantees = guarantees
 
     def all_guarantees_pass(self) -> bool:
         return all(g.passed for g in self.guarantees.values() if g.applicable)
@@ -115,7 +118,7 @@ def extract_dense(g: Graph, r: int, alpha: float, C: float):
             ci = cr if i == r else (cr / lemma_constant(i, r)) ** (i / r)
             cases.append(_check(
                 cliques[i], ci * n0 ** (i * (r - 2) * alpha / ((2 - alpha) * r - 2)), ci))
-        guarantees["d"] = GuaranteeCases(True, all(c.passed for c in cases), cases=cases)
+        guarantees["d"] = GuaranteeCases(all(c.passed for c in cases), cases)
         if alpha == 1.0:
             dense_const = edge_const / (c0 * c0)
             guarantees["e"] = _check(cliques[2], dense_const * n0 * n0, dense_const)

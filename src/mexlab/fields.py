@@ -83,6 +83,19 @@ class FiniteField:
     def add(self, a, b) -> tuple:
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
+    def add_indices(self, i: int) -> list:
+        """The index of element i plus element j, for each index j in order:
+        each base-p digit of i, added to the same digit of every j, rotates
+        range(p) by the digit."""
+        p = self.p
+        row, w = [0], 1
+        for _ in range(self.k):
+            d = i % p
+            row = [x + y * w for y in (*range(d, p), *range(d)) for x in row]
+            i //= p
+            w *= p
+        return row
+
     def mul(self, a, b) -> tuple:
         p = self.p
         conv = [0] * (2 * self.k - 1)

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -357,12 +356,15 @@ def load_graph(spec: str) -> Graph:
 # Clique counting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CliqueVector:
     """Exact clique counts k_1..k_R; counts[r] is the number of r-cliques."""
 
-    R: int
-    counts: tuple
+    def __init__(self, R: int, counts: tuple):
+        self.R = R
+        self.counts = counts
+
+    def __eq__(self, other):
+        return type(other) is CliqueVector and other.counts == self.counts
 
     def __getitem__(self, r: int) -> int:
         return self.counts[r]

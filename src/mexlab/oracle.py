@@ -59,10 +59,10 @@ and m needs no cap of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from . import EDGE_LIST_MAX_VERTICES, ORACLE_MAX_GRAPHS
+from .bounds import Report
 from .graphs import Graph, Pattern, _copies_through, _twin_classes, bits
 
 
@@ -504,18 +504,19 @@ def _children(g: Graph):
 # Queries
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OracleResult:
+class OracleResult(Report):
     """graphs_examined counts every child generated, including those skipped
     unbuilt as duplicates within an Aut(parent) orbit.  The witness is the
     class of greatest value, then of least order, then of least canonical
     certificate; only classes tied at that value and order are labeled to
     find it, and only when there are two or more (`_best`)."""
 
-    value: int
-    witness: Graph
-    graphs_examined: int
-    iso_classes_examined: int
+    def __init__(self, value: int, witness: Graph, graphs_examined: int,
+                 iso_classes_examined: int):
+        self.value = value
+        self.witness = witness
+        self.graphs_examined = graphs_examined
+        self.iso_classes_examined = iso_classes_examined
 
 
 def _best(candidates, scale: int, levels: list, examined: int,

@@ -1,7 +1,6 @@
 """CLI contract: subcommands, exit codes, JSON schema, round trips."""
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -24,7 +23,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mexlab
-from conftest import cyclic_garbage, recursion_headroom, ref
+from conftest import complete_plus_matching, cyclic_garbage, recursion_headroom, ref
 from mexlab import EDGE_LIST_MAX_VERTICES
 from mexlab import bounds as bounds_mod
 from mexlab.bounds import (Condition, ExponentReport, cor12_exponent,
@@ -34,12 +33,13 @@ from mexlab.bounds import (Condition, ExponentReport, cor12_exponent,
                            thm46_join_cycle)
 from mexlab.cli import (_COMMANDS, EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                         _build_parser, _encode, _json, _number, _Parser, main)
-from mexlab.constructions import EXPERIMENT_MAX_INSTANCES, DeletionRun, norm_graph
-from mexlab.extraction import ExtractionReport, GuaranteeCases, GuaranteeCheck
+from mexlab.constructions import (EXPERIMENT_MAX_INSTANCES, DeletionRun, deletion_method,
+                                  norm_graph)
+from mexlab.extraction import ExtractionReport, GuaranteeCases, GuaranteeCheck, extract_dense
 from mexlab.graphs import (LITERAL_MAX_EDGES, CliqueVector, Pattern, complete,
                            gnp, load_edge_list, parse_pattern_literal, pattern,
                            read_edge_list, save_edge_list)
-from mexlab.oracle import ORACLE_MAX_GRAPHS, OracleResult
+from mexlab.oracle import ORACLE_MAX_GRAPHS, OracleResult, mex_exact
 from test_embeddings import LITERALS
 
 
@@ -406,21 +406,38 @@ def test_report_text_is_pinned(argv, text, capsys):
     assert out == json.dumps(json.loads(text), indent=2) + "\n"
 
 
-@pytest.mark.parametrize("cls,name", [
-    (Condition, "condition"), (ExponentReport, "exponent"),
-    (GuaranteeCases, "guarantee"), (ExtractionReport, "extraction"),
-    (DeletionRun, "deletionRun"), (OracleResult, "oracleResult")])
-def test_report_fields_are_the_schema_properties(cls, name, schema):
-    # the CLI writes a report's fields in order under camelCase names, so a
-    # renamed field would change the output; here it fails instead
-    fields = [re.sub(r"_(\w)", lambda m: m[1].upper(), f.name)
-              for f in dataclasses.fields(cls)]
+def _extraction_report():
+    # the hypothesis holds, so every guarantee applies and (d) has its cases
+    return extract_dense(complete_plus_matching(10, 20), 3, 1.0, 0.2)[1]
+
+
+_REPORTS = [  # one report of each class, made by the library call that makes it
+    (Condition, lambda: cor14_kst(3, 3).conditions[0], "condition"),
+    (ExponentReport, lambda: cor14_kst(3, 3), "exponent"),
+    (GuaranteeCases, lambda: _extraction_report().guarantees["d"], "guarantee"),
+    (ExtractionReport, _extraction_report, "extraction"),
+    (DeletionRun, lambda: deletion_method(pattern("K3_4"), 2, 3, 30, 1)[1], "deletionRun"),
+    (OracleResult, lambda: mex_exact(3, pattern("K3"), pattern("K4")), "oracleResult"),
+]
+
+
+@pytest.mark.parametrize("cls,make,name", _REPORTS,
+                         ids=[f"{cls.__name__}-{name}" for cls, _, name in _REPORTS])
+def test_report_fields_are_the_schema_properties(cls, make, name, schema):
+    # the CLI writes a report's attributes in the order __init__ sets them,
+    # under camelCase names, so a renamed or reordered one would change the
+    # output; here it fails instead
+    report = make()
+    assert type(report) is cls
+    fields = [re.sub(r"_(\w)", lambda m: m[1].upper(), k) for k in vars(report)]
     assert fields == list(schema["$defs"][name]["properties"])
 
 
 def test_only_guarantee_d_has_cases():
-    names = [f.name for f in dataclasses.fields(GuaranteeCheck)]
-    assert names + ["cases"] == [f.name for f in dataclasses.fields(GuaranteeCases)]
+    guarantees = _extraction_report().guarantees
+    assert type(guarantees["a"]) is GuaranteeCheck
+    names = list(vars(guarantees["a"]))
+    assert names + ["cases"] == list(vars(guarantees["d"]))
 
 
 @pytest.mark.parametrize("fid,params,key", [
@@ -585,24 +602,33 @@ def test_bounds_params_fuzz(fid, pairs, schema):
      {"graphs", "oracle"}),
     (["construct", "norm-graph", "--q", "3", "--s", "2", "--out", "OUT"],
      {"constructions", "fields", "graphs"}),
-], ids=["bounds", "bounds-pattern", "count", "oracle-mex", "construct-norm-graph"])
+    (["extract", "--input", "K10", "--r", "3", "--alpha", "1", "--C", "0.2"],
+     {"extraction", "graphs"}),
+    (["construct", "deletion", "--pattern", "K3_4", "--u", "2", "--r", "3", "--n", "30",
+      "--seed", "1"], {"constructions", "fields", "graphs"}),
+], ids=["bounds", "bounds-pattern", "count", "oracle-mex", "construct-norm-graph",
+        "extract", "construct-deletion"])
 def test_each_subcommand_loads_only_its_modules(argv, modules, tmp_path):
     # Each CLI call is a fresh interpreter, which compiles every module it
     # imports: past mexlab, cli and bounds only the modules the subcommand
-    # runs are loaded, and numpy never is.
+    # runs are loaded, and numpy never is; nor is dataclasses, whose import
+    # of inspect (and through it ast, dis and tokenize) a cold start would
+    # pay for.
     src = Path(mexlab.__file__).resolve().parent.parent
     argv = [str(tmp_path / "out.el") if a == "OUT" else a for a in argv]
     code = ("import sys\n"
             "from mexlab.cli import main\n"
             "code = main(sys.argv[1:])\n"
             "print(code, *sorted(m for m in sys.modules\n"
-            "                    if m.partition('.')[0] in ('mexlab', 'numpy')),\n"
+            "                    if m.partition('.')[0] in\n"
+            "                    ('mexlab', 'numpy', 'dataclasses', 'inspect')),\n"
             "      file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)),
                           timeout=60)
     exit_code, *loaded = proc.stderr.split()
     assert int(exit_code) == EXIT_OK
+    assert not {"dataclasses", "inspect"} & set(loaded)
     assert set(loaded) == {"mexlab", "mexlab.cli", "mexlab.bounds",
                            *(f"mexlab.{m}" for m in modules)}
 

@@ -129,3 +129,14 @@ def test_enumeration_round_trip():
     F = FiniteField(5, 3)
     for i in range(F.order):
         assert F.from_index(i) == tuple(i // 5 ** j % 5 for j in range(3))
+
+
+def test_add_indices_is_add():
+    # every i of the small fields, 20 random ones of the wide fields, each
+    # against the tuple add over every j
+    rng = random.Random(5)
+    for F in [FiniteField(2, 1), FiniteField(3, 2), FiniteField(5, 3), FiniteField(7, 2)] + [
+            FiniteField(p, k) for p, k in WIDE]:
+        elems = [F.from_index(j) for j in range(F.order)]
+        for i in (range(F.order) if F.order < 200 else rng.sample(range(F.order), 20)):
+            assert [elems[x] for x in F.add_indices(i)] == [F.add(elems[i], b) for b in elems]
